@@ -43,17 +43,19 @@ void ModelTable() {
   }
 }
 
-// Controlled L5 microbenchmark: a sender streams into the receiver's TCP
-// socket; the receiving app lets data accumulate and then issues one
-// batched L5Channel::Receive of `batch` bytes. The modeled time spent
-// *inside* Receive (copy vs revoke of the full multi-page buffer) is
-// isolated from network time — this is where the crossover is visible
-// end to end.
+// Controlled L5 microbenchmark: each period the sender writes `batch`
+// bytes into the receiver's TCP socket, and the receiving stack takes them
+// in on its own (no L5 crossing) while the app lets them accumulate. Then
+// the app rings one doorbell, which harvests the pile into the socket's
+// armed slots (charging the copy or the unshare right there), and drains
+// the harvested bytes. The modeled time of doorbell plus drain (copy vs
+// revoke of the full multi-page buffer) is isolated from network time —
+// this is where the crossover is visible end to end.
 void BatchedL5Table() {
   using namespace cio;  // NOLINT
   std::printf(
-      "\n-- measured: batched L5 Receive cost (ns per call, in-boundary) "
-      "--\n");
+      "\n-- measured: batched L5 receive cost (ns per doorbell + drain, "
+      "in-boundary) --\n");
   std::printf("%8s %14s %14s %10s\n", "batch", "copy ns", "revoke ns",
               "winner");
   for (size_t batch : {1024, 4096, 16384, 65536}) {
@@ -88,29 +90,41 @@ void BatchedL5Table() {
       cionet::SocketId server{};
       bool accepted = false;
       ciobase::Rng rng(1);
-      ciobase::Buffer chunk = rng.Bytes(4096);
+      ciobase::Buffer payload = rng.Bytes(batch);
       ciobase::Buffer receive_buffer;
       uint64_t in_receive_ns = 0;
       int receives = 0;
       for (int round = 0; round < 200000 && receives < 50; ++round) {
         sender.Poll();
-        l5.Poll();
         clock.Advance(2'000);
         if (!accepted) {
+          l5.Doorbell();
           auto got = l5.Accept(*listener);
           if (got.ok()) {
             server = *got;
             accepted = true;
+            (void)l5.Doorbell();  // arm the new socket
           }
           continue;
         }
-        (void)sender.TcpSend(*client, chunk);
-        // Let data pile up; batch-receive every 32 rounds.
+        receiver.Poll();  // the I/O compartment runs; the app does not
+        if (round % 32 == 1) {
+          (void)sender.TcpSend(*client, payload);
+        }
+        // Let the batch pile up; harvest and drain it every 32 rounds.
         if (round % 32 == 0) {
           uint64_t before = clock.now_ns();
-          auto received = l5.ReceiveOne(server, batch, receive_buffer);
+          (void)l5.Doorbell();
+          size_t received = 0;
+          for (;;) {
+            auto got = l5.ReceiveOne(server, batch, receive_buffer);
+            if (!got.ok() || *got == 0) {
+              break;
+            }
+            received += *got;
+          }
           uint64_t after = clock.now_ns();
-          if (received.ok() && *received >= batch / 2) {
+          if (received >= batch / 2) {
             in_receive_ns += after - before;
             ++receives;
           }

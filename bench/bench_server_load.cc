@@ -11,17 +11,20 @@
 //   * latency    — p50/p95/p99 from *scheduled arrival* to echo receipt
 //                  (open-loop: queueing during recovery counts against us).
 //
-// On the dual-boundary profile the run additionally takes the fault
-// matrix mid-transfer — a 12 ms link kill (past the TCP retry budget, so
-// every connection dies and must reconnect + reattach) followed by a
-// stalled-counter window — and must still complete with ZERO lost
-// messages. A separate admission probe per profile verifies rejections
-// beyond the connection cap are orderly: typed client-side failure, no
-// crash, table bounded.
+// Two arms. The fault-free arm runs every profile on the same schedule, so
+// the profiles compare like for like. The fault arm runs the dual-boundary
+// profile again through the fault matrix mid-transfer — a 12 ms link kill
+// (past the TCP retry budget, so every connection dies and must reconnect
+// + reattach) followed by a stalled-counter window — and must still
+// complete with ZERO lost messages. A separate admission probe per profile
+// verifies rejections beyond the connection cap are orderly: typed
+// client-side failure, no crash, table bounded.
 //
 // Exit code is the gate (CI runs this in both plain and sanitizer jobs):
-// non-zero when any profile fails establishment, completion, fairness,
-// zero-loss, or orderly admission. `--json <path>` writes BENCH_server.json.
+// non-zero when any row fails establishment, completion, fairness,
+// zero-loss, or orderly admission. `--json <path>` writes BENCH_server.json:
+// one row per profile for the fault-free arm, plus the fault arm's row,
+// keyed by its `"arm": "fault"` identity field.
 
 #include <algorithm>
 #include <cstdio>
@@ -45,7 +48,9 @@ constexpr uint64_t kArrivalIntervalNs = 250'000;  // per client
 constexpr uint64_t kClientStaggerNs = 5'000;
 
 struct Row {
+  StackProfile kind = StackProfile::kDualBoundary;
   std::string profile;
+  bool faults = false;  // the fault arm (kill + stall window mid-transfer)
   bool established = false;
   bool completed = false;
   bool zero_lost = false;
@@ -59,6 +64,14 @@ struct Row {
   uint64_t recovered = 0;
   uint64_t rejected_admission = 0;
   uint64_t fault_events = 0;
+  // Fault arm: modeled ms from the kill until each client's channel was
+  // last Ready() again, and until its last echo — first and last client.
+  // Fairness (slowest / fastest client) follows from these spreads.
+  double recovered_first_ms = 0.0;
+  double recovered_last_ms = 0.0;
+  double finished_first_ms = 0.0;
+  double finished_last_ms = 0.0;
+  size_t reconnected = 0;  // clients whose channel died and came back
 
   bool Ok() const {
     return established && completed && zero_lost && admission_orderly &&
@@ -75,13 +88,12 @@ double Percentile(std::vector<double>& sorted_us, double q) {
   return sorted_us[index];
 }
 
-// The 64-client open-loop echo run (with the fault matrix on the
-// dual-boundary profile). When `prof` is non-null it is attached to the
-// server node and reset after establishment, so the profile covers the
-// steady-state load (including the fault matrix) and none of the
-// handshake storm.
-void RunLoadPoint(StackProfile profile, Row& row,
-                  cioprof::ProfRegistry* prof = nullptr) {
+// The 64-client open-loop echo run (through the fault matrix when
+// `row.faults`). When `prof` is non-null it is attached to the server node
+// and reset after establishment, so the profile covers the steady-state
+// load (including any fault matrix) and none of the handshake storm.
+void RunLoadPoint(Row& row, cioprof::ProfRegistry* prof = nullptr) {
+  const StackProfile profile = row.kind;
   MultiClientWorld::Options options;
   options.profile = profile;
   options.num_clients = kClients;
@@ -114,7 +126,7 @@ void RunLoadPoint(StackProfile profile, Row& row,
   latencies_us.reserve(kClients * kMessagesPerClient);
   ciobase::Buffer payload(kMessageBytes, 0x42);
 
-  const bool with_faults = profile == StackProfile::kDualBoundary;
+  const bool with_faults = row.faults;
   // Mid-transfer: after ~a third of the schedule has fired.
   const uint64_t fault1_ns =
       start_ns + kMessagesPerClient / 3 * kArrivalIntervalNs;
@@ -185,6 +197,27 @@ void RunLoadPoint(StackProfile profile, Row& row,
   row.zero_lost = lost == 0;
   row.recovered = world.server->stats().recovered;
   row.fault_events = world.server_node->adversary().fault_events();
+  if (with_faults) {
+    std::vector<double> recovered_ms;
+    std::vector<double> finished_ms;
+    for (size_t i = 0; i < kClients; ++i) {
+      uint64_t ready = world.clients[i]->recovery_stats().last_recovery_ns;
+      if (ready > fault1_ns) {
+        recovered_ms.push_back(static_cast<double>(ready - fault1_ns) / 1e6);
+      }
+      finished_ms.push_back(
+          static_cast<double>(state[i].last_echo_ns - fault1_ns) / 1e6);
+    }
+    std::sort(recovered_ms.begin(), recovered_ms.end());
+    std::sort(finished_ms.begin(), finished_ms.end());
+    row.reconnected = recovered_ms.size();
+    if (!recovered_ms.empty()) {
+      row.recovered_first_ms = recovered_ms.front();
+      row.recovered_last_ms = recovered_ms.back();
+    }
+    row.finished_first_ms = finished_ms.front();
+    row.finished_last_ms = finished_ms.back();
+  }
 
   if (row.completed) {
     uint64_t first_due = start_ns;
@@ -218,7 +251,8 @@ void RunLoadPoint(StackProfile profile, Row& row,
 // Small over-capacity probe: 6 clients race for 4 slots. Rejections must
 // be typed client-side failures, the table must stay at the cap, and the
 // admitted majority must keep working.
-void RunAdmissionProbe(StackProfile profile, Row& row) {
+void RunAdmissionProbe(Row& row) {
+  const StackProfile profile = row.kind;
   MultiClientWorld::Options options;
   options.profile = profile;
   options.num_clients = 6;
@@ -266,13 +300,14 @@ void WriteJson(const char* path, const std::vector<Row>& rows) {
     const Row& r = rows[i];
     std::fprintf(
         f,
-        "  {\"profile\": \"%s\", \"clients\": %zu, "
+        "  {\"profile\": \"%s\", %s\"clients\": %zu, "
         "\"messages_per_client\": %zu, \"msg_size\": %zu, \"ok\": %s, "
         "\"throughput_msgs_per_sec\": %.1f, \"fairness\": %.3f, "
         "\"p50_us\": %.1f, \"p95_us\": %.1f, \"p99_us\": %.1f, "
         "\"lost\": %llu, \"recovered\": %llu, "
         "\"rejected_admission\": %llu, \"fault_events\": %llu}%s\n",
-        r.profile.c_str(), kClients, kMessagesPerClient, kMessageBytes,
+        r.profile.c_str(), r.faults ? "\"arm\": \"fault\", " : "",
+        kClients, kMessagesPerClient, kMessageBytes,
         r.Ok() ? "true" : "false", r.throughput_msgs_per_sec, r.fairness,
         r.p50_us, r.p95_us, r.p99_us,
         static_cast<unsigned long long>(r.lost),
@@ -303,29 +338,42 @@ int main(int argc, char** argv) {
       StackProfile::kSyscallL5, StackProfile::kPassthroughL2,
       StackProfile::kHardenedVirtio, StackProfile::kDualBoundary};
 
+  // The fault-free arm for every profile, then the dual-boundary fault arm.
+  std::vector<Row> rows;
+  for (StackProfile profile : kProfiles) {
+    Row row;
+    row.kind = profile;
+    row.profile = std::string(cio::StackProfileName(profile));
+    rows.push_back(row);
+  }
+  Row fault_row = rows.back();  // dual-boundary
+  fault_row.faults = true;
+  rows.push_back(fault_row);
+
   std::printf("== server load: %zu clients x %zu msgs x %zuB, open loop ==\n",
               kClients, kMessagesPerClient, kMessageBytes);
-  std::printf("%-18s %10s %8s %8s %8s %8s %5s %5s %6s\n", "profile", "msgs/s",
-              "fair", "p50us", "p95us", "p99us", "lost", "rec", "adm-rej");
-  std::printf("%s\n", std::string(84, '-').c_str());
+  std::printf("%-18s %-10s %10s %8s %8s %8s %8s %5s %5s %6s\n", "profile",
+              "arm", "msgs/s", "fair", "p50us", "p95us", "p99us", "lost", "rec",
+              "adm-rej");
+  std::printf("%s\n", std::string(95, '-').c_str());
 
-  std::vector<Row> rows;
   bool all_ok = true;
   std::string profile_json = "[";
   bool profile_first = true;
-  for (StackProfile profile : kProfiles) {
-    Row row;
-    row.profile = std::string(cio::StackProfileName(profile));
+  for (Row& row : rows) {
     cioprof::ProfRegistry prof;
-    RunLoadPoint(profile, row, profile_path != nullptr ? &prof : nullptr);
+    RunLoadPoint(row, profile_path != nullptr ? &prof : nullptr);
     if (profile_path != nullptr) {
-      prof.AppendJsonRows(&profile_json, row.profile, "server-load",
+      prof.AppendJsonRows(&profile_json, row.profile,
+                          row.faults ? "server-load-fault" : "server-load",
                           &profile_first);
-      if (profile == StackProfile::kDualBoundary) {
+      if (row.kind == StackProfile::kDualBoundary) {
         // The headline question: where does the dual-boundary server's time
         // go under load? Print the flame, and gate the attribution — at
         // least 90% of in-round time must land in a named child probe.
-        std::printf("\n-- dual-boundary server flame (steady-state load) --\n");
+        std::printf("\n-- dual-boundary server flame (%s) --\n",
+                    row.faults ? "through the fault matrix"
+                               : "fault-free steady-state load");
         std::printf("%s\n", prof.ToFlameSummary().c_str());
         if (prof.unattributed_pct() >= 10.0) {
           std::printf("profile attribution gate FAILED: "
@@ -335,14 +383,22 @@ int main(int argc, char** argv) {
         }
       }
     }
-    RunAdmissionProbe(profile, row);
-    std::printf("%-18s %10.0f %8.3f %8.1f %8.1f %8.1f %5llu %5llu %6llu%s\n",
-                row.profile.c_str(), row.throughput_msgs_per_sec,
-                row.fairness, row.p50_us, row.p95_us, row.p99_us,
-                static_cast<unsigned long long>(row.lost),
-                static_cast<unsigned long long>(row.recovered),
-                static_cast<unsigned long long>(row.rejected_admission),
-                row.Ok() ? "" : "  FAIL");
+    RunAdmissionProbe(row);
+    std::printf(
+        "%-18s %-10s %10.0f %8.3f %8.1f %8.1f %8.1f %5llu %5llu %6llu%s\n",
+        row.profile.c_str(), row.faults ? "fault" : "fault-free",
+        row.throughput_msgs_per_sec, row.fairness, row.p50_us, row.p95_us,
+        row.p99_us, static_cast<unsigned long long>(row.lost),
+        static_cast<unsigned long long>(row.recovered),
+        static_cast<unsigned long long>(row.rejected_admission),
+        row.Ok() ? "" : "  FAIL");
+    if (row.faults) {
+      std::printf(
+          "    after the kill: %zu clients reconnected, ready again "
+          "%.2f-%.2f ms; last echoes %.2f-%.2f ms\n",
+          row.reconnected, row.recovered_first_ms, row.recovered_last_ms,
+          row.finished_first_ms, row.finished_last_ms);
+    }
     if (!row.Ok()) {
       std::printf(
           "    established=%d completed=%d zero_lost=%d admission=%d "
@@ -351,7 +407,6 @@ int main(int argc, char** argv) {
           row.admission_orderly, row.fairness);
       all_ok = false;
     }
-    rows.push_back(row);
   }
 
   if (json_path != nullptr) {
@@ -372,7 +427,7 @@ int main(int argc, char** argv) {
     std::printf("server load gate FAILED\n");
     return 1;
   }
-  std::printf("server load gate passed: %zu clients per profile, "
+  std::printf("server load gate passed: %zu clients per profile fault-free, "
               "dual-boundary fault matrix zero-loss\n",
               kClients);
   return 0;

@@ -142,15 +142,6 @@ struct ConfidentialNode::SyscallOps final : SocketLayer {
     out.resize(*got);
     return *got;
   }
-  ciobase::Result<size_t> AcceptPending(cionet::SocketId id) override {
-    return node->host_stack_->TcpAcceptPending(id);
-  }
-  ciobase::Result<bool> Readable(cionet::SocketId id) override {
-    return node->host_stack_->TcpReadable(id);
-  }
-  ciobase::Result<size_t> SendSpace(cionet::SocketId id) override {
-    return node->host_stack_->TcpSendSpace(id);
-  }
   ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) override {
     return node->host_stack_->GetTcpPeer(id);
   }
@@ -196,15 +187,6 @@ struct ConfidentialNode::GuestStackOps final : SocketLayer {
     }
     out.resize(*got);
     return *got;
-  }
-  ciobase::Result<size_t> AcceptPending(cionet::SocketId id) override {
-    return node->guest_stack_->TcpAcceptPending(id);
-  }
-  ciobase::Result<bool> Readable(cionet::SocketId id) override {
-    return node->guest_stack_->TcpReadable(id);
-  }
-  ciobase::Result<size_t> SendSpace(cionet::SocketId id) override {
-    return node->guest_stack_->TcpSendSpace(id);
   }
   ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) override {
     return node->guest_stack_->GetTcpPeer(id);
@@ -264,21 +246,12 @@ struct ConfidentialNode::DualBoundaryOps final : SocketLayer {
                                        ciobase::Buffer& out) override {
     return node->l5_->ReceiveOne(id, max, out);
   }
-  ciobase::Result<size_t> AcceptPending(cionet::SocketId id) override {
-    return node->l5_->AcceptPending(id);
-  }
-  ciobase::Result<bool> Readable(cionet::SocketId id) override {
-    return node->l5_->Readable(id);
-  }
-  ciobase::Result<size_t> SendSpace(cionet::SocketId id) override {
-    return node->l5_->SendSpace(id);
-  }
   ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) override {
     return node->l5_->Peer(id);
   }
   ciobase::Status Poll() override {
     node->l2_device_->Poll();
-    ciobase::Status link = node->l5_->Poll();
+    ciobase::Status link = node->l5_->Doorbell();
     node->l2_device_->Poll();  // see GuestStackOps::Poll
     return link;
   }
@@ -574,15 +547,28 @@ void ConfidentialNode::PumpBytes() {
   }
   CIO_PROF_SCOPE(costs_.profiler(), "engine.pump");
   // Flush pending protected bytes into the transport, as far as it allows.
-  while (session_.HasOutbound()) {
-    auto sent = ops_->SendBytes(socket_, session_.outbound());
-    if (!sent.ok() || *sent == 0) {
-      break;
+  auto flush = [this] {
+    while (have_socket_ && session_.HasOutbound()) {
+      auto sent = ops_->SendBytes(socket_, session_.outbound());
+      if (!sent.ok() || *sent == 0) {
+        break;
+      }
+      session_.ConsumeOutbound(*sent);
     }
-    session_.ConsumeOutbound(*sent);
+  };
+  flush();
+  if (l5_ != nullptr && config_.l5_latency_mode) {
+    // Latency mode does not batch doorbells: ring once more so bytes that
+    // arrived since this round's Poll() are harvested now, not next round.
+    ciobase::Status rung = l5_->Doorbell();
+    if (rung.code() == ciobase::StatusCode::kTampered) {
+      BeginRecovery(rung.message().c_str());
+      return;
+    }
   }
   // Drain inbound bytes into the reusable scratch chunk: the steady-state
-  // receive path allocates nothing per round.
+  // receive path allocates nothing per round. On the L5 channel this is a
+  // drain of what the doorbell already harvested — no crossing.
   for (;;) {
     auto got = ops_->ReceiveBytes(socket_, 16384, rx_scratch_);
     if (!got.ok()) {
@@ -605,14 +591,7 @@ void ConfidentialNode::PumpBytes() {
       break;
     }
   }
-  // A handshake reply flight produced while ingesting leaves this round.
-  while (have_socket_ && session_.HasOutbound()) {
-    auto sent = ops_->SendBytes(socket_, session_.outbound());
-    if (!sent.ok() || *sent == 0) {
-      break;
-    }
-    session_.ConsumeOutbound(*sent);
-  }
+  flush();  // a handshake reply flight produced while ingesting leaves now
 }
 
 void ConfidentialNode::BeginRecovery(const char* reason) {
@@ -783,6 +762,11 @@ void ConfidentialNode::Poll() {
   }
   // (kLinkReset needs no action here: the transport already reattached its
   // ring and TCP retransmission replays the frames that died with it.)
+  if (link.code() == ciobase::StatusCode::kTampered && have_socket_) {
+    // The L5 reaper rejected a forged completion: treat the channel as
+    // faulted, as for any hostile bytes on the receive path.
+    BeginRecovery(link.message().c_str());
+  }
 
   // Server: adopt the first pending connection.
   if (listening_ && !have_socket_) {

@@ -77,21 +77,16 @@ class SocketLayer {
                                             ciobase::ByteSpan data) = 0;
   // Fills `out` with the next chunk (capacity reused across calls); returns
   // the byte count — 0 when nothing is pending — kFailedPrecondition at
-  // orderly EOF, kLinkReset when the connection died underneath us.
+  // orderly EOF, kLinkReset when the connection died underneath us. Cheap
+  // on an idle connection in every profile: on the L5 channel it drains
+  // what the last Poll() harvested, with no crossing.
   virtual ciobase::Result<size_t> ReceiveBytes(cionet::SocketId id, size_t max,
                                                ciobase::Buffer& out) = 0;
-  // --- Readiness (poll-loop support) ----------------------------------------
-  // Pending not-yet-accepted connections on a listener.
-  virtual ciobase::Result<size_t> AcceptPending(cionet::SocketId listener) = 0;
-  // True when ReceiveBytes would make progress (bytes, EOF, or a dead
-  // connection to report) — lets a server skip idle connections cheaply.
-  virtual ciobase::Result<bool> Readable(cionet::SocketId id) = 0;
-  // Free send-buffer space (backpressure signal).
-  virtual ciobase::Result<size_t> SendSpace(cionet::SocketId id) = 0;
   // Remote address of an established connection (the server's reattach key).
   virtual ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) = 0;
   // Drives the stack; surfaces the link status (kTimedOut = transport
-  // watchdog exhausted its reset budget, kLinkReset = ring reset this round).
+  // watchdog exhausted its reset budget, kLinkReset = ring reset this round,
+  // kTampered = the L5 reaper rejected a completion).
   virtual ciobase::Status Poll() = 0;
 };
 

@@ -69,7 +69,12 @@ L5Channel::Crossing::~Crossing() {
 ciobase::Result<cionet::SocketId> L5Channel::Connect(cionet::Ipv4Address ip,
                                                      uint16_t port) {
   Crossing crossing(this);
-  return stack_->TcpConnect(ip, port);
+  auto socket = stack_->TcpConnect(ip, port);
+  if (socket.ok()) {
+    receivers_[socket->value] = Receiver{};
+    CountReceivers();
+  }
+  return socket;
 }
 
 ciobase::Result<cionet::SocketId> L5Channel::Listen(uint16_t port) {
@@ -80,7 +85,12 @@ ciobase::Result<cionet::SocketId> L5Channel::Listen(uint16_t port) {
 ciobase::Result<cionet::SocketId> L5Channel::Accept(
     cionet::SocketId listener) {
   Crossing crossing(this);
-  return stack_->TcpAccept(listener);
+  auto socket = stack_->TcpAccept(listener);
+  if (socket.ok()) {
+    receivers_[socket->value] = Receiver{};
+    CountReceivers();
+  }
+  return socket;
 }
 
 ciobase::Result<cionet::TcpState> L5Channel::State(cionet::SocketId socket) {
@@ -100,40 +110,21 @@ ciobase::Status L5Channel::Close(cionet::SocketId socket) {
 }
 
 bool L5Channel::HasInFlightSends(cionet::SocketId socket) const {
-  for (const auto& [user_data, entry] : in_flight_) {
-    if (entry.op == kSqOpSend && entry.socket == socket.value) {
-      return true;
-    }
-  }
-  return false;
+  return std::any_of(in_flight_.begin(), in_flight_.end(),
+                     [&](const auto& item) {
+                       return item.second.op == kSqOpSend &&
+                              item.second.socket == socket.value;
+                     });
 }
 
 ciobase::Status L5Channel::Abort(cionet::SocketId socket) {
+  // Stop arming the dead socket. Entries still in flight complete as resets
+  // at a later doorbell and return their slots; nobody reads their events.
+  receivers_.erase(socket.value);
+  CountReceivers();
+  events_.erase(socket.value);
   Crossing crossing(this);
   return stack_->TcpAbort(socket);
-}
-
-ciobase::Result<size_t> L5Channel::AcceptPending(cionet::SocketId listener) {
-  Crossing crossing(this);
-  return stack_->TcpAcceptPending(listener);
-}
-
-ciobase::Result<bool> L5Channel::Readable(cionet::SocketId socket) {
-  // Harvested-but-undelivered CQ events count as readable — once a recv
-  // completion lands, the bytes live in app-side events, not in the stack's
-  // socket buffer. Checking them first also avoids a boundary crossing for
-  // the common "data already here" case.
-  auto pending = events_.find(socket.value);
-  if (pending != events_.end() && !pending->second.empty()) {
-    return true;
-  }
-  Crossing crossing(this);
-  return stack_->TcpReadable(socket);
-}
-
-ciobase::Result<size_t> L5Channel::SendSpace(cionet::SocketId socket) {
-  Crossing crossing(this);
-  return stack_->TcpSendSpace(socket);
 }
 
 ciobase::Result<cionet::Ipv4Address> L5Channel::Peer(
@@ -159,6 +150,71 @@ bool L5Channel::SqFull() const {
   // from host-writable memory, so this check cannot be spoofed into
   // overwriting unconsumed entries.
   return sq_tail_ - sq_consumed_ >= queues_.sq_entries;
+}
+
+// --- Receive arming ---------------------------------------------------------
+
+size_t L5Channel::SendReserve() const {
+  return std::max<size_t>(queues_.recv_segments, queues_.pool_slots / 4);
+}
+
+size_t L5Channel::ArmableSockets() const {
+  return queues_.pool_slots > SendReserve()
+             ? queues_.pool_slots - SendReserve()
+             : 0;
+}
+
+size_t L5Channel::RecvShareSlots() const {
+  const size_t full = size_t{queues_.recv_entries} * queues_.recv_segments;
+  if (open_receivers_ == 0) {
+    return full;
+  }
+  return std::clamp<size_t>(ArmableSockets() / open_receivers_, 1, full);
+}
+
+void L5Channel::CountReceivers() {
+  open_receivers_ = 0;
+  unarmed_receivers_ = 0;
+  for (const auto& [socket, receiver] : receivers_) {
+    open_receivers_ += receiver.ended ? 0 : 1;
+    unarmed_receivers_ += !receiver.ended && receiver.armed_slots == 0;
+  }
+}
+
+void L5Channel::ArmReceives(size_t share) {
+  const size_t reserve = SendReserve();
+  for (auto& [socket, receiver] : receivers_) {
+    while (!receiver.ended && receiver.armed_slots < share) {
+      const uint32_t segments = static_cast<uint32_t>(std::min<size_t>(
+          queues_.recv_segments, share - receiver.armed_slots));
+      // A socket with nothing armed takes its first entry even from the
+      // send reserve (egress left it free: the receive floor); topping up
+      // beyond that never starves egress.
+      const size_t needed =
+          receiver.armed_slots == 0 ? segments : segments + reserve;
+      if (SqFull() || pool_.free_slots() < needed) {
+        ++stats_.sq_backpressure;
+        break;
+      }
+      SqEntry sqe;
+      sqe.op = kSqOpRecv;
+      sqe.socket = socket;
+      sqe.seg_count = static_cast<uint8_t>(segments);
+      for (uint32_t i = 0; i < segments; ++i) {
+        sqe.segs[i] = SqSegment{*pool_.Acquire(), queues_.slot_size};
+      }
+      SubmitSqe(sqe);
+      receiver.armed_slots += segments;
+    }
+  }
+}
+
+size_t L5Channel::EgressSlots() const {
+  const size_t floor =
+      unarmed_receivers_ *
+      std::min<size_t>(queues_.recv_segments, RecvShareSlots());
+  const size_t free = pool_.free_slots();
+  return free > floor ? free - floor : 0;
 }
 
 // --- Submission -------------------------------------------------------------
@@ -222,7 +278,7 @@ bool L5Channel::BeginMessage(cionet::SocketId socket, size_t payload_bytes,
   if (needed > kSqMaxSegments) {
     return false;
   }
-  if (SqFull() || pool_.free_slots() < needed) {
+  if (SqFull() || EgressSlots() < needed) {
     ++stats_.sq_backpressure;
     CIO_COV("l5.sq.backpressure", ciobase::StatusCode::kResourceExhausted);
     return false;
@@ -297,9 +353,10 @@ ciobase::Result<size_t> L5Channel::SubmitStream(cionet::SocketId socket,
     return ciobase::FailedPrecondition("async queues unavailable");
   }
   CIO_PROF_SCOPE(costs_->profiler(), "l5.submit");
+  size_t budget = EgressSlots();
   size_t accepted = 0;
   while (accepted < data.size()) {
-    if (SqFull() || pool_.free_slots() == 0) {
+    if (SqFull() || budget == 0) {
       ++stats_.sq_backpressure;
       break;
     }
@@ -309,11 +366,12 @@ ciobase::Result<size_t> L5Channel::SubmitStream(cionet::SocketId socket,
     size_t total = 0;
     while (sqe.seg_count < kSqMaxSegments &&
            accepted + total < data.size()) {
-      auto slot = pool_.Acquire();
-      if (!slot) {
+      if (budget == 0) {
         ++stats_.sq_backpressure;
         break;
       }
+      --budget;
+      auto slot = pool_.Acquire();
       size_t n = std::min<size_t>(queues_.slot_size,
                                   data.size() - accepted - total);
       // The app's one write into registered memory; the stack transmits
@@ -334,35 +392,6 @@ ciobase::Result<size_t> L5Channel::SubmitStream(cionet::SocketId socket,
   return accepted;
 }
 
-void L5Channel::EnsureRecvArmed(cionet::SocketId socket) {
-  if (!queues_ready_) {
-    return;
-  }
-  uint32_t& armed = armed_[socket.value];
-  // Never let armed receives drain the pool: a quarter stays reserved for
-  // submissions, or a many-connection server deadlocks (all slots parked in
-  // idle recv entries, no slot left to send the bytes that would complete
-  // them). Sockets that lose the arming race use ReceiveOne's direct
-  // fallback instead.
-  const size_t send_reserve =
-      std::max<size_t>(queues_.recv_segments, queues_.pool_slots / 4);
-  while (armed < queues_.recv_entries) {
-    if (SqFull() || pool_.free_slots() < queues_.recv_segments + send_reserve) {
-      ++stats_.sq_backpressure;
-      return;
-    }
-    SqEntry sqe;
-    sqe.op = kSqOpRecv;
-    sqe.socket = socket.value;
-    sqe.seg_count = static_cast<uint8_t>(queues_.recv_segments);
-    for (uint32_t i = 0; i < queues_.recv_segments; ++i) {
-      sqe.segs[i] = SqSegment{*pool_.Acquire(), queues_.slot_size};
-    }
-    SubmitSqe(sqe);
-    ++armed;
-  }
-}
-
 // --- The doorbell crossing --------------------------------------------------
 
 ciobase::Status L5Channel::Doorbell() {
@@ -370,6 +399,10 @@ ciobase::Status L5Channel::Doorbell() {
     return ciobase::FailedPrecondition("async queues unavailable");
   }
   CIO_PROF_SCOPE(costs_->profiler(), "l5.doorbell");
+  // App side, no crossing: top every open socket back up to its share, so
+  // this one crossing harvests inbound bytes for all of them.
+  const size_t share = RecvShareSlots();
+  ArmReceives(share);
   ciobase::Status link = ciobase::OkStatus();
   {
     Crossing crossing(this);
@@ -381,7 +414,7 @@ ciobase::Status L5Channel::Doorbell() {
     link = stack_->Poll();
     {
       CIO_PROF_SCOPE(costs_->profiler(), "l5.io_service");
-      IoService();
+      IoService(share);
     }
     // Consumed count returns through the call gate (a syscall-style return
     // value), so SQ-full detection never trusts host-writable memory.
@@ -389,6 +422,7 @@ ciobase::Status L5Channel::Doorbell() {
   }
   ++stats_.doorbells;
   ciobase::Status harvested = Harvest();
+  CountReceivers();
   if (!harvested.ok()) {
     return harvested;
   }
@@ -418,19 +452,15 @@ void L5Channel::IoConsumeSq() {
   ciobase::StoreLe32(ctrl() + kCtrlSqHead, io_sq_head_);
 }
 
-void L5Channel::IoService() {
+void L5Channel::IoService(size_t recv_share) {
   DrainHeldCqes();
   for (auto& [socket, queues] : io_queues_) {
     IoServiceSends(socket, queues);
-    IoServiceRecvs(socket, queues);
+    IoServiceRecvs(socket, queues, recv_share);
   }
-  for (auto it = io_queues_.begin(); it != io_queues_.end();) {
-    if (it->second.sends.empty() && it->second.recvs.empty()) {
-      it = io_queues_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  std::erase_if(io_queues_, [](const auto& item) {
+    return item.second.sends.empty() && item.second.recvs.empty();
+  });
 }
 
 void L5Channel::IoServiceSends(uint32_t socket, IoSocketQueues& queues) {
@@ -477,7 +507,8 @@ void L5Channel::IoServiceSends(uint32_t socket, IoSocketQueues& queues) {
   }
 }
 
-void L5Channel::IoServiceRecvs(uint32_t socket, IoSocketQueues& queues) {
+void L5Channel::IoServiceRecvs(uint32_t socket, IoSocketQueues& queues,
+                               size_t share) {
   while (!queues.recvs.empty()) {
     const SqEntry& sqe = queues.recvs.front();
     CqEntry cqe;
@@ -536,11 +567,29 @@ void L5Channel::IoServiceRecvs(uint32_t socket, IoSocketQueues& queues) {
     }
     break;
   }
+  // Entries still queued are all unfilled. Those armed beyond the current
+  // share (while fewer sockets were open) complete empty, newest first, so
+  // an idle socket cannot keep slots a newly opened one needs.
+  size_t armed = 0;
+  for (const SqEntry& sqe : queues.recvs) {
+    armed += sqe.seg_count;
+  }
+  while (armed > share) {
+    const SqEntry& sqe = queues.recvs.back();
+    CqEntry cqe;
+    cqe.op = kSqOpRecv;
+    cqe.code = kCqOk;
+    cqe.user_data = sqe.user_data;
+    cqe.epoch = ciobase::LoadLe32(ctrl() + kCtrlEpoch);
+    armed -= sqe.seg_count;
+    PostCqe(socket, cqe);
+    queues.recvs.pop_back();
+  }
 }
 
-void L5Channel::PostCqe(uint32_t socket, const CqEntry& cqe) {
-  uint32_t head = ciobase::LoadLe32(ctrl() + kCtrlCqHead);
-  uint32_t used = io_cq_tail_ - head;
+bool L5Channel::IoCqFull() {
+  const uint32_t used =
+      io_cq_tail_ - ciobase::LoadLe32(ctrl() + kCtrlCqHead);
   if (used > queues_.cq_entries) {
     // Hostile head: an honest app can only publish a head inside
     // [io_cq_tail_ - cq_entries, io_cq_tail_]. Treat the ring as full (the
@@ -548,9 +597,13 @@ void L5Channel::PostCqe(uint32_t socket, const CqEntry& cqe) {
     // typed edge; the app re-asserts its true head every Harvest, so the
     // wedge heals at the next doorbell.
     CIO_COV("l5.cq.incoherent_head", ciobase::StatusCode::kOutOfRange);
-    used = queues_.cq_entries;
+    return true;
   }
-  if (used >= queues_.cq_entries) {
+  return used == queues_.cq_entries;
+}
+
+void L5Channel::PostCqe(uint32_t socket, const CqEntry& cqe) {
+  if (IoCqFull()) {
     // CQ overflow backpressure: hold the completion io-side, in order, and
     // drain once the app reaps. Nothing is dropped.
     held_cqes_.push_back(HeldCqe{socket, cqe});
@@ -562,19 +615,8 @@ void L5Channel::PostCqe(uint32_t socket, const CqEntry& cqe) {
 }
 
 void L5Channel::DrainHeldCqes() {
-  while (!held_cqes_.empty()) {
-    uint32_t head = ciobase::LoadLe32(ctrl() + kCtrlCqHead);
-    uint32_t used = io_cq_tail_ - head;
-    if (used > queues_.cq_entries) {
-      CIO_COV("l5.cq.incoherent_head", ciobase::StatusCode::kOutOfRange);
-      used = queues_.cq_entries;
-    }
-    if (used >= queues_.cq_entries) {
-      return;
-    }
-    EncodeCqe(held_cqes_.front().cqe, CqeSpan(io_cq_tail_));
-    ++io_cq_tail_;
-    ciobase::StoreLe32(ctrl() + kCtrlCqTail, io_cq_tail_);
+  while (!held_cqes_.empty() && !IoCqFull()) {
+    PostCqe(held_cqes_.front().socket, held_cqes_.front().cqe);
     held_cqes_.pop_front();
   }
 }
@@ -654,10 +696,17 @@ ciobase::Status L5Channel::ConsumeCqe(const CqEntry& cqe) {
     }
     return ciobase::OkStatus();
   }
-  // Receive completion.
-  auto armed_it = armed_.find(entry.socket);
-  if (armed_it != armed_.end() && armed_it->second > 0) {
-    --armed_it->second;
+  // Receive completion. A socket no longer open (aborted or cancelled) has
+  // no reader: its late completions only return their slots.
+  auto receiver = receivers_.find(entry.socket);
+  if (receiver == receivers_.end()) {
+    ReleaseEntrySlots(entry);
+    return ciobase::OkStatus();
+  }
+  receiver->second.armed_slots -=
+      std::min<uint32_t>(receiver->second.armed_slots, entry.seg_count);
+  if (cqe.code != kCqOk) {
+    receiver->second.ended = true;  // the stream is over: stop re-arming
   }
   if (cqe.code == kCqOk && cqe.result > 0) {
     RecvEvent event;
@@ -698,18 +747,27 @@ void L5Channel::ReleaseEntrySlots(const InFlight& entry) {
   }
 }
 
-std::optional<L5Channel::RecvEvent> L5Channel::NextEvent(
-    cionet::SocketId socket) {
-  auto it = events_.find(socket.value);
-  if (it == events_.end() || it->second.empty()) {
-    return std::nullopt;
+size_t L5Channel::in_flight_entries(uint8_t op) const {
+  return std::count_if(in_flight_.begin(), in_flight_.end(),
+                       [op](const auto& item) { return item.second.op == op; });
+}
+
+size_t L5Channel::in_flight_slots(uint8_t op) const {
+  size_t slots = 0;
+  for (const auto& [user_data, entry] : in_flight_) {
+    slots += entry.op == op ? entry.seg_count : 0;
   }
-  RecvEvent event = std::move(it->second.front());
-  it->second.pop_front();
-  if (it->second.empty()) {
-    events_.erase(it);
-  }
-  return event;
+  return slots;
+}
+
+uint64_t L5Channel::in_flight_user_data_for_test(cionet::SocketId socket,
+                                                 uint8_t op) const {
+  auto it = std::find_if(in_flight_.begin(), in_flight_.end(),
+                         [&](const auto& item) {
+                           return item.second.op == op &&
+                                  item.second.socket == socket.value;
+                         });
+  return it == in_flight_.end() ? 0 : it->first;
 }
 
 // --- Teardown paths ---------------------------------------------------------
@@ -728,13 +786,9 @@ void L5Channel::CancelSocket(cionet::SocketId socket) {
     IoConsumeSq();  // pull published-but-unconsumed entries so they purge
     sq_consumed_ = io_sq_head_;
     io_queues_.erase(socket.value);
-    for (auto it = held_cqes_.begin(); it != held_cqes_.end();) {
-      if (it->socket == socket.value) {
-        it = held_cqes_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    std::erase_if(held_cqes_, [&](const HeldCqe& held) {
+      return held.socket == socket.value;
+    });
   }
   for (auto it = in_flight_.begin(); it != in_flight_.end();) {
     if (it->second.socket == socket.value) {
@@ -744,7 +798,8 @@ void L5Channel::CancelSocket(cionet::SocketId socket) {
       ++it;
     }
   }
-  armed_.erase(socket.value);
+  receivers_.erase(socket.value);
+  CountReceivers();
 }
 
 void L5Channel::AbandonInFlight() {
@@ -763,7 +818,10 @@ void L5Channel::AbandonInFlight() {
     ReleaseEntrySlots(entry);
   }
   in_flight_.clear();
-  armed_.clear();
+  for (auto& [socket, receiver] : receivers_) {
+    receiver.armed_slots = 0;  // re-armed in the new epoch
+  }
+  CountReceivers();
   sq_tail_ = 0;
   sq_consumed_ = 0;
   cq_head_ = 0;
@@ -775,7 +833,7 @@ void L5Channel::AbandonInFlight() {
   ciobase::StoreLe32(ctrl() + kCtrlEpoch, epoch_);
 }
 
-// --- One-shot wrappers ------------------------------------------------------
+// --- Byte-stream surface ----------------------------------------------------
 
 ciobase::Result<size_t> L5Channel::SendOne(cionet::SocketId socket,
                                            ciobase::ByteSpan data) {
@@ -797,16 +855,9 @@ ciobase::Result<size_t> L5Channel::ReceiveOne(cionet::SocketId socket,
   if (!queues_ready_) {
     return ciobase::FailedPrecondition("async queues unavailable");
   }
-  EnsureRecvArmed(socket);
-  ciobase::Status rung = Doorbell();
-  if (rung.code() == ciobase::StatusCode::kTampered) {
-    return rung;
-  }
-  while (out.size() < max_bytes) {
-    auto it = events_.find(socket.value);
-    if (it == events_.end() || it->second.empty()) {
-      break;
-    }
+  auto it = events_.find(socket.value);
+  while (it != events_.end() && !it->second.empty() &&
+         out.size() < max_bytes) {
     RecvEvent& front = it->second.front();
     if (front.kind != RecvEvent::Kind::kData) {
       if (!out.empty()) {
@@ -822,44 +873,7 @@ ciobase::Result<size_t> L5Channel::ReceiveOne(cionet::SocketId socket,
     ciobase::Append(out, front.data);
     it->second.pop_front();
   }
-  if (out.empty()) {
-    auto armed = armed_.find(socket.value);
-    if (armed == armed_.end() || armed->second == 0) {
-      // Pool-contention fallback: every registered slot is held by other
-      // sockets' armed receives, so waiting on an SQ entry would starve
-      // this socket. Receive directly inside one crossing, charged exactly
-      // like the pooled path — liveness over zero-copy. Safe for ordering:
-      // with no armed entries and no queued events, the socket's bytes can
-      // only be in the stack's own buffer.
-      out.resize(max_bytes);
-      size_t got = 0;
-      {
-        Crossing crossing(this);
-        auto direct =
-            stack_->TcpReceive(socket, ciobase::MutableByteSpan(out));
-        if (!direct.ok()) {
-          out.clear();
-          return direct.status();
-        }
-        got = *direct;
-      }
-      out.resize(got);
-      if (got > 0) {
-        if (receive_mode_ == L5ReceiveMode::kCopy) {
-          ++stats_.receive_copies;
-          costs_->ChargeCopy(got);
-        } else if (receive_mode_ == L5ReceiveMode::kRevoke) {
-          ++stats_.receive_revocations;
-          size_t page = costs_->constants().page_size;
-          costs_->ChargePageUnshare(std::max<size_t>(1, (got + page - 1) / page));
-        }
-        stats_.bytes_received += got;
-      }
-    }
-  }
   return out.size();
 }
-
-ciobase::Status L5Channel::Poll() { return Doorbell(); }
 
 }  // namespace cio

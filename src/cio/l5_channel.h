@@ -17,6 +17,10 @@
 //    crossing amortized over every queued operation, instead of a crossing
 //    per message. Completions are reaped lazily from the CQ with no
 //    crossing at all.
+//  * Completion-driven receive: every socket the channel connected or
+//    accepted stays armed with receive entries, re-armed app-side before
+//    each doorbell, so one doorbell harvests inbound bytes for every
+//    socket and a receive is a drain of already-harvested events.
 //  * Receive trust: everything the I/O side writes back — CQ indices,
 //    completion codes, lengths — is hostile-host-writable, so the reaper
 //    validates each entry against its private in-flight shadow (typed
@@ -34,7 +38,6 @@
 
 #include <deque>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "src/base/clock.h"
@@ -62,7 +65,9 @@ class L5Channel {
             L5ReceiveMode receive_mode, L5BoundaryKind boundary_kind,
             const L5QueueConfig& queues = L5QueueConfig{});
 
-  // Connection management: thin crossings into the I/O compartment.
+  // Connection management: thin crossings into the I/O compartment. A
+  // socket from Connect or Accept is kept armed for receive until Abort or
+  // CancelSocket retires it.
   ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
                                             uint16_t port);
   ciobase::Result<cionet::SocketId> Listen(uint16_t port);
@@ -72,19 +77,16 @@ class L5Channel {
   // Abortive close (RST now): the engine's recovery path kills dead
   // connections through this before re-establishing.
   ciobase::Status Abort(cionet::SocketId socket);
-
-  // Readiness queries (each one crossing): the multi-tenant server's poll
-  // loop uses these to skip idle connections without paying a full
-  // receive round trip per connection per round.
-  ciobase::Result<size_t> AcceptPending(cionet::SocketId listener);
-  ciobase::Result<bool> Readable(cionet::SocketId socket);
-  ciobase::Result<size_t> SendSpace(cionet::SocketId socket);
   ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId socket);
 
   // --- Async datapath --------------------------------------------------------
 
   bool queues_ready() const { return queues_ready_; }
   const L5QueueConfig& queue_config() const { return queues_; }
+
+  // How many sockets the pool can keep armed at once: one slot each for
+  // their first receive entry, beside the send reserve.
+  size_t ArmableSockets() const;
 
   // Slot budget a message of `payload_bytes` needs through SendInto (record
   // per fragment, header record first) or the plaintext framing.
@@ -111,9 +113,10 @@ class L5Channel {
   };
 
   // Reserves SQ space + slots for one message. False means backpressure
-  // (SQ full or pool exhausted) or the message doesn't fit the fast path —
-  // the caller falls back to the streaming path. A successful Begin MUST be
-  // paired with SubmitMessage or AbandonMessage.
+  // (SQ full, or the pool has nothing left above the receive floor) or the
+  // message doesn't fit the fast path — the caller falls back to the
+  // streaming path. A successful Begin MUST be paired with SubmitMessage or
+  // AbandonMessage.
   bool BeginMessage(cionet::SocketId socket, size_t payload_bytes,
                     bool use_tls, MessageWriter& writer);
   void SubmitMessage(MessageWriter& writer);
@@ -126,24 +129,13 @@ class L5Channel {
   ciobase::Result<size_t> SubmitStream(cionet::SocketId socket,
                                        ciobase::ByteSpan data);
 
-  // Keeps `recv_entries` receive SQEs armed for the socket (slots
-  // permitting) so inbound bytes land in registered slots with no
-  // per-receive round trip.
-  void EnsureRecvArmed(cionet::SocketId socket);
-
-  // THE one crossing of the async path: publishes queued SQEs, drives the
-  // stack, services sends/receives into registered slots, posts CQEs, and
-  // then reaps + validates completions app-side. Returns the link status
+  // THE one crossing of the async path: re-arms every open socket's
+  // receive entries app-side, publishes queued SQEs, drives the stack,
+  // services sends/receives into registered slots, completes receive
+  // entries armed beyond the current share empty, posts CQEs, and then
+  // reaps + validates completions app-side. Returns the link status
   // (kLinkReset / kTimedOut) or kTampered when a CQ entry fails validation.
   ciobase::Status Doorbell();
-
-  // A validated receive completion, materialized per the receive mode.
-  struct RecvEvent {
-    enum class Kind { kData, kEof, kReset };
-    Kind kind = Kind::kData;
-    ciobase::Buffer data;
-  };
-  std::optional<RecvEvent> NextEvent(cionet::SocketId socket);
 
   // Tears down one socket's queue state (armed receives, queued sends,
   // undelivered events) without disturbing other sockets — the server's
@@ -161,22 +153,19 @@ class L5Channel {
   // window once the channel is re-established.
   void AbandonInFlight();
 
-  // --- One-shot wrappers (the legacy per-message API surface) ---------------
+  // --- Byte-stream surface (SocketLayer) -------------------------------------
 
   // Submit-and-doorbell one streaming send. Returns bytes accepted.
   ciobase::Result<size_t> SendOne(cionet::SocketId socket,
                                   ciobase::ByteSpan data);
 
-  // Arm, doorbell, and drain this socket's receive events into `out`
-  // (cleared; capacity reused). Status conventions follow the legacy
-  // receive path: Ok(0) = nothing available, kFailedPrecondition = orderly
-  // EOF, kLinkReset = the connection died underneath the app. `max_bytes`
-  // is a hint — slot granularity may return more.
+  // Drains this socket's already-harvested receive events into `out`
+  // (cleared; capacity reused) — no doorbell, no crossing. Ok(0) = nothing
+  // harvested, kFailedPrecondition = orderly EOF, kLinkReset = the
+  // connection died underneath the app. `max_bytes` is a hint — slot
+  // granularity may return more.
   ciobase::Result<size_t> ReceiveOne(cionet::SocketId socket,
                                      size_t max_bytes, ciobase::Buffer& out);
-
-  // Drives the I/O compartment; identical to Doorbell().
-  ciobase::Status Poll();
 
   struct Stats {
     uint64_t crossings = 0;
@@ -199,6 +188,13 @@ class L5Channel {
   uint32_t epoch() const { return epoch_; }
   size_t free_slots() const { return pool_.free_slots(); }
   size_t in_flight_entries() const { return in_flight_.size(); }
+  // In-flight entries of one opcode (kSqOpSend / kSqOpRecv) and the pool
+  // slots they hold.
+  size_t in_flight_entries(uint8_t op) const;
+  size_t in_flight_slots(uint8_t op) const;
+  // A live user_data of `op` on `socket` (the oldest), 0 when none.
+  uint64_t in_flight_user_data_for_test(cionet::SocketId socket,
+                                        uint8_t op) const;
 
  private:
   // RAII crossing: enter the I/O compartment, return to the app.
@@ -225,6 +221,17 @@ class L5Channel {
     std::deque<SqEntry> sends;
     std::deque<SqEntry> recvs;
   };
+  // A validated receive completion, materialized per the receive mode.
+  struct RecvEvent {
+    enum class Kind { kData, kEof, kReset };
+    Kind kind = Kind::kData;
+    ciobase::Buffer data;
+  };
+  // Receive arming state of one open socket.
+  struct Receiver {
+    uint32_t armed_slots = 0;  // pool slots held by its armed entries
+    bool ended = false;        // EOF/reset harvested: nothing left to arm
+  };
 
   void ChargeCrossing();
   void InitQueues();
@@ -237,15 +244,35 @@ class L5Channel {
   void SubmitSqe(SqEntry& sqe);
   void ReleaseEntrySlots(const InFlight& entry);
 
+  // Pool slots receive arming leaves to egress, beyond first entries.
+  size_t SendReserve() const;
+  // Arming rule: every open socket's share is
+  //   min(recv_entries x recv_segments, (pool_slots - SendReserve()) / open)
+  // slots, re-armed app-side before each doorbell. The first entry of a
+  // socket with none armed may dip into the send reserve; further entries
+  // leave it to egress. Entries armed under a larger share (fewer sockets
+  // open) are handed back io-side in the same crossing, so receive arming
+  // settles within the pool minus the send reserve.
+  size_t RecvShareSlots() const;
+  void ArmReceives(size_t share);
+  // Free slots egress may take: the pool minus the receive floor, which
+  // keeps the first entry of every open socket with nothing armed armable.
+  size_t EgressSlots() const;
+  // Refreshes the receiver counts after arming state changes, so the share
+  // and the floor cost O(1) per submission.
+  void CountReceivers();
+
   // App side: reap + validate CQ entries (no crossing).
   ciobase::Status Harvest();
   ciobase::Status ConsumeCqe(const CqEntry& cqe);
 
   // I/O side (inside a crossing): consume SQEs, service sockets, post CQEs.
+  // `recv_share` arrives through the call gate, never from shared memory.
   void IoConsumeSq();
-  void IoService();
+  void IoService(size_t recv_share);
   void IoServiceSends(uint32_t socket, IoSocketQueues& queues);
-  void IoServiceRecvs(uint32_t socket, IoSocketQueues& queues);
+  void IoServiceRecvs(uint32_t socket, IoSocketQueues& queues, size_t share);
+  bool IoCqFull();
   void PostCqe(uint32_t socket, const CqEntry& cqe);
   void DrainHeldCqes();
 
@@ -270,7 +297,9 @@ class L5Channel {
   uint32_t epoch_ = 0;
   uint64_t next_user_data_ = 1;
   std::map<uint64_t, InFlight> in_flight_;
-  std::map<uint32_t, uint32_t> armed_;  // socket -> armed recv entries
+  std::map<uint32_t, Receiver> receivers_;  // sockets kept armed
+  size_t open_receivers_ = 0;     // not ended
+  size_t unarmed_receivers_ = 0;  // open, nothing armed
   std::map<uint32_t, std::deque<RecvEvent>> events_;
 
   // I/O-compartment-private state.

@@ -44,6 +44,14 @@ ciobase::Status ConfidentialServer::Start() {
   if (sockets_ == nullptr) {
     return ciobase::FailedPrecondition("node failed to initialize");
   }
+  if (cio::L5Channel* l5 = node_->l5();
+      l5 != nullptr && l5->queues_ready() &&
+      config_.max_connections > l5->ArmableSockets()) {
+    // Every admitted connection must be able to keep one receive armed
+    // beside the send reserve, or a full table could starve its own reads.
+    return ciobase::InvalidArgument(
+        "L5 pool cannot arm a receive for every admitted connection");
+  }
   auto listener = sockets_->Listen(config_.port);
   if (!listener.ok()) {
     return listener.status();
@@ -55,12 +63,10 @@ ciobase::Status ConfidentialServer::Start() {
 
 void ConfidentialServer::AcceptPending() {
   CIO_PROF_SCOPE(node_->costs().profiler(), "server.accept");
-  auto pending = sockets_->AcceptPending(listener_);
-  if (!pending.ok()) {
-    return;
-  }
   ciohost::CounterSet& counters = node_->observability().counters();
-  for (size_t i = 0; i < *pending; ++i) {
+  for (;;) {
+    // Accept until the backlog is empty: the failing call costs what a
+    // pending-count query would, so no separate readiness query is needed.
     auto accepted = sockets_->Accept(listener_);
     if (!accepted.ok()) {
       break;
@@ -332,19 +338,10 @@ void ConfidentialServer::FlushOutbound() {
     }
     if (!conn.session->HasOutbound()) {
       conn.drr_deficit = 0;  // not backlogged: no credit hoarding
-      if ((conn.state == ConnState::kDraining ||
-           conn.state == ConnState::kMigrating) &&
-          !(async && l5->HasInFlightSends(conn.socket))) {
-        // Async egress: "no session backlog" is not "flushed" — wait until
-        // the SQ has no entries left for this socket before the FIN.
-        // (kMigrating rides the same machinery: once the redirect is out,
-        // nothing local remains authoritative and the socket closes.)
-        CloseAndRelease(conn);
-      }
-      continue;
+    } else {
+      conn.drr_deficit =
+          std::min(conn.drr_deficit + config_.drr_quantum_bytes, deficit_cap);
     }
-    conn.drr_deficit =
-        std::min(conn.drr_deficit + config_.drr_quantum_bytes, deficit_cap);
     while (conn.session->HasOutbound() && conn.drr_deficit > 0) {
       const ciobase::Buffer& pending = conn.session->outbound();
       size_t want = std::min(pending.size(), conn.drr_deficit);
@@ -362,6 +359,10 @@ void ConfidentialServer::FlushOutbound() {
       conn.session->ConsumeOutbound(*sent);
       conn.drr_deficit -= *sent;
     }
+    // Async egress: "no session backlog" is not "flushed" — wait until the
+    // SQ has no entries left for this socket before the FIN. (kMigrating
+    // rides the same machinery: once the redirect is out, nothing local
+    // remains authoritative and the socket closes.)
     if ((conn.state == ConnState::kDraining ||
          conn.state == ConnState::kMigrating) &&
         conn.session != nullptr && !conn.session->HasOutbound() &&
@@ -370,9 +371,9 @@ void ConfidentialServer::FlushOutbound() {
     }
   }
   if (async && submitted) {
-    // A tampered completion here is surfaced again by the next receive
-    // poll, which parks the affected connection; the doorbell itself only
-    // needs to push the batch.
+    // The reaper drops a forged completion (a typed edge) and keeps every
+    // genuine entry in flight, so this doorbell only needs to push the
+    // batch.
     (void)l5->Doorbell();
   }
 }
@@ -413,6 +414,9 @@ void ConfidentialServer::Poll() {
     return;
   }
   CIO_PROF_SCOPE(node_->costs().profiler(), "server.round");
+  // On the L5 channel this is the round's one receive doorbell: it harvests
+  // completions for every connection at once. (A kTampered status needs no
+  // handling: the forged completion was dropped, genuine ones stay armed.)
   ciobase::Status link = sockets_->Poll();
   if (!link.ok() && link.code() == ciobase::StatusCode::kTimedOut) {
     // The transport watchdog exhausted its reset budget: the link under
@@ -444,16 +448,8 @@ void ConfidentialServer::Poll() {
         ParkConnection(conn);
         continue;
       }
-      // Readiness gate: idle connections cost one query, not a receive
-      // round trip across the boundary.
-      auto readable = sockets_->Readable(conn.socket);
-      if (!readable.ok()) {
-        ParkConnection(conn);
-        continue;
-      }
-      if (*readable) {
-        (void)PumpConnection(conn);
-      }
+      // No readiness query: an idle connection's receive is an empty drain.
+      (void)PumpConnection(conn);
     }
   }
 

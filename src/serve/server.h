@@ -12,10 +12,11 @@
 //    recovery state is the PR-2 machinery, shared with the engine through
 //    cio::Session — one implementation, two owners.
 //
-//  * Readiness-driven poll loop. One Poll() drives the transport once, then
-//    visits only connections the SocketLayer reports readable (plus anyone
-//    with queued output). Idle connections cost one readiness query, not a
-//    full receive round trip across the L5 boundary.
+//  * Completion-driven poll loop. One Poll() drives the transport once — on
+//    the L5 channel that is the round's one receive doorbell, harvesting
+//    completions for every connection — then drains each connection's
+//    harvested bytes. Idle connections cost an empty drain, no crossing, so
+//    the round's boundary cost does not grow with the client count.
 //
 //  * Fair scheduling. Outbound transport capacity is shared by deficit
 //    round-robin: each established connection accrues a byte quantum per
@@ -137,12 +138,13 @@ class ConfidentialServer {
 
   // Starts listening. The accept backlog is the node's stack-level knob
   // (StackConfig::accept_backlog); admission control here is the layer
-  // above it.
+  // above it. kInvalidArgument when the node's L5 pool cannot keep one
+  // receive armed for each of max_connections beside its send reserve.
   ciobase::Status Start();
 
   // One scheduling round: drive the transport, accept (or refuse) pending
-  // connections, pump every readable connection's Session, flush outbound
-  // by deficit round-robin, reap the dead, expire parked sessions.
+  // connections, pump every live connection's Session, flush outbound by
+  // deficit round-robin, reap the dead, expire parked sessions.
   void Poll();
 
   // Next inbound message from any connection, kUnavailable when none.

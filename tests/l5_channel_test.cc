@@ -1,8 +1,9 @@
 // Tests for the L5 single-distrust channel and its async SQ/CQ datapath:
 // trusted-component-allocates semantics, zero-copy submission through the
-// registered slot pool, copy vs revoke vs sealed receive accounting at
-// harvest time, boundary-kind cost accounting, and the grant-matrix
-// direction (app may touch I/O memory, never vice versa).
+// registered slot pool, copy vs revoke vs sealed receive accounting at the
+// doorbell that harvests a completion (the receive drain itself is free),
+// boundary-kind cost accounting, and the grant-matrix direction (app may
+// touch I/O memory, never vice versa).
 
 #include <gtest/gtest.h>
 
@@ -62,7 +63,7 @@ struct L5World {
     cionet::SocketId server{};
     for (int i = 0; i < 1000; ++i) {
       peer_stack->Poll();
-      (void)l5->Poll();
+      (void)l5->Doorbell();
       clock.Advance(5'000);
       auto accepted = l5->Accept(*listener);
       if (accepted.ok()) {
@@ -76,12 +77,29 @@ struct L5World {
   void Pump(int rounds = 50) {
     for (int i = 0; i < rounds; ++i) {
       peer_stack->Poll();
-      (void)l5->Poll();
+      (void)l5->Doorbell();
       clock.Advance(5'000);
     }
   }
 
-  // Test sugar over the submit-and-reap ReceiveOne entry point.
+  // Rings doorbells (pumping the peer between them) until one harvests
+  // inbound bytes; returns how far `counter` moved across that doorbell.
+  uint64_t ChargedByHarvest(const char* counter) {
+    for (int i = 0; i < 50; ++i) {
+      peer_stack->Poll();
+      clock.Advance(5'000);
+      uint64_t received_before = l5->stats().bytes_received;
+      uint64_t before = costs.counter(counter);
+      (void)l5->Doorbell();
+      if (l5->stats().bytes_received != received_before) {
+        return costs.counter(counter) - before;
+      }
+    }
+    ADD_FAILURE() << "no receive was harvested";
+    return 0;
+  }
+
+  // Test sugar over ReceiveOne, the drain of harvested events.
   ciobase::Result<Buffer> Receive(cionet::SocketId socket, size_t max_bytes) {
     Buffer out;
     auto got = l5->ReceiveOne(socket, max_bytes, out);
@@ -125,13 +143,15 @@ TEST(L5Channel, CopyReceiveChargesCopyAtHarvest) {
   auto [server, client] = world.Establish();
   ASSERT_TRUE(
       world.peer_stack->TcpSend(client, BufferFromString("payload")).ok());
-  world.Pump();
+  // The doorbell that harvests the armed receive charges the copy...
+  EXPECT_EQ(world.ChargedByHarvest("bytes_copied"), 7u);
+  EXPECT_EQ(world.l5->stats().receive_copies, 1u);
+  // ...and the drain that hands the bytes over charges nothing more.
   uint64_t copies_before = world.costs.counter("bytes_copied");
   auto received = world.Receive(server, 64);
   ASSERT_TRUE(received.ok());
   EXPECT_EQ(ciobase::StringFromBytes(*received), "payload");
-  EXPECT_GT(world.costs.counter("bytes_copied"), copies_before);
-  EXPECT_EQ(world.l5->stats().receive_copies, 1u);
+  EXPECT_EQ(world.costs.counter("bytes_copied"), copies_before);
 }
 
 TEST(L5Channel, RevokeReceiveChargesPagesAndTransfersOwnership) {
@@ -139,12 +159,13 @@ TEST(L5Channel, RevokeReceiveChargesPagesAndTransfersOwnership) {
   auto [server, client] = world.Establish();
   ASSERT_TRUE(
       world.peer_stack->TcpSend(client, BufferFromString("payload")).ok());
-  world.Pump();
+  EXPECT_EQ(world.ChargedByHarvest("pages_unshared"), 1u);
+  EXPECT_EQ(world.l5->stats().receive_revocations, 1u);
+  uint64_t pages_before = world.costs.counter("pages_unshared");
   auto received = world.Receive(server, 64);
   ASSERT_TRUE(received.ok());
   EXPECT_EQ(ciobase::StringFromBytes(*received), "payload");
-  EXPECT_GT(world.costs.counter("pages_unshared"), 0u);
-  EXPECT_EQ(world.l5->stats().receive_revocations, 1u);
+  EXPECT_EQ(world.costs.counter("pages_unshared"), pages_before);
 }
 
 TEST(L5Channel, SealedReceiveChargesNeitherCopiesNorPages) {
@@ -152,14 +173,12 @@ TEST(L5Channel, SealedReceiveChargesNeitherCopiesNorPages) {
   auto [server, client] = world.Establish();
   ASSERT_TRUE(
       world.peer_stack->TcpSend(client, BufferFromString("payload")).ok());
-  world.Pump();
-  uint64_t copies_before = world.costs.counter("bytes_copied");
   uint64_t pages_before = world.costs.counter("pages_unshared");
+  // Sealed payloads are authenticated above this layer; harvest is free.
+  EXPECT_EQ(world.ChargedByHarvest("bytes_copied"), 0u);
   auto received = world.Receive(server, 64);
   ASSERT_TRUE(received.ok());
   EXPECT_EQ(ciobase::StringFromBytes(*received), "payload");
-  // Sealed payloads are authenticated above this layer; harvest is free.
-  EXPECT_EQ(world.costs.counter("bytes_copied"), copies_before);
   EXPECT_EQ(world.costs.counter("pages_unshared"), pages_before);
   EXPECT_EQ(world.l5->stats().receive_copies, 0u);
   EXPECT_EQ(world.l5->stats().receive_revocations, 0u);
@@ -179,10 +198,12 @@ TEST(L5Channel, CrossingsAreCountedAndCharged) {
   auto [server, client] = world.Establish();
   (void)client;
   uint64_t before = world.l5->stats().crossings;
-  (void)world.l5->SendOne(server, BufferFromString("x"));
-  (void)world.Receive(server, 16);
-  (void)world.l5->Poll();
-  EXPECT_GE(world.l5->stats().crossings, before + 3);
+  (void)world.l5->SendOne(server, BufferFromString("x"));  // one doorbell
+  EXPECT_EQ(world.l5->stats().crossings, before + 1);
+  (void)world.Receive(server, 16);  // a drain of harvested events: free
+  EXPECT_EQ(world.l5->stats().crossings, before + 1);
+  (void)world.l5->Doorbell();
+  EXPECT_EQ(world.l5->stats().crossings, before + 2);
   EXPECT_GT(world.costs.counter("compartment_switches"), 0u);
   EXPECT_EQ(world.costs.counter("tee_switches"), 0u);
 }
@@ -269,8 +290,9 @@ TEST(L5Channel, ManyMessagesDoNotExhaustHeaps) {
     ASSERT_TRUE(received.ok()) << "iteration " << i << ": "
                                << received.status().ToString();
   }
-  EXPECT_EQ(world.l5->free_slots() + world.l5->in_flight_entries() *
-                                         world.l5->queue_config().recv_segments,
+  // Only armed receives hold slots between rounds.
+  EXPECT_EQ(world.l5->in_flight_entries(kSqOpSend), 0u);
+  EXPECT_EQ(world.l5->free_slots() + world.l5->in_flight_slots(kSqOpRecv),
             world.l5->queue_config().pool_slots);
 }
 

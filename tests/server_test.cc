@@ -298,6 +298,119 @@ TEST(Server, SendQueueCapRejectsTyped) {
   }));
 }
 
+TEST(Server, StartRefusesATableTheL5PoolCannotArm) {
+  MultiClientWorld::Options options;
+  options.profile = StackProfile::kDualBoundary;
+  options.num_clients = 1;
+  options.seed = 560;
+  MultiClientWorld probe(options);
+  const size_t armable = probe.server_node->l5()->ArmableSockets();
+  ASSERT_GT(armable, 0u);
+
+  // One connection past what the pool can keep armed beside its send
+  // reserve is a configuration error, not a slow wedge under load.
+  options.server_config.max_connections = armable + 1;
+  MultiClientWorld over(options);
+  EXPECT_EQ(over.server->Start().code(),
+            ciobase::StatusCode::kInvalidArgument);
+  options.server_config.max_connections = armable;
+  MultiClientWorld at_limit(options);
+  EXPECT_TRUE(at_limit.server->Start().ok());
+}
+
+TEST(Server, EarlyIdleClientsDoNotStarveLaterConnections) {
+  // Eight clients connect one at a time and go idle, so the server arms
+  // each while few sockets share its L5 pool. Twelve more then connect and
+  // echo: the idle connections must hand back what they armed beyond the
+  // smaller share, or the late handshakes are never read.
+  MultiClientWorld::Options options;
+  options.profile = StackProfile::kDualBoundary;
+  options.num_clients = 20;
+  options.seed = 2020;
+  MultiClientWorld world(options);
+  ASSERT_TRUE(world.server->Start().ok());
+  const uint16_t port = world.server->config().port;
+  for (size_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(world.clients[i]->Connect(world.server_node->ip(), port).ok());
+    ASSERT_TRUE(world.PumpUntil([&] {
+      return world.clients[i]->Ready() &&
+             world.server->EstablishedConnections().size() == i + 1;
+    })) << "idle client " << i;
+  }
+  world.PumpUntil([] { return false; }, 50);
+  for (size_t i = 8; i < world.clients.size(); ++i) {
+    ASSERT_TRUE(world.clients[i]->Connect(world.server_node->ip(), port).ok());
+  }
+  ASSERT_TRUE(world.PumpUntil([&] {
+    for (size_t i = 8; i < world.clients.size(); ++i) {
+      if (!world.clients[i]->Ready()) {
+        return false;
+      }
+    }
+    return world.server->EstablishedConnections().size() ==
+           world.clients.size();
+  })) << "late handshakes never read";
+
+  std::vector<size_t> echoes(world.clients.size(), 0);
+  for (size_t i = 8; i < world.clients.size(); ++i) {
+    for (int m = 0; m < 3; ++m) {
+      ASSERT_TRUE(world.clients[i]
+                      ->SendMessage(BufferFromString(
+                          "late " + std::to_string(i) + "/" +
+                          std::to_string(m)))
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(world.PumpUntil([&] {
+    world.EchoRound();
+    size_t done = 0;
+    for (size_t i = 8; i < world.clients.size(); ++i) {
+      for (;;) {
+        auto echo = world.clients[i]->ReceiveMessage();
+        if (!echo.ok()) {
+          break;
+        }
+        EXPECT_EQ(ToString(*echo), "late " + std::to_string(i) + "/" +
+                                       std::to_string(echoes[i]));
+        ++echoes[i];
+      }
+      done += echoes[i] == 3 ? 1 : 0;
+    }
+    return done == world.clients.size() - 8;
+  })) << "late clients' echoes never came back";
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_TRUE(world.clients[i]->Ready()) << "idle client " << i;
+  }
+}
+
+// --- Round cost -------------------------------------------------------------
+
+TEST(Server, IdleRoundCostDoesNotGrowWithClientCount) {
+  // One server Poll() over an idle, attested fleet: the round's L5 cost is
+  // one receive doorbell plus the accept query, however many connections
+  // the table holds — no per-connection readiness crossing.
+  auto round_cost = [](size_t clients) {
+    MultiClientWorld::Options options;
+    options.profile = StackProfile::kDualBoundary;
+    options.num_clients = clients;
+    options.seed = 1616;
+    options.attestation_key = BufferFromString("idle-fleet-attestation-root");
+    MultiClientWorld world(options);
+    EXPECT_TRUE(world.EstablishAll(120000)) << clients << " clients";
+    EXPECT_EQ(world.server->EstablishedConnections().size(), clients);
+    world.PumpUntil([] { return false; }, 200);  // let the handshakes settle
+    const cio::L5Channel::Stats before = world.server_node->l5()->stats();
+    world.server->Poll();
+    const cio::L5Channel::Stats& after = world.server_node->l5()->stats();
+    return std::pair<uint64_t, uint64_t>{after.crossings - before.crossings,
+                                         after.doorbells - before.doorbells};
+  };
+  const auto small = round_cost(16);
+  const auto large = round_cost(64);
+  EXPECT_EQ(small.second, 1u);  // one receive doorbell for the whole table
+  EXPECT_EQ(small, large);
+}
+
 // --- Fairness ---------------------------------------------------------------
 
 TEST(Server, HotClientCannotStarveTheQuiet) {

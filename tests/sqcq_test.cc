@@ -1,12 +1,17 @@
 // Tests for the io_uring-style SQ/CQ datapath itself: entry codecs and
 // geometry validation, SQ-full / pool-exhaustion backpressure, CQ-overflow
 // spill (held completions drain in order, nothing lost), out-of-order
-// reaping across sockets, hostile-host CQ scribbling (duplicate, stale,
-// garbage entries surface as typed Status — never memory errors), and
-// exactly-once delivery when the link dies with a batch in flight.
+// reaping across sockets, the receive floor that keeps every open socket
+// armed under an egress backlog, hostile-host CQ scribbling (duplicate,
+// stale, garbage entries surface as typed Status — never memory errors),
+// and exactly-once delivery when the link dies with a batch in flight.
+//
+// Every connected or accepted socket is armed for receive at each doorbell,
+// so the slot and entry checks below count sends and armed receives apart.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -155,7 +160,7 @@ struct SqcqWorld {
     cionet::SocketId server{};
     for (int i = 0; i < 1000; ++i) {
       peer_stack->Poll();
-      (void)l5->Poll();
+      (void)l5->Doorbell();
       clock.Advance(5'000);
       auto accepted = l5->Accept(listener);
       if (accepted.ok()) {
@@ -169,7 +174,7 @@ struct SqcqWorld {
   void Pump(int rounds = 50) {
     for (int i = 0; i < rounds; ++i) {
       peer_stack->Poll();
-      (void)l5->Poll();
+      (void)l5->Doorbell();
       clock.Advance(5'000);
     }
   }
@@ -194,6 +199,27 @@ struct SqcqWorld {
     }
     l5->SubmitMessage(writer);
     return true;
+  }
+
+  // Rings doorbells until the socket has a receive armed; returns the
+  // armed entry's user_data (a live completion a forgery can name).
+  uint64_t ArmedRecv(cionet::SocketId socket) {
+    for (int i = 0; i < 10; ++i) {
+      uint64_t armed = l5->in_flight_user_data_for_test(socket, kSqOpRecv);
+      if (armed != 0) {
+        return armed;
+      }
+      (void)l5->Doorbell();
+    }
+    ADD_FAILURE() << "socket never armed";
+    return 0;
+  }
+
+  // Every pool slot is free or held by an in-flight entry.
+  bool PoolBalanced() const {
+    return l5->free_slots() + l5->in_flight_slots(kSqOpSend) +
+               l5->in_flight_slots(kSqOpRecv) ==
+           l5->queue_config().pool_slots;
   }
 
   // Hostile host: write a CQ entry at the published tail and advance it.
@@ -230,32 +256,39 @@ TEST(Sqcq, SqFullBackpressuresAndRecoversAfterDoorbell) {
   EXPECT_NE(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
   EXPECT_TRUE(world.QueuePlain(server, payload));
   world.Pump();
-  EXPECT_EQ(world.l5->in_flight_entries(), 0u);
+  EXPECT_EQ(world.l5->in_flight_entries(kSqOpSend), 0u);
+  EXPECT_TRUE(world.PoolBalanced());
 }
 
 TEST(Sqcq, PoolExhaustionBackpressuresUntilCompletionsReturnSlots) {
   L5QueueConfig tiny;
   tiny.sq_entries = 16;
   tiny.cq_entries = 16;
-  tiny.pool_slots = 8;  // exactly one max-fan-out message
+  tiny.pool_slots = 8;  // one max-fan-out message plus one armed receive
   tiny.slot_size = 256;
+  tiny.recv_entries = 1;
+  tiny.recv_segments = 1;
   SqcqWorld world(tiny);
   auto [server, client] = world.Establish();
+  ASSERT_NE(world.ArmedRecv(server), 0u);
+  ASSERT_EQ(world.l5->in_flight_slots(kSqOpRecv), 1u);
   ciobase::Rng rng(3);
   Buffer big = rng.Bytes(1500);  // 12B framing + 1500B -> 6 of 8 slots
 
   uint64_t backpressure_before = world.l5->stats().sq_backpressure;
   EXPECT_TRUE(world.QueuePlain(server, big));
-  EXPECT_EQ(world.l5->free_slots(), 2u);
+  EXPECT_EQ(world.l5->free_slots(), 1u);
   EXPECT_FALSE(world.QueuePlain(server, big));
   EXPECT_GT(world.l5->stats().sq_backpressure, backpressure_before);
 
   // Completions hand the slots back; the same message then fits.
   world.Pump();
-  EXPECT_EQ(world.l5->free_slots(), tiny.pool_slots);
+  EXPECT_EQ(world.l5->in_flight_entries(kSqOpSend), 0u);
+  EXPECT_EQ(world.l5->free_slots(), tiny.pool_slots - 1);
   EXPECT_TRUE(world.QueuePlain(server, big));
   world.Pump();
-  EXPECT_EQ(world.l5->free_slots(), tiny.pool_slots);
+  EXPECT_EQ(world.l5->free_slots(), tiny.pool_slots - 1);
+  EXPECT_TRUE(world.PoolBalanced());
 }
 
 // --- CQ overflow spill -------------------------------------------------------
@@ -275,17 +308,18 @@ TEST(Sqcq, CqOverflowSpillsAndDrainsInOrderWithoutLoss) {
     ASSERT_TRUE(world.QueuePlain(server, BufferFromString(piece)));
     all += piece;
   }
-  ASSERT_EQ(world.l5->in_flight_entries(), 8u);
+  ASSERT_EQ(world.l5->in_flight_entries(kSqOpSend), 8u);
 
   // One doorbell services all eight sends but can only post a CQ window's
-  // worth; the rest are held io-side and drain on later doorbells.
+  // worth; the rest are held io-side and drain on later doorbells. (The
+  // idle socket's armed receives complete nothing.)
   EXPECT_NE(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
   EXPECT_EQ(world.l5->stats().cq_completions, 4u);
-  EXPECT_EQ(world.l5->in_flight_entries(), 4u);
+  EXPECT_EQ(world.l5->in_flight_entries(kSqOpSend), 4u);
   world.Pump();
   EXPECT_EQ(world.l5->stats().cq_completions, 8u);
-  EXPECT_EQ(world.l5->in_flight_entries(), 0u);
-  EXPECT_EQ(world.l5->free_slots(), tiny.pool_slots);
+  EXPECT_EQ(world.l5->in_flight_entries(kSqOpSend), 0u);
+  EXPECT_TRUE(world.PoolBalanced());
 
   // Every byte arrived, in submission order.
   std::string received;
@@ -298,6 +332,145 @@ TEST(Sqcq, CqOverflowSpillsAndDrainsInOrderWithoutLoss) {
     world.Pump(2);
   }
   EXPECT_EQ(received, all);
+}
+
+// --- Receive floor -----------------------------------------------------------
+
+TEST(Sqcq, ReceiveFloorKeepsEverySocketReceivingUnderEgressBacklog) {
+  // A pool far smaller than the offered egress: three sockets share 16
+  // slots (4 of them the send reserve) while the app keeps every socket's
+  // send backlog full and the peer never reads, so sends stall in flight
+  // holding every slot egress may take. Egress must still leave each
+  // socket the slots of its first receive entry: the peer keeps sending,
+  // and every socket keeps receiving.
+  L5QueueConfig tiny;
+  tiny.pool_slots = 16;
+  tiny.slot_size = 512;
+  SqcqWorld world(tiny);
+  std::vector<std::pair<cionet::SocketId, cionet::SocketId>> links;
+  for (int i = 0; i < 3; ++i) {
+    links.push_back(world.Establish());
+  }
+  ASSERT_EQ(world.l5->ArmableSockets(), 12u);
+
+  ciobase::Rng rng(17);
+  const Buffer backlog = rng.Bytes(64 * 1024);
+  std::vector<std::string> sent(links.size());
+  std::vector<std::string> received(links.size());
+  size_t peak_send_slots = 0;
+  for (int round = 0; round < 1500; ++round) {
+    if (round % 25 == 0) {
+      for (size_t i = 0; i < links.size(); ++i) {
+        std::string ping = "ping-" + std::to_string(round) + ";";
+        auto queued = world.peer_stack->TcpSend(links[i].second,
+                                                BufferFromString(ping));
+        ASSERT_TRUE(queued.ok());
+        ASSERT_EQ(*queued, ping.size());
+        sent[i] += ping;
+      }
+    }
+    world.peer_stack->Poll();
+    ASSERT_NE(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
+    Buffer chunk;
+    for (size_t i = 0; i < links.size(); ++i) {
+      auto got = world.l5->ReceiveOne(links[i].first, 4096, chunk);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      received[i].append(chunk.begin(), chunk.end());
+      ASSERT_TRUE(world.l5->SubmitStream(links[i].first, backlog).ok());
+    }
+    peak_send_slots =
+        std::max(peak_send_slots, world.l5->in_flight_slots(kSqOpSend));
+    world.clock.Advance(5'000);
+  }
+  world.Pump();
+  Buffer chunk;
+  for (size_t i = 0; i < links.size(); ++i) {
+    ASSERT_TRUE(world.l5->ReceiveOne(links[i].first, 1 << 16, chunk).ok());
+    received[i].append(chunk.begin(), chunk.end());
+    EXPECT_EQ(received[i], sent[i]) << "socket " << i << " starved";
+  }
+  // The backlog really did take everything above the receive floor.
+  EXPECT_GE(peak_send_slots, tiny.pool_slots - links.size() * 4);
+  EXPECT_GT(world.l5->in_flight_entries(kSqOpSend), 0u);
+  EXPECT_GT(world.l5->stats().sq_backpressure, 0u);
+
+  // Closing returns every slot: stalled sends and armed receives alike.
+  for (const auto& [socket, peer] : links) {
+    ASSERT_TRUE(world.l5->Close(socket).ok());
+    world.l5->CancelSocket(socket);
+  }
+  world.Pump();
+  EXPECT_EQ(world.l5->in_flight_entries(), 0u);
+  EXPECT_EQ(world.l5->free_slots(), tiny.pool_slots);
+}
+
+TEST(Sqcq, IdleSocketsGiveBackReceiveSlotsArmedUnderALargerShare) {
+  // Sockets 1 and 2 connect one at a time and go idle, so each is armed
+  // while its share is large (socket 1 alone takes every slot above the
+  // send reserve). When socket 3 opens, the shares shrink and the idle
+  // sockets must hand their excess back: socket 3 must receive every ping
+  // and drain its whole send backlog while the other two never see a byte.
+  L5QueueConfig tiny;
+  tiny.pool_slots = 16;
+  tiny.slot_size = 512;
+  SqcqWorld world(tiny);
+  auto [idle_a, peer_a] = world.Establish();
+  world.Pump(5);
+  EXPECT_EQ(world.l5->in_flight_slots(kSqOpRecv), 12u);
+  auto [idle_b, peer_b] = world.Establish();
+  world.Pump(5);
+  auto [busy, peer] = world.Establish();
+
+  ciobase::Rng rng(23);
+  const Buffer backlog = rng.Bytes(24 * 1024);
+  size_t queued = 0;
+  std::string pings;
+  std::string received;
+  Buffer echoed;
+  uint8_t buf[4096];
+  for (int round = 0; round < 2000; ++round) {
+    if (round % 20 == 0 && round < 1000) {
+      std::string ping = "ping-" + std::to_string(round) + ";";
+      auto sent = world.peer_stack->TcpSend(peer, BufferFromString(ping));
+      ASSERT_TRUE(sent.ok());
+      ASSERT_EQ(*sent, ping.size());
+      pings += ping;
+    }
+    if (queued < backlog.size()) {
+      auto accepted = world.l5->SubmitStream(
+          busy, ciobase::ByteSpan(backlog).subspan(queued));
+      ASSERT_TRUE(accepted.ok());
+      queued += *accepted;
+    }
+    world.peer_stack->Poll();
+    ASSERT_NE(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
+    Buffer chunk;
+    ASSERT_TRUE(world.l5->ReceiveOne(busy, 4096, chunk).ok());
+    received.append(chunk.begin(), chunk.end());
+    for (;;) {
+      auto got = world.peer_stack->TcpReceive(peer, buf);
+      if (!got.ok() || *got == 0) {
+        break;
+      }
+      echoed.insert(echoed.end(), buf, buf + *got);
+    }
+    world.clock.Advance(5'000);
+  }
+  EXPECT_EQ(received, pings);
+  EXPECT_EQ(queued, backlog.size());
+  EXPECT_EQ(echoed, backlog);
+  EXPECT_EQ(world.l5->in_flight_entries(kSqOpSend), 0u);
+  // Receive arming is back within the pool minus the send reserve: one
+  // slot per armable socket, 12 here.
+  EXPECT_LE(world.l5->in_flight_slots(kSqOpRecv),
+            world.l5->ArmableSockets());
+  Buffer none;
+  for (cionet::SocketId socket : {idle_a, idle_b}) {
+    auto got = world.l5->ReceiveOne(socket, 4096, none);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(*got, 0u);
+  }
+  EXPECT_TRUE(world.PoolBalanced());
 }
 
 // --- Out-of-order reaping ----------------------------------------------------
@@ -317,7 +490,7 @@ TEST(Sqcq, CompletionsReapOutOfSubmissionOrderAcrossSockets) {
   ASSERT_TRUE(world.QueuePlain(server_a, for_a));
   EXPECT_NE(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
   world.Pump();
-  EXPECT_EQ(world.l5->in_flight_entries(), 0u);
+  EXPECT_EQ(world.l5->in_flight_entries(kSqOpSend), 0u);
 
   uint8_t buf[64];
   auto got_a = world.peer_stack->TcpReceive(client_a, buf);
@@ -335,26 +508,32 @@ TEST(Sqcq, CompletionsReapOutOfSubmissionOrderAcrossSockets) {
 TEST(Sqcq, DuplicateCompletionIsTampering) {
   SqcqWorld world;
   auto [server, client] = world.Establish();
-  ASSERT_TRUE(world.l5->SendOne(server, BufferFromString("once")).ok());
+  ASSERT_TRUE(world.QueuePlain(server, BufferFromString("once")));
+  const uint64_t send = world.l5->in_flight_user_data_for_test(server,
+                                                               kSqOpSend);
+  ASSERT_NE(send, 0u);
   world.Pump();
-  ASSERT_EQ(world.l5->in_flight_entries(), 0u);
+  ASSERT_EQ(world.l5->in_flight_entries(kSqOpSend), 0u);
 
-  // Replay the already-reaped completion (user_data 1, current epoch).
+  // Replay the already-reaped completion (same user_data, current epoch).
   CqEntry replay;
   replay.op = kSqOpSend;
   replay.seg_count = 0;
   replay.code = kCqOk;
   replay.result = 0;
-  replay.user_data = 1;
+  replay.user_data = send;
   replay.epoch = world.l5->epoch();
   world.ScribbleCqe(replay);
-  EXPECT_EQ(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
+  EXPECT_EQ(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
 }
 
 TEST(Sqcq, StaleEpochCompletionIsDroppedNotFatal) {
   SqcqWorld world;
   auto [server, client] = world.Establish();
-  ASSERT_TRUE(world.l5->SendOne(server, BufferFromString("pre-reset")).ok());
+  ASSERT_TRUE(world.QueuePlain(server, BufferFromString("pre-reset")));
+  const uint64_t send = world.l5->in_flight_user_data_for_test(server,
+                                                               kSqOpSend);
+  ASSERT_NE(send, 0u);
   world.Pump();
 
   // Ring reset (recovery path): the old generation may still owe
@@ -364,10 +543,10 @@ TEST(Sqcq, StaleEpochCompletionIsDroppedNotFatal) {
   CqEntry old_epoch;
   old_epoch.op = kSqOpSend;
   old_epoch.code = kCqOk;
-  old_epoch.user_data = 1;
+  old_epoch.user_data = send;
   old_epoch.epoch = 0;
   world.ScribbleCqe(old_epoch);
-  EXPECT_NE(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
+  EXPECT_NE(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
   EXPECT_GE(world.l5->stats().cq_stale_dropped, 1u);
 }
 
@@ -382,74 +561,73 @@ TEST(Sqcq, GarbageCompletionEntryIsTampering) {
   garbage.epoch = world.l5->epoch();  // survives the stale filter...
   world.ScribbleCqe(garbage);
   // ...and dies on the shadow check: no such user_data was ever submitted.
-  EXPECT_EQ(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
+  EXPECT_EQ(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
 }
 
 TEST(Sqcq, CompletionFieldMismatchesAreTampering) {
-  // Arm receive entries (no inbound data, so they stay in flight as known
-  // user_data values), then forge completions that contradict the shadow.
+  // The accepted socket's receive entries are armed at the doorbell (no
+  // inbound data, so they stay in flight as known user_data values); forge
+  // completions for one of them that contradict the shadow.
   SqcqWorld world;
   auto [server, client] = world.Establish();
-  Buffer sink;
-  auto got = world.l5->ReceiveOne(server, 4096, sink);
-  ASSERT_TRUE(got.ok());
-  ASSERT_GT(world.l5->in_flight_entries(), 0u);
+  const uint64_t armed = world.ArmedRecv(server);
+  ASSERT_NE(armed, 0u);
   const L5QueueConfig& config = world.l5->queue_config();
 
   {
     // Opcode flip: recv submitted, send completed.
     CqEntry forged;
     forged.op = kSqOpSend;
-    forged.user_data = 1;
+    forged.user_data = armed;
     forged.epoch = world.l5->epoch();
     world.ScribbleCqe(forged);
-    EXPECT_EQ(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
+    EXPECT_EQ(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
   }
   {
     // Length exceeding what was submitted for the segment.
     SqcqWorld fresh;
     auto [fs, fc] = fresh.Establish();
-    Buffer fresh_sink;
-    ASSERT_TRUE(fresh.l5->ReceiveOne(fs, 4096, fresh_sink).ok());
+    const uint64_t fresh_armed = fresh.ArmedRecv(fs);
+    ASSERT_NE(fresh_armed, 0u);
     CqEntry forged;
     forged.op = kSqOpRecv;
     forged.seg_count = 1;
-    forged.user_data = 1;
+    forged.user_data = fresh_armed;
     forged.epoch = fresh.l5->epoch();
     forged.seg_len[0] = config.slot_size + 1;
     forged.result = config.slot_size + 1;
     fresh.ScribbleCqe(forged);
-    EXPECT_EQ(fresh.l5->Poll().code(), ciobase::StatusCode::kTampered);
+    EXPECT_EQ(fresh.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
   }
   {
     // Result not matching the per-segment sum.
     SqcqWorld fresh;
     auto [fs, fc] = fresh.Establish();
-    Buffer fresh_sink;
-    ASSERT_TRUE(fresh.l5->ReceiveOne(fs, 4096, fresh_sink).ok());
+    const uint64_t fresh_armed = fresh.ArmedRecv(fs);
+    ASSERT_NE(fresh_armed, 0u);
     CqEntry forged;
     forged.op = kSqOpRecv;
     forged.seg_count = 1;
-    forged.user_data = 1;
+    forged.user_data = fresh_armed;
     forged.epoch = fresh.l5->epoch();
     forged.seg_len[0] = 100;
     forged.result = 101;
     fresh.ScribbleCqe(forged);
-    EXPECT_EQ(fresh.l5->Poll().code(), ciobase::StatusCode::kTampered);
+    EXPECT_EQ(fresh.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
   }
   {
     // Unknown completion code.
     SqcqWorld fresh;
     auto [fs, fc] = fresh.Establish();
-    Buffer fresh_sink;
-    ASSERT_TRUE(fresh.l5->ReceiveOne(fs, 4096, fresh_sink).ok());
+    const uint64_t fresh_armed = fresh.ArmedRecv(fs);
+    ASSERT_NE(fresh_armed, 0u);
     CqEntry forged;
     forged.op = kSqOpRecv;
-    forged.user_data = 1;
+    forged.user_data = fresh_armed;
     forged.epoch = fresh.l5->epoch();
     forged.code = kCqReset + 1;
     fresh.ScribbleCqe(forged);
-    EXPECT_EQ(fresh.l5->Poll().code(), ciobase::StatusCode::kTampered);
+    EXPECT_EQ(fresh.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
   }
 }
 
@@ -461,7 +639,7 @@ TEST(Sqcq, CqTailOutsideRingWindowIsTampering) {
   // entries forever; the window check rejects it before any decode.
   ciobase::StoreLe32(region.data() + kCtrlCqTail,
                      world.l5->queue_config().cq_entries + 7);
-  EXPECT_EQ(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
+  EXPECT_EQ(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
 }
 
 // --- Hostile control-cell mutation (the fuzzer's mutator as a library) ------
@@ -510,13 +688,13 @@ TEST(SqcqMutation, ForgedCqHeadIsTypedEdgeAndSelfHeals) {
   // The doorbell's io pass sees the forged head, holds the completion (not
   // dropped) and emits the typed edge; Harvest re-asserts the true head in
   // the same call, so this is never Tampered.
-  EXPECT_NE(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
+  EXPECT_NE(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
   EXPECT_TRUE(SawEdge("l5.cq.incoherent_head",
                       ciobase::StatusCode::kOutOfRange));
 
   // ...and the wedge heals: the held completion drains on later doorbells.
   world.Pump();
-  EXPECT_EQ(world.l5->in_flight_entries(), 0u);
+  EXPECT_EQ(world.l5->in_flight_entries(kSqOpSend), 0u);
   EXPECT_EQ(ciobase::LoadLe32(ctrl.raw.data() + kCtrlCqHead),
             ciobase::LoadLe32(ctrl.raw.data() + kCtrlCqTail));
 }
@@ -539,7 +717,7 @@ TEST(SqcqMutation, ForgedEpochCellDropsStaleTypedAndHeals) {
   forge.value = 7;
   ciofuzz::Mutator::ApplyStep(forge, ctrl);
 
-  EXPECT_TRUE(world.l5->Poll().ok());
+  EXPECT_TRUE(world.l5->Doorbell().ok());
   EXPECT_GE(world.l5->stats().cq_stale_dropped, 1u);
   EXPECT_TRUE(SawEdge("l5.cq.stale_epoch",
                       ciobase::StatusCode::kUnavailable));
@@ -573,10 +751,10 @@ TEST(SqcqMutation, ForgedSqHeadCannotSpoofConsumption) {
   EXPECT_FALSE(world.QueuePlain(server, payload));
 
   // A real doorbell consumes through the gate and reopens the ring.
-  EXPECT_NE(world.l5->Poll().code(), ciobase::StatusCode::kTampered);
+  EXPECT_NE(world.l5->Doorbell().code(), ciobase::StatusCode::kTampered);
   EXPECT_TRUE(world.QueuePlain(server, payload));
   world.Pump();
-  EXPECT_EQ(world.l5->in_flight_entries(), 0u);
+  EXPECT_EQ(world.l5->in_flight_entries(kSqOpSend), 0u);
 }
 
 TEST(SqcqMutation, SeededControlCellStormNeverWedgesSilently) {
@@ -602,7 +780,7 @@ TEST(SqcqMutation, SeededControlCellStormNeverWedgesSilently) {
         (void)world.QueuePlain(server, BufferFromString("storm"));
       }
       mutator.ApplyRound(input, round, windows);
-      if (world.l5->Poll().code() == ciobase::StatusCode::kTampered) {
+      if (world.l5->Doorbell().code() == ciobase::StatusCode::kTampered) {
         tampered = true;  // typed detection: recovery would take over
       }
       world.peer_stack->Poll();
@@ -612,7 +790,7 @@ TEST(SqcqMutation, SeededControlCellStormNeverWedgesSilently) {
       continue;
     }
     world.Pump();
-    bool drained = world.l5->in_flight_entries() == 0;
+    bool drained = world.l5->in_flight_entries(kSqOpSend) == 0;
     bool typed_signal = world.l5->stats().cq_stale_dropped > 0;
     for (const ciobase::CoverageMap::Edge& edge :
          ciobase::CoverageMap::Instance().Edges()) {
@@ -706,6 +884,46 @@ TEST(Sqcq, KillLinkMidBatchDeliversExactlyOnce) {
   EXPECT_EQ(stats.messages_lost, 0u);
   EXPECT_EQ(pair.server->recovery_stats().messages_lost, 0u);
   EXPECT_TRUE(pair.client->memory().violations().empty());
+}
+
+TEST(Sqcq, ForgedCompletionAtTheEngineDoorbellRecoversTheChannel) {
+  // Receive no longer rings its own doorbell, so the engine's Poll() is
+  // where a forged completion surfaces: it must reset the channel (a typed
+  // fault, then reconnect + replay), never ignore it or lose a message.
+  StackConfig client = StackConfig::DefaultsFor(StackProfile::kDualBoundary, 1);
+  client.seed = 6201;
+  StackConfig server = client;
+  server.node_id = 2;
+  server.seed = 6202;
+  LinkedPair pair(client, server);
+  ASSERT_TRUE(pair.Establish());
+
+  ciobase::MutableByteSpan region = pair.client->l5()->queue_region_for_test();
+  const L5QueueConfig& config = pair.client->l5()->queue_config();
+  CqEntry forged;
+  forged.op = kSqOpRecv;
+  forged.user_data = 0xF00D;  // never submitted
+  forged.epoch = pair.client->l5()->epoch();
+  uint32_t tail = ciobase::LoadLe32(region.data() + kCtrlCqTail);
+  EncodeCqe(forged, region.subspan(config.CqOffset() +
+                                       (tail & (config.cq_entries - 1)) *
+                                           kCqeSize,
+                                   kCqeSize));
+  ciobase::StoreLe32(region.data() + kCtrlCqTail, tail + 1);
+  pair.Pump();
+  EXPECT_EQ(pair.client->recovery_stats().link_errors, 1u);
+  EXPECT_FALSE(pair.client->Ready());
+
+  ASSERT_TRUE(pair.PumpUntil([&] { return pair.client->Ready(); }, 60000));
+  ASSERT_TRUE(pair.client->SendMessage(BufferFromString("after")).ok());
+  ciobase::Result<Buffer> got = ciobase::NotFound("pending");
+  ASSERT_TRUE(pair.PumpUntil([&] {
+    got = pair.server->ReceiveMessage();
+    return got.ok();
+  }));
+  EXPECT_EQ(ciobase::StringFromBytes(*got), "after");
+  EXPECT_GE(pair.client->recovery_stats().reconnects, 1u);
+  EXPECT_EQ(pair.client->recovery_stats().messages_lost, 0u);
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
 #!/usr/bin/env bash
-# Counts non-blank, non-comment-only lines per library, for the TCB
-# accounting table in src/cio/tcb.cc. Run from the repository root:
+# Counts non-blank, non-comment-only lines per library (the per-library
+# LoC figures changes are tracked by, and the methodology behind the
+# rounded TCB table in src/cio/tcb.cc). Run from the repository root:
 #
 #   tools/count_loc.sh
-#
-# The tcb.cc table intentionally stores rounded values; tests/tcb_test.cc
-# checks the table against this script's methodology within a tolerance.
 
 set -euo pipefail
 
@@ -16,7 +14,8 @@ count() {
 
 echo "library LoC (non-blank, non-comment-only):"
 for dir in src/base src/crypto src/tee src/tls src/net src/virtio \
-           src/cio src/blockio src/study; do
+           src/cio src/serve src/blockio src/prof src/hostsim src/fuzz \
+           src/study; do
   printf '  %-14s %6d\n' "$(basename "$dir")" \
     "$(count "$dir"/*.h "$dir"/*.cc)"
 done
