@@ -250,10 +250,13 @@ struct ConfidentialNode::DualBoundaryOps final : SocketLayer {
     return node->l5_->Peer(id);
   }
   ciobase::Status Poll() override {
+    // The host backend fills RX first, so the doorbell harvests what the
+    // fabric has delivered by now. Nothing polls it afterwards: the polled
+    // backend services the ring at every guest publish (L2Transport's
+    // `host_poll`), so frames this doorbell emits leave when they are
+    // published, as a notify-mode kick would send them.
     node->l2_device_->Poll();
-    ciobase::Status link = node->l5_->Doorbell();
-    node->l2_device_->Poll();  // see GuestStackOps::Poll
-    return link;
+    return node->l5_->Doorbell();
   }
 };
 
@@ -414,8 +417,8 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
                                                   fabric, name, &adversary_,
                                                   &observability_, clock);
       l2_transport_ = std::make_unique<L2Transport>(
-          shared_.get(), l2_config, &costs_,
-          l2_config.polling ? nullptr : l2_device_.get(), config_.recovery);
+          shared_.get(), l2_config, &costs_, l2_device_.get(),
+          config_.recovery, [device = l2_device_.get()] { device->Poll(); });
       l2_transport_->set_sealed_rx(config_.l2_sealed_rx);
       guest_stack_ = std::make_unique<cionet::NetStack>(l2_transport_.get(),
                                                         clock, stack_config);

@@ -60,12 +60,14 @@ constexpr size_t kL2SealedSnapshotBytes = 64;
 L2Transport::L2Transport(ciotee::SharedRegion* region, const L2Config& config,
                          ciobase::CostModel* costs,
                          ciovirtio::KickTarget* kick,
-                         const ciobase::RecoveryConfig& recovery)
+                         const ciobase::RecoveryConfig& recovery,
+                         std::function<void()> host_poll)
     : region_(region),
       config_(config),
       layout_(config),
       costs_(costs),
       kick_(kick),
+      host_poll_(std::move(host_poll)),
       recovery_(recovery),
       watchdog_(recovery) {
   assert(config.Valid());
@@ -153,13 +155,10 @@ ciobase::Result<size_t> L2Transport::SendFrames(
     ++sent;
   }
   if (sent > 0) {
-    // Publish the produced counter once for the whole batch, and coalesce
-    // the doorbell into a single kick (virtio-style event suppression).
+    // Publish the produced counter once for the whole batch, and service
+    // the host once for it (virtio-style event suppression in notify mode).
     region_->GuestWriteLe64(layout_.TxProduced(), tx_produced_);
-    if (!config_.polling && kick_ != nullptr) {
-      costs_->ChargeNotify();
-      kick_->Kick();
-    }
+    ServiceHost();
     // Work is now in flight: the watchdog starts (or keeps) counting until
     // the host visibly consumes it.
     watchdog_.Arm(now_ns);
@@ -404,11 +403,19 @@ ciobase::Status L2Transport::ResetRing() {
     region_->GuestWrite(layout_.RxSlot(i), zero_header);
   }
   ++stats_.ring_resets;
-  if (!config_.polling && kick_ != nullptr) {
+  ServiceHost();
+  return ciobase::OkStatus();
+}
+
+void L2Transport::ServiceHost() {
+  if (config_.polling) {
+    if (host_poll_) {
+      host_poll_();
+    }
+  } else if (kick_ != nullptr) {
     costs_->ChargeNotify();
     kick_->Kick();
   }
-  return ciobase::OkStatus();
 }
 
 std::vector<ciohost::SurfaceField> L2Transport::AttackSurface() const {

@@ -29,6 +29,7 @@
 #ifndef SRC_CIO_L2_TRANSPORT_H_
 #define SRC_CIO_L2_TRANSPORT_H_
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -45,20 +46,28 @@ namespace cio {
 
 class L2Transport final : public cionet::FramePort {
  public:
-  // `kick` may be null in polling mode. `recovery` enables the watchdog +
-  // ring-reset machinery; the default leaves it off (a wedged host wedges
-  // the link, exactly like the seed behavior).
+  // `kick` is the notify-mode doorbell; it may be null in polling mode.
+  // `host_poll` is the polled host backend: in polling mode it runs at every
+  // guest publish (the TX produced counter, a ring-reset epoch), exactly
+  // where a kick would land, but it charges no notify and shows the host no
+  // doorbell. It stands in for a backend that watches the ring concurrently
+  // with the guest. It may be null, leaving the host to be polled by hand.
+  // `recovery` enables the watchdog + ring-reset machinery; the default
+  // leaves it off (a wedged host wedges the link, exactly like the seed
+  // behavior).
   L2Transport(ciotee::SharedRegion* region, const L2Config& config,
               ciobase::CostModel* costs, ciovirtio::KickTarget* kick,
-              const ciobase::RecoveryConfig& recovery = {});
+              const ciobase::RecoveryConfig& recovery = {},
+              std::function<void()> host_poll = {});
 
   // --- cionet::FramePort -----------------------------------------------------
 
   // Batched ring ops: the host counters are read once per batch, the
-  // produced/consumed pointers are published once per batch, and the
-  // doorbell (notify mode) is coalesced into a single kick. Every slot goes
-  // through the single-fetch validation discipline — there is exactly one
-  // datapath per direction, and this is it.
+  // produced/consumed pointers are published once per batch, and the host
+  // is serviced once per published batch (one coalesced kick in notify
+  // mode, one `host_poll` in polling mode). Every slot goes through the
+  // single-fetch validation discipline — there is exactly one datapath per
+  // direction, and this is it.
   //
   // ReceiveFrames doubles as the recovery poll: it watches the host's
   // counters for progress, arms the watchdog while work is in flight or the
@@ -131,12 +140,16 @@ class L2Transport final : public cionet::FramePort {
   // the configured ownership model (copy vs revoke).
   void TakePayloadInto(uint64_t masked_offset, uint32_t len,
                        ciobase::Buffer& out);
+  // Drives the host after a guest publish: the charged kick in notify mode,
+  // the uncharged `host_poll_` in polling mode.
+  void ServiceHost();
 
   ciotee::SharedRegion* region_;
   L2Config config_;
   L2Layout layout_;
   ciobase::CostModel* costs_;
   ciovirtio::KickTarget* kick_;
+  std::function<void()> host_poll_;
   ciobase::FrameArena arena_;
   ciobase::RecoveryConfig recovery_;
   ciobase::LinkWatchdog watchdog_;
@@ -148,11 +161,11 @@ class L2Transport final : public cionet::FramePort {
   uint64_t rx_consumed_ = 0;
   // Last advisory TxConsumed observed; progress detection for the watchdog.
   uint64_t last_tx_consumed_ = 0;
-  // Same-tick cache of the advisory TxConsumed counter: within one simulated
-  // instant the host cannot have advanced, so back-to-back sends (a batch
-  // flush) open one TOCTOU window instead of one per call. The counter is
-  // advisory only (clamped into the legal window), so a stale value is at
-  // worst conservative.
+  // Same-tick cache of the advisory TxConsumed counter: back-to-back sends
+  // within one simulated instant (a batch flush) open one TOCTOU window
+  // instead of one per call. The host may have consumed more since (it is
+  // serviced at every publish), but the counter is advisory only (clamped
+  // into the legal window), so a stale value is at worst conservative.
   uint64_t tx_consumed_cache_ = 0;
   uint64_t tx_consumed_cache_ns_ = ~0ull;
   uint64_t epoch_ = 0;

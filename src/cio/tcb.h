@@ -2,10 +2,11 @@
 // trusted computing base under each stack profile — the "TCB" axis of
 // Figure 5.
 //
-// Line counts are measured from this repository (tools/count_loc.sh
-// regenerates them; the table is checked against the live tree by
-// tcb_test.cc within a tolerance, so it cannot silently rot). What matters
-// for the figure is the *ratio* between profiles, which is structural: the
+// Line counts are hand-maintained per module, typed in from earlier
+// measurements of this repository (tools/count_loc.sh reports per-library
+// totals). No test checks them against the live tree, so they can drift
+// until the counts are computed from the tree itself. What matters for the
+// figure is the *ratio* between profiles, which is structural: the
 // dual-boundary and syscall profiles exclude the network stack from the
 // app's TCB; the L2 profiles include it.
 

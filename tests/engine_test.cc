@@ -24,6 +24,15 @@ StackConfig Options(StackProfile profile, uint32_t node_id) {
   return config;
 }
 
+// Frames a dual-boundary node published to its L2 TX ring that the host
+// has not taken yet.
+uint64_t StrandedTxFrames(ConfidentialNode& node) {
+  const L2Layout& layout = node.l2_transport()->layout();
+  ciotee::SharedRegion* region = node.shared_region();
+  return region->HostReadLe64(layout.TxProduced()) -
+         region->HostReadLe64(layout.TxConsumed());
+}
+
 // Round-trips `count` messages client->server and checks echo integrity.
 void RoundTrip(LinkedPair& pair, int count, size_t size) {
   ciobase::Rng rng(5);
@@ -176,6 +185,38 @@ TEST(DualBoundary, DualTeeBoundaryCostsMore) {
   // Same work, strictly more modeled time under the heavyweight boundary.
   EXPECT_GT(b.client->costs().counter("tee_switches"), 0u);
   EXPECT_GT(dual_tee_ns, compartment_ns);
+}
+
+// Same-round transmit: the polled L2 host takes every doorbell's frames at
+// the publish, whichever call path rang it. The node's next Poll() is not
+// needed to get them onto the fabric.
+TEST(DualBoundary, StreamingSendLeavesWhenItIsFlushed) {
+  LinkedPair pair(Options(StackProfile::kDualBoundary, 1),
+                  Options(StackProfile::kDualBoundary, 2));
+  ASSERT_TRUE(pair.Establish());
+  pair.PumpUntil([] { return false; }, 50);  // let the handshake settle
+  ASSERT_EQ(StrandedTxFrames(*pair.client), 0u);
+  const uint64_t doorbells = pair.client->l5()->stats().doorbells;
+  const uint64_t routed = pair.fabric->stats().bytes_routed;
+  // Too large for one scatter-gather entry: SendMessage streams it through
+  // L5Channel::SendOne, whose doorbell publishes the TCP segments.
+  Buffer message = ciobase::Rng(9).Bytes(40'000);
+  ASSERT_TRUE(pair.client->SendMessage(message).ok());
+  EXPECT_GT(pair.client->l5()->stats().doorbells, doorbells);
+  EXPECT_EQ(StrandedTxFrames(*pair.client), 0u);
+  EXPECT_GT(pair.fabric->stats().bytes_routed - routed, 1000u);
+}
+
+TEST(DualBoundary, CloseSendsTheFinWhenItIsCalled) {
+  LinkedPair pair(Options(StackProfile::kDualBoundary, 1),
+                  Options(StackProfile::kDualBoundary, 2));
+  ASSERT_TRUE(pair.Establish());
+  pair.PumpUntil([] { return false; }, 50);
+  ASSERT_EQ(StrandedTxFrames(*pair.client), 0u);
+  const uint64_t routed = pair.fabric->stats().frames_routed;
+  ASSERT_TRUE(pair.client->Disconnect().ok());  // L5Channel::Close: the FIN
+  EXPECT_EQ(StrandedTxFrames(*pair.client), 0u);
+  EXPECT_EQ(pair.fabric->stats().frames_routed - routed, 1u);
 }
 
 // --- Figure-level orderings ----------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "src/base/rng.h"
@@ -33,7 +34,10 @@ struct World {
   ciohost::Adversary adversary{23};
   ciohost::ObservabilityLog observability;
 
-  explicit World(L2Config cfg = {}) : config(cfg) {
+  // `hook_host_poll` wires the host's Poll() into the transport the way the
+  // engine does; without it the tests below poll the device by hand.
+  explicit World(L2Config cfg = {}, bool hook_host_poll = false)
+      : config(cfg) {
     config.mac = cionet::MacAddress::FromId(1);
     L2Layout layout(config);
     shared = std::make_unique<ciotee::SharedRegion>(&memory, layout.total,
@@ -41,9 +45,14 @@ struct World {
     device = std::make_unique<L2HostDevice>(shared.get(), config, &fabric,
                                             "nic", &adversary,
                                             &observability, &clock);
+    std::function<void()> host_poll;
+    if (hook_host_poll) {
+      host_poll = [this] { device->Poll(); };
+    }
     transport = std::make_unique<L2Transport>(
         shared.get(), config, &costs,
-        config.polling ? nullptr : device.get());
+        config.polling ? nullptr : device.get(), ciobase::RecoveryConfig{},
+        std::move(host_poll));
     peer = std::make_unique<cionet::DirectFabricPort>(
         &fabric, "peer", cionet::MacAddress::FromId(2));
   }
@@ -202,6 +211,38 @@ TEST(L2Transport, PollingModeHasNoDoorbells) {
   Buffer frame = world.FromGuest(64);
   ASSERT_TRUE(cionet::SendOne(*world.transport, frame).ok());
   world.device->Poll();
+  EXPECT_EQ(world.costs.counter("notifies"), 0u);
+  EXPECT_EQ(world.observability.CountOf(ciohost::ObsCategory::kDoorbell),
+            0u);
+}
+
+TEST(L2Transport, PollingModeHostTakesFramesAtPublish) {
+  // The polling-mode counterpart of NotifyModeKicksDevice: with the host
+  // hooked up as the engine does it, the publish itself puts the frame on
+  // the fabric, with no notify charged and no doorbell the host can see.
+  World world(L2Config{}, /*hook_host_poll=*/true);
+  Buffer frame = world.FromGuest(64);
+  ASSERT_TRUE(cionet::SendOne(*world.transport, frame).ok());
+  EXPECT_EQ(world.device->stats().frames_tx, 1u);
+  EXPECT_EQ(world.fabric.stats().frames_routed, 1u);
+  EXPECT_EQ(world.device->stats().kicks, 0u);
+  EXPECT_EQ(world.costs.counter("notifies"), 0u);
+  EXPECT_EQ(world.observability.CountOf(ciohost::ObsCategory::kDoorbell),
+            0u);
+  world.clock.Advance(25'000);
+  auto at_peer = cionet::ReceiveOne(*world.peer);
+  ASSERT_TRUE(at_peer.ok());
+  EXPECT_EQ(*at_peer, frame);
+}
+
+TEST(L2Transport, PollingModeResetIsAdoptedAtPublish) {
+  // A ring reset publishes a new guest epoch; the hooked host adopts it
+  // (echoes HostEpoch) in the same instant instead of at its next poll.
+  World world(L2Config{}, /*hook_host_poll=*/true);
+  ASSERT_TRUE(world.transport->ResetRing().ok());
+  EXPECT_EQ(world.device->stats().epoch_adoptions, 1u);
+  EXPECT_EQ(world.shared->HostReadLe64(world.transport->layout().HostEpoch()),
+            world.transport->epoch());
   EXPECT_EQ(world.costs.counter("notifies"), 0u);
   EXPECT_EQ(world.observability.CountOf(ciohost::ObsCategory::kDoorbell),
             0u);

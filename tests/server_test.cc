@@ -37,6 +37,15 @@ std::string ToString(const Buffer& buffer) {
                      buffer.size());
 }
 
+// Frames a dual-boundary node published to its L2 TX ring that the host
+// has not taken yet.
+uint64_t StrandedTxFrames(cio::ConfidentialNode& node) {
+  const cio::L2Layout& layout = node.l2_transport()->layout();
+  ciotee::SharedRegion* region = node.shared_region();
+  return region->HostReadLe64(layout.TxProduced()) -
+         region->HostReadLe64(layout.TxConsumed());
+}
+
 // --- cio::Session units ------------------------------------------------------
 
 TEST(Session, PlaintextFramingRoundTripExactlyOnce) {
@@ -409,6 +418,29 @@ TEST(Server, IdleRoundCostDoesNotGrowWithClientCount) {
   const auto large = round_cost(64);
   EXPECT_EQ(small.second, 1u);  // one receive doorbell for the whole table
   EXPECT_EQ(small, large);
+}
+
+TEST(Server, EgressDoorbellTransmitsInTheRoundItRings) {
+  // FlushOutbound rings the egress doorbell at the end of Poll(). The polled
+  // L2 host takes the frames at that publish, so one Poll() after a Send
+  // puts the message on the fabric instead of leaving it in the TX ring
+  // for the next round.
+  MultiClientWorld::Options options;
+  options.profile = StackProfile::kDualBoundary;
+  options.num_clients = 2;
+  options.seed = 1414;
+  MultiClientWorld world(options);
+  ASSERT_TRUE(world.EstablishAll());
+  world.PumpUntil([] { return false; }, 100);  // let the handshakes settle
+  std::vector<ConnId> conns = world.server->EstablishedConnections();
+  ASSERT_EQ(conns.size(), 2u);
+  ASSERT_EQ(StrandedTxFrames(*world.server_node), 0u);
+  const uint64_t routed = world.fabric->stats().bytes_routed;
+  const Buffer message(1200, 0x5a);
+  ASSERT_TRUE(world.server->Send(conns[0], message).ok());
+  world.server->Poll();
+  EXPECT_EQ(StrandedTxFrames(*world.server_node), 0u);
+  EXPECT_GE(world.fabric->stats().bytes_routed - routed, message.size());
 }
 
 // --- Fairness ---------------------------------------------------------------
