@@ -147,15 +147,18 @@ int main() {
 
   std::printf("middlebox: sent=%d filtered=%d forwarded=%d delivered=%d\n",
               sent, dropped, forwarded, delivered);
+  const size_t out_of_bounds =
+      mb_in.memory.ViolationCount(ciotee::ViolationKind::kOobRead) +
+      mb_in.memory.ViolationCount(ciotee::ViolationKind::kOobWrite);
   std::printf("middlebox: host ran %llu length-inflation attacks; "
               "out-of-bounds accesses by the middlebox: %zu\n",
               static_cast<unsigned long long>(
                   mb_in.adversary.behavior_count()),
-              mb_in.memory.ViolationCount(ciotee::ViolationKind::kOobRead) +
-                  mb_in.memory.ViolationCount(
-                      ciotee::ViolationKind::kOobWrite));
+              out_of_bounds);
   std::printf("middlebox: frames clamped by the hardened transport: %llu\n",
               static_cast<unsigned long long>(
                   mb_in.transport->stats().rx_clamped_len));
-  return 0;
+  // The hardened transport's promise: a hostile host degrades service, it
+  // never makes the middlebox touch memory out of bounds.
+  return out_of_bounds == 0 ? 0 : 1;
 }

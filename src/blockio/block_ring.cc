@@ -374,12 +374,10 @@ void HostBlockDevice::Poll() {
 
     if (observability_ != nullptr) {
       // The storage access pattern the host inevitably observes [3].
-      observability_->Record(ciohost::ObsCategory::kCallArgs, lba,
-                             "block lba");
-      observability_->Record(ciohost::ObsCategory::kMessageBoundary, len,
-                             "block len");
+      observability_->Record(ciohost::ObsCategory::kCallArgs, lba);
+      observability_->Record(ciohost::ObsCategory::kMessageBoundary, len);
       observability_->Record(ciohost::ObsCategory::kPacketTiming,
-                             clock_->now_ns(), "block op");
+                             clock_->now_ns());
     }
 
     uint32_t status = 0;

@@ -4,10 +4,10 @@
 // The pool is a fixed array of equally sized slots carved out of ONE
 // long-lived allocation in the I/O compartment's heap, registered once at
 // channel construction (trusted-component-allocates, amortized over the
-// channel's lifetime instead of paid per message). The guest seals TLS
-// records directly into free slots and references them from submission
-// entries by index; the I/O stack transmits from them in place and fills
-// them on receive. Slot indices are the only currency that crosses the
+// channel's lifetime instead of paid per message). The guest copies sealed
+// TLS records into free slots and references them from submission entries
+// by index; the I/O stack transmits from them in place and fills them on
+// receive. Slot indices are the only currency that crosses the
 // boundary — never pointers — so nothing the I/O side (or the host behind
 // it) says can direct an access outside the registered region.
 //

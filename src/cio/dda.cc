@@ -122,9 +122,9 @@ void DdaDevice::RelayTx() {
     if (observability_ != nullptr) {
       // The host relay sees only the TLP size and timing (ciphertext).
       observability_->Record(ciohost::ObsCategory::kPacketLength,
-                             sealed.size(), "ide tlp tx");
+                             sealed.size());
       observability_->Record(ciohost::ObsCategory::kPacketTiming,
-                             clock_->now_ns(), "ide tlp tx");
+                             clock_->now_ns());
     }
     ++stats_.frames_tx;
     (void)fabric_->Inject(endpoint_, *frame);
@@ -148,9 +148,9 @@ void DdaDevice::RelayRx() {
         ciotls::RecordType::kApplicationData, *frame);
     if (observability_ != nullptr) {
       observability_->Record(ciohost::ObsCategory::kPacketLength,
-                             sealed.size(), "ide tlp rx");
+                             sealed.size());
       observability_->Record(ciohost::ObsCategory::kPacketTiming,
-                             clock_->now_ns(), "ide tlp rx");
+                             clock_->now_ns());
     }
     uint64_t slot = layout_.RxSlot(rx_produced_);
     region_->HostWriteLe32(slot, static_cast<uint32_t>(sealed.size()));

@@ -29,9 +29,9 @@ class ObservedPort final : public cionet::FramePort {
     if (sent.ok()) {
       for (size_t i = 0; i < *sent; ++i) {
         observability_->Record(ciohost::ObsCategory::kPacketLength,
-                               frames[i].size(), "host-stack tx");
+                               frames[i].size());
         observability_->Record(ciohost::ObsCategory::kPacketTiming,
-                               clock_->now_ns(), "host-stack tx");
+                               clock_->now_ns());
       }
     }
     return sent;
@@ -42,9 +42,9 @@ class ObservedPort final : public cionet::FramePort {
     if (got.ok()) {
       for (size_t i = 0; i < *got; ++i) {
         observability_->Record(ciohost::ObsCategory::kPacketLength,
-                               batch[i].size(), "host-stack rx");
+                               batch[i].size());
         observability_->Record(ciohost::ObsCategory::kPacketTiming,
-                               clock_->now_ns(), "host-stack rx");
+                               clock_->now_ns());
       }
     }
     return got;
@@ -69,20 +69,20 @@ struct ConfidentialNode::SyscallOps final : SocketLayer {
   ConfidentialNode* node;
   explicit SyscallOps(ConfidentialNode* n) : node(n) {}
 
-  void RecordCall(const char* name, uint64_t arg) {
-    node->observability_.Record(ciohost::ObsCategory::kCallType, 0, name);
-    node->observability_.Record(ciohost::ObsCategory::kCallArgs, arg, name);
+  void RecordCall(uint64_t arg) {
+    node->observability_.Record(ciohost::ObsCategory::kCallType, 0);
+    node->observability_.Record(ciohost::ObsCategory::kCallArgs, arg);
   }
 
   ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
                                             uint16_t port) override {
     node->costs_.ChargeHostExit();
-    RecordCall("connect", (static_cast<uint64_t>(ip.value) << 16) | port);
+    RecordCall((static_cast<uint64_t>(ip.value) << 16) | port);
     return node->host_stack_->TcpConnect(ip, port);
   }
   ciobase::Result<cionet::SocketId> Listen(uint16_t port) override {
     node->costs_.ChargeHostExit();
-    RecordCall("listen", port);
+    RecordCall(port);
     return node->host_stack_->TcpListen(port);
   }
   ciobase::Result<cionet::SocketId> Accept(cionet::SocketId id) override {
@@ -90,7 +90,7 @@ struct ConfidentialNode::SyscallOps final : SocketLayer {
     if (result.ok()) {
       // The accept timing itself is a host-visible event [3].
       node->costs_.ChargeHostExit();
-      RecordCall("accept", node->clock_->now_ns());
+      RecordCall(node->clock_->now_ns());
     }
     return result;
   }
@@ -99,24 +99,23 @@ struct ConfidentialNode::SyscallOps final : SocketLayer {
   }
   ciobase::Status Close(cionet::SocketId id) override {
     node->costs_.ChargeHostExit();
-    RecordCall("close", id.value);
+    RecordCall(id.value);
     return node->host_stack_->TcpClose(id);
   }
   ciobase::Status Abort(cionet::SocketId id) override {
     node->costs_.ChargeHostExit();
-    RecordCall("abort", id.value);
+    RecordCall(id.value);
     return node->host_stack_->TcpAbort(id);
   }
   ciobase::Result<size_t> SendBytes(cionet::SocketId id,
                                     ciobase::ByteSpan data) override {
     node->costs_.ChargeHostExit();
     node->costs_.ChargeCopy(data.size());  // guest -> host buffer
-    node->observability_.Record(ciohost::ObsCategory::kCallType, 1, "send");
+    node->observability_.Record(ciohost::ObsCategory::kCallType, 1);
     node->observability_.Record(ciohost::ObsCategory::kMessageBoundary,
-                                data.size(), "send size");
+                                data.size());
     if (!node->config_.use_tls && !data.empty()) {
-      node->observability_.Record(ciohost::ObsCategory::kPayload,
-                                  data.size(), "plaintext visible to host");
+      node->observability_.Record(ciohost::ObsCategory::kPayload, data.size());
     }
     return node->host_stack_->TcpSend(id, data);
   }
@@ -131,12 +130,10 @@ struct ConfidentialNode::SyscallOps final : SocketLayer {
     if (*got > 0) {
       node->costs_.ChargeHostExit();
       node->costs_.ChargeCopy(*got);  // host buffer -> guest
-      node->observability_.Record(ciohost::ObsCategory::kCallType, 2, "recv");
-      node->observability_.Record(ciohost::ObsCategory::kMessageBoundary,
-                                  *got, "recv size");
+      node->observability_.Record(ciohost::ObsCategory::kCallType, 2);
+      node->observability_.Record(ciohost::ObsCategory::kMessageBoundary, *got);
       if (!node->config_.use_tls) {
-        node->observability_.Record(ciohost::ObsCategory::kPayload, *got,
-                                    "plaintext visible to host");
+        node->observability_.Record(ciohost::ObsCategory::kPayload, *got);
       }
     }
     out.resize(*got);
@@ -811,34 +808,24 @@ ciobase::Status ConfidentialNode::SendMessage(ciobase::ByteSpan message) {
     return ciobase::FailedPrecondition("link not ready");
   }
   CIO_PROF_SCOPE(costs_.profiler(), "engine.send");
-  // Async fast path: seal the framed message straight into registered pool
-  // slots and queue one scatter-gather SQ entry — no staging copy, no
-  // boundary crossing here. The next doorbell (this round's Poll, or right
-  // now in latency mode) carries the whole batch. Requires an empty legacy
-  // outbound queue so wire order equals submission order.
-  if (l5_ != nullptr && l5_->queues_ready() && !session_.HasOutbound()) {
-    L5Channel::MessageWriter writer;
-    if (l5_->BeginMessage(socket_, message.size(), config_.use_tls, writer)) {
-      ciobase::Status sealed = session_.SendInto(message, writer);
-      if (sealed.ok()) {
-        l5_->SubmitMessage(writer);
-        if (config_.l5_latency_mode) {
-          // Don't batch: ring the doorbell for this message alone.
-          (void)ops_->Poll();
-          PumpBytes();
-        }
-        return ciobase::OkStatus();
-      }
-      l5_->AbandonMessage(writer);
-      if (sealed.code() != ciobase::StatusCode::kResourceExhausted) {
-        return sealed;
-      }
-      // ResourceExhausted before any sealing: fall through to the
-      // streaming path below.
-    }
-  }
   CIO_RETURN_IF_ERROR(session_.Send(message));
-  PumpBytes();
+  if (l5_ == nullptr || !l5_->queues_ready()) {
+    PumpBytes();
+    return ciobase::OkStatus();
+  }
+  // Async datapath: queue the sealed bytes in the SQ, front to back, with
+  // no crossing here. The next doorbell (this round's Poll, or right now in
+  // latency mode) carries the whole batch. Bytes refused under SQ or pool
+  // pushback stay in outbound() and leave, in order, at the next flush.
+  auto queued = l5_->SubmitStream(socket_, session_.outbound());
+  if (queued.ok()) {
+    session_.ConsumeOutbound(*queued);
+  }
+  if (config_.l5_latency_mode) {
+    // Don't batch: ring the doorbell for this message alone.
+    (void)ops_->Poll();
+    PumpBytes();
+  }
   return ciobase::OkStatus();
 }
 

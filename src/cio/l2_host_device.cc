@@ -29,8 +29,7 @@ void L2HostDevice::Kick() {
   }
   ++stats_.kicks;
   if (observability_ != nullptr) {
-    observability_->Record(ciohost::ObsCategory::kDoorbell, clock_->now_ns(),
-                           "l2 doorbell");
+    observability_->Record(ciohost::ObsCategory::kDoorbell, clock_->now_ns());
   }
   Poll();
 }
@@ -117,10 +116,9 @@ void L2HostDevice::DrainTx() {
       adversary_->MaybeCorruptPayload(frame);
     }
     if (observability_ != nullptr) {
-      observability_->Record(ciohost::ObsCategory::kPacketLength,
-                             frame.size(), "l2 tx");
+      observability_->Record(ciohost::ObsCategory::kPacketLength, frame.size());
       observability_->Record(ciohost::ObsCategory::kPacketTiming,
-                             clock_->now_ns(), "l2 tx");
+                             clock_->now_ns());
     }
     ++stats_.frames_tx;
     if (Faulted(ciohost::FaultStrategy::kDropFrames)) {
@@ -209,9 +207,9 @@ void L2HostDevice::FillRx() {
     }
     if (observability_ != nullptr) {
       observability_->Record(ciohost::ObsCategory::kPacketLength,
-                             frame->size(), "l2 rx");
+                             frame->size());
       observability_->Record(ciohost::ObsCategory::kPacketTiming,
-                             clock_->now_ns(), "l2 rx");
+                             clock_->now_ns());
     }
     bool torn = Faulted(ciohost::FaultStrategy::kTornWrite);
     int copies = Faulted(ciohost::FaultStrategy::kDuplicateFrames) ? 2 : 1;

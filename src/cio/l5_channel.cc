@@ -5,7 +5,6 @@
 
 #include "src/base/coverage.h"
 #include "src/prof/profiler.h"
-#include "src/tls/record.h"
 
 namespace cio {
 
@@ -219,83 +218,6 @@ size_t L5Channel::EgressSlots() const {
 
 // --- Submission -------------------------------------------------------------
 
-uint32_t L5Channel::SlotsForMessage(size_t payload_bytes, bool use_tls,
-                                    uint32_t slot_size) {
-  if (!use_tls) {
-    // [len u32][seq u64] then raw payload, streamed across slots.
-    return static_cast<uint32_t>((12 + payload_bytes + slot_size - 1) /
-                                 slot_size);
-  }
-  // Sealed framing: a 12-byte header record first, then payload fragments
-  // record-per-fragment, packed back to back; a fragment needs at least one
-  // payload byte past the record overhead to be worth starting in a slot.
-  constexpr size_t kOverhead = ciotls::kSealedRecordOverhead;
-  constexpr size_t kHeaderRecord = 12 + kOverhead;
-  uint32_t slots = 1;
-  size_t room = slot_size - kHeaderRecord;
-  size_t remaining = payload_bytes;
-  while (remaining > 0) {
-    if (room < kOverhead + 1) {
-      ++slots;
-      room = slot_size;
-    }
-    size_t n =
-        std::min({remaining, room - kOverhead, ciotls::kMaxRecordPayload});
-    remaining -= n;
-    room -= n + kOverhead;
-  }
-  return slots;
-}
-
-ciobase::MutableByteSpan L5Channel::MessageWriter::NextSpan(size_t min_bytes) {
-  if (channel_ == nullptr || !active_) {
-    return {};
-  }
-  while (current_ < slots_.size()) {
-    ciobase::MutableByteSpan slot = channel_->pool_.SlotSpan(slots_[current_]);
-    size_t remaining = slot.size() - used_[current_];
-    if (remaining >= min_bytes && remaining > 0) {
-      return slot.subspan(used_[current_]);
-    }
-    ++current_;  // the wasted tail stays unsent: segments carry used bytes
-  }
-  return {};
-}
-
-void L5Channel::MessageWriter::Commit(size_t n) {
-  if (channel_ == nullptr || !active_ || current_ >= slots_.size()) {
-    return;
-  }
-  used_[current_] += static_cast<uint32_t>(n);
-}
-
-bool L5Channel::BeginMessage(cionet::SocketId socket, size_t payload_bytes,
-                             bool use_tls, MessageWriter& writer) {
-  if (!queues_ready_ || payload_bytes > kMaxSqMessageBytes) {
-    return false;
-  }
-  uint32_t needed = SlotsForMessage(payload_bytes, use_tls, queues_.slot_size);
-  if (needed > kSqMaxSegments) {
-    return false;
-  }
-  if (SqFull() || EgressSlots() < needed) {
-    ++stats_.sq_backpressure;
-    CIO_COV("l5.sq.backpressure", ciobase::StatusCode::kResourceExhausted);
-    return false;
-  }
-  writer.channel_ = this;
-  writer.socket_ = socket.value;
-  writer.slots_.clear();
-  writer.used_.clear();
-  writer.current_ = 0;
-  writer.active_ = true;
-  for (uint32_t i = 0; i < needed; ++i) {
-    writer.slots_.push_back(*pool_.Acquire());
-    writer.used_.push_back(0);
-  }
-  return true;
-}
-
 void L5Channel::SubmitSqe(SqEntry& sqe) {
   sqe.user_data = next_user_data_++;
   EncodeSqe(sqe, SqeSpan(sq_tail_));
@@ -312,41 +234,6 @@ void L5Channel::SubmitSqe(SqEntry& sqe) {
   ++stats_.sq_submitted;
 }
 
-void L5Channel::SubmitMessage(MessageWriter& writer) {
-  if (!writer.active_ || writer.channel_ != this) {
-    return;
-  }
-  writer.active_ = false;
-  SqEntry sqe;
-  sqe.op = kSqOpSend;
-  sqe.socket = writer.socket_;
-  size_t total = 0;
-  for (size_t i = 0; i < writer.slots_.size(); ++i) {
-    if (writer.used_[i] == 0) {
-      pool_.Release(writer.slots_[i]);  // over-reserved trailing slot
-      continue;
-    }
-    sqe.segs[sqe.seg_count] = SqSegment{writer.slots_[i], writer.used_[i]};
-    ++sqe.seg_count;
-    total += writer.used_[i];
-  }
-  if (sqe.seg_count == 0) {
-    return;
-  }
-  SubmitSqe(sqe);
-  stats_.bytes_sent += total;
-}
-
-void L5Channel::AbandonMessage(MessageWriter& writer) {
-  if (!writer.active_ || writer.channel_ != this) {
-    return;
-  }
-  writer.active_ = false;
-  for (uint16_t slot : writer.slots_) {
-    pool_.Release(slot);
-  }
-}
-
 ciobase::Result<size_t> L5Channel::SubmitStream(cionet::SocketId socket,
                                                 ciobase::ByteSpan data) {
   if (!queues_ready_) {
@@ -358,6 +245,7 @@ ciobase::Result<size_t> L5Channel::SubmitStream(cionet::SocketId socket,
   while (accepted < data.size()) {
     if (SqFull() || budget == 0) {
       ++stats_.sq_backpressure;
+      CIO_COV("l5.sq.backpressure", ciobase::StatusCode::kResourceExhausted);
       break;
     }
     SqEntry sqe;

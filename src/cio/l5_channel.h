@@ -11,12 +11,12 @@
 //    policy [34]). The stack only ever touches that region, addressed by
 //    slot index — it never validates an app pointer, the app never
 //    dereferences a stack pointer.
-//  * Async zero-copy datapath: the app seals TLS records directly into
-//    registered slots, queues submission entries (scatter-gather for large
-//    messages), and rings the doorbell ONCE per batch — one boundary
-//    crossing amortized over every queued operation, instead of a crossing
-//    per message. Completions are reaped lazily from the CQ with no
-//    crossing at all.
+//  * Async datapath: the app copies already-sealed TLS records into
+//    registered slots (its one write into registered memory), queues
+//    submission entries (scatter-gather for large messages), and rings the
+//    doorbell ONCE per batch — one boundary crossing amortized over every
+//    queued operation, instead of a crossing per message. Completions are
+//    reaped lazily from the CQ with no crossing at all.
 //  * Completion-driven receive: every socket the channel connected or
 //    accepted stays armed with receive entries, re-armed app-side before
 //    each doorbell, so one doorbell harvests inbound bytes for every
@@ -38,11 +38,9 @@
 
 #include <deque>
 #include <map>
-#include <vector>
 
 #include "src/base/clock.h"
 #include "src/cio/buffer_pool.h"
-#include "src/cio/session.h"
 #include "src/cio/sqcq.h"
 #include "src/net/stack.h"
 #include "src/tee/compartment.h"
@@ -51,11 +49,6 @@ namespace cio {
 
 enum class L5ReceiveMode { kCopy, kRevoke, kSealed };
 enum class L5BoundaryKind { kCompartment, kDualTee };
-
-// Messages at or below this use the seal-into-slot fast path (fits the
-// kSqMaxSegments scatter-gather budget with default slots); larger payloads
-// fall back to the streaming path.
-inline constexpr size_t kMaxSqMessageBytes = 24000;
 
 class L5Channel {
  public:
@@ -88,44 +81,12 @@ class L5Channel {
   // their first receive entry, beside the send reserve.
   size_t ArmableSockets() const;
 
-  // Slot budget a message of `payload_bytes` needs through SendInto (record
-  // per fragment, header record first) or the plaintext framing.
-  static uint32_t SlotsForMessage(size_t payload_bytes, bool use_tls,
-                                  uint32_t slot_size);
-
-  // SegmentSink over a reserved run of pool slots: Session::SendInto seals
-  // records straight into registered memory, and SubmitMessage() turns the
-  // written prefixes into one scatter-gather SQ entry.
-  class MessageWriter : public SegmentSink {
-   public:
-    MessageWriter() = default;
-    ciobase::MutableByteSpan NextSpan(size_t min_bytes) override;
-    void Commit(size_t n) override;
-
-   private:
-    friend class L5Channel;
-    L5Channel* channel_ = nullptr;
-    uint32_t socket_ = 0;
-    std::vector<uint16_t> slots_;
-    std::vector<uint32_t> used_;  // bytes written per slot
-    size_t current_ = 0;
-    bool active_ = false;
-  };
-
-  // Reserves SQ space + slots for one message. False means backpressure
-  // (SQ full, or the pool has nothing left above the receive floor) or the
-  // message doesn't fit the fast path — the caller falls back to the
-  // streaming path. A successful Begin MUST be paired with SubmitMessage or
-  // AbandonMessage.
-  bool BeginMessage(cionet::SocketId socket, size_t payload_bytes,
-                    bool use_tls, MessageWriter& writer);
-  void SubmitMessage(MessageWriter& writer);
-  void AbandonMessage(MessageWriter& writer);
-
-  // Streaming submission: copies `data` into freshly acquired slots (the
-  // app's one write into registered memory) and queues scatter-gather send
-  // entries. Returns bytes accepted — short on backpressure; the caller
-  // keeps the rest and retries after the next doorbell.
+  // The one way sealed bytes enter the SQ: copies `data` into freshly
+  // acquired slots (the app's one write into registered memory) and queues
+  // scatter-gather send entries, with no crossing; the next doorbell
+  // carries them. Returns bytes accepted — short on SQ or pool pushback;
+  // the caller keeps the rest, in order, and retries after the next
+  // doorbell.
   ciobase::Result<size_t> SubmitStream(cionet::SocketId socket,
                                        ciobase::ByteSpan data);
 

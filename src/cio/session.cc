@@ -1,8 +1,5 @@
 #include "src/cio/session.h"
 
-#include <algorithm>
-#include <cstring>
-
 #include "src/prof/profiler.h"
 
 namespace cio {
@@ -205,100 +202,6 @@ void Session::PushResendWindow(uint64_t seq, ciobase::ByteSpan payload) {
     // receiver will see the sequence gap and count the loss.
     resend_window_.pop_front();
   }
-}
-
-ciobase::Status Session::SendInto(ciobase::ByteSpan payload,
-                                  SegmentSink& sink) {
-  if (!Established()) {
-    return ciobase::FailedPrecondition("channel not established");
-  }
-  CIO_PROF_SCOPE(prof_, "session.seal");
-  if (payload.size() > kMaxMessageBytes) {
-    return ciobase::InvalidArgument("message too large");
-  }
-  if (!use_tls_) {
-    // Plaintext ablation: stream [len u32][seq u64][payload] across the
-    // segments; the header lands at the start of a fresh segment, the
-    // payload fills whatever remains and spills slot by slot.
-    ciobase::MutableByteSpan span = sink.NextSpan(12);
-    if (span.size() < 12) {
-      return ciobase::ResourceExhausted("segment sink full");
-    }
-    uint64_t seq = next_send_seq_++;
-    PushResendWindow(seq, payload);
-    ciobase::StoreLe32(span.data(),
-                       static_cast<uint32_t>(8 + payload.size()));
-    ciobase::StoreLe64(span.data() + 4, seq);
-    size_t used = 12;
-    size_t offset = 0;
-    while (offset < payload.size()) {
-      if (used == span.size()) {
-        sink.Commit(used);
-        span = sink.NextSpan(1);
-        if (span.empty()) {
-          // Unreachable when the caller reserved SlotsForMessage() worth of
-          // segments; the resend window still owns the payload either way.
-          return ciobase::Internal("segment sink exhausted mid-message");
-        }
-        used = 0;
-      }
-      size_t n = std::min(payload.size() - offset, span.size() - used);
-      std::memcpy(span.data() + used, payload.data() + offset, n);
-      used += n;
-      offset += n;
-    }
-    sink.Commit(used);
-    ++stats_.messages_sent;
-    return ciobase::OkStatus();
-  }
-  if (tls_ == nullptr) {
-    return ciobase::FailedPrecondition("no session");
-  }
-  // The frame header is sealed as its own record so it never needs to share
-  // a fragment with payload bytes; 12 plaintext bytes -> 33 sealed.
-  constexpr size_t kHeaderRecordBytes = 12 + ciotls::kSealedRecordOverhead;
-  ciobase::MutableByteSpan span = sink.NextSpan(kHeaderRecordBytes);
-  if (span.size() < kHeaderRecordBytes) {
-    // Nothing sealed yet: the TLS sequence and resend window are untouched,
-    // so the caller can retry on the outbound_ path.
-    return ciobase::ResourceExhausted("segment sink full");
-  }
-  uint64_t seq = next_send_seq_++;
-  PushResendWindow(seq, payload);
-  uint8_t header[12];
-  ciobase::StoreLe32(header, static_cast<uint32_t>(8 + payload.size()));
-  ciobase::StoreLe64(header + 4, seq);
-  auto sealed =
-      tls_->SealRecordToSpan(ciobase::ByteSpan(header, sizeof(header)), span);
-  if (!sealed.ok()) {
-    return sealed.status();
-  }
-  sink.Commit(*sealed);
-  size_t offset = 0;
-  while (offset < payload.size()) {
-    span = sink.NextSpan(1 + ciotls::kSealedRecordOverhead);
-    if (span.size() <= ciotls::kSealedRecordOverhead) {
-      // See the plaintext arm: structurally unreachable behind a
-      // SlotsForMessage() reservation; recovery replays from the window.
-      return ciobase::Internal("segment sink exhausted mid-message");
-    }
-    size_t n = std::min({payload.size() - offset,
-                         span.size() - ciotls::kSealedRecordOverhead,
-                         ciotls::kMaxRecordPayload});
-    auto fragment = tls_->SealRecordToSpan(payload.subspan(offset, n), span);
-    if (!fragment.ok()) {
-      return fragment.status();
-    }
-    sink.Commit(*fragment);
-    offset += n;
-  }
-  ++stats_.messages_sent;
-  // Accounted only after every fragment of this message sealed under the
-  // current key: the KeyUpdate (if triggered) lands in outbound_, which the
-  // engine flushes after the SQ slots just committed — record order under
-  // the old key is preserved.
-  NoteSealed(payload.size());
-  return ciobase::OkStatus();
 }
 
 ciobase::Result<ciobase::Buffer> Session::Receive() {

@@ -49,19 +49,6 @@ class ProfRegistry;
 
 namespace cio {
 
-// Destination for scatter-gather sends: hands out writable spans of the
-// registered slot pool so Session::SendInto can seal records in place, with
-// no intermediate contiguous staging buffer. NextSpan(min_bytes) returns the
-// remaining room of the current segment, advancing to a fresh one when less
-// than `min_bytes` remain (empty span == sink exhausted); Commit(n) marks
-// the first n bytes of the last NextSpan() result as written.
-class SegmentSink {
- public:
-  virtual ~SegmentSink() = default;
-  virtual ciobase::MutableByteSpan NextSpan(size_t min_bytes) = 0;
-  virtual void Commit(size_t n) = 0;
-};
-
 // Control-plane message types carried as sequence-zero frames inside the
 // protected stream. Control frames never enter the resend window and never
 // touch the dedup state: challenges and redirects are bound to one
@@ -127,16 +114,6 @@ class Session {
   // Frames, protects, and queues one message; records it in the resend
   // window. kFailedPrecondition when the channel is not Established().
   ciobase::Status Send(ciobase::ByteSpan payload);
-  // Like Send(), but seals the framed message directly into `sink` segments
-  // (record-per-fragment, packed back to back) instead of outbound_ — the
-  // zero-staging path of the async L5 datapath. Wire format is identical to
-  // Send(): the peer's record reader reassembles across any segmentation.
-  // Returns kResourceExhausted (before consuming a sequence number) when the
-  // sink can't fit even the frame header, so the caller can fall back to the
-  // outbound_ path; once sealing starts the message is committed to the
-  // resend window and any mid-message exhaustion is kInternal (recovery
-  // re-delivers from the window).
-  ciobase::Status SendInto(ciobase::ByteSpan payload, SegmentSink& sink);
   // Next reassembled inbound message, kUnavailable when none.
   ciobase::Result<ciobase::Buffer> Receive();
   bool HasInbound() const { return !inbox_.empty(); }
@@ -152,9 +129,9 @@ class Session {
   // --- Rekeying --------------------------------------------------------------
 
   // Forces a send-direction key update now (no-op for plaintext ablations or
-  // before establishment). Automatic rekeys fire from Send/SendInto once the
-  // policy thresholds trip; the KeyUpdate record is queued *behind* the
-  // message that tripped it, so record order under the old key is preserved.
+  // before establishment). Automatic rekeys fire from Send once the policy
+  // thresholds trip; the KeyUpdate record is queued *behind* the message
+  // that tripped it, so record order under the old key is preserved.
   void Rekey();
   const RekeyPolicy& rekey_policy() const { return rekey_; }
   void set_rekey_policy(RekeyPolicy policy) { rekey_ = policy; }

@@ -73,20 +73,6 @@ size_t AeadSealInto(ciobase::ByteSpan key, ciobase::ByteSpan nonce,
   return plaintext.size() + kAeadTagSize;
 }
 
-size_t AeadSealToSpan(ciobase::ByteSpan key, ciobase::ByteSpan nonce,
-                      ciobase::ByteSpan aad, ciobase::ByteSpan plaintext,
-                      ciobase::MutableByteSpan out) {
-  assert(key.size() == kAeadKeySize);
-  assert(nonce.size() == kAeadNonceSize);
-  assert(out.size() >= plaintext.size() + kAeadTagSize);
-  ChaCha20Xor(key.data(), nonce.data(), 1, plaintext, out.data());
-  Poly1305Tag tag =
-      ComputeTag(key.data(), nonce.data(), aad,
-                 ciobase::ByteSpan(out.data(), plaintext.size()));
-  std::memcpy(out.data() + plaintext.size(), tag.data(), kAeadTagSize);
-  return plaintext.size() + kAeadTagSize;
-}
-
 ciobase::Result<ciobase::Buffer> AeadOpen(ciobase::ByteSpan key,
                                           ciobase::ByteSpan nonce,
                                           ciobase::ByteSpan aad,

@@ -36,14 +36,6 @@ size_t AeadSealInto(ciobase::ByteSpan key, ciobase::ByteSpan nonce,
                     ciobase::ByteSpan aad, ciobase::ByteSpan plaintext,
                     ciobase::Buffer& out);
 
-// Seals directly into a caller-provided span (no allocation, no resize) —
-// the sealed-buffer-pool path where records land in registered slots. `out`
-// must hold at least plaintext.size() + kAeadTagSize bytes and must not
-// alias `plaintext` or `aad`. Returns bytes written.
-size_t AeadSealToSpan(ciobase::ByteSpan key, ciobase::ByteSpan nonce,
-                      ciobase::ByteSpan aad, ciobase::ByteSpan plaintext,
-                      ciobase::MutableByteSpan out);
-
 // Opens ciphertext || tag. Returns kTampered if authentication fails.
 ciobase::Result<ciobase::Buffer> AeadOpen(ciobase::ByteSpan key,
                                           ciobase::ByteSpan nonce,

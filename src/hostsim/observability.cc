@@ -4,20 +4,21 @@
 
 namespace ciohost {
 
-double ObservabilityLog::PacketLengthEntropyBits() const {
-  std::map<uint64_t, size_t> histogram;
+size_t ObservabilityLog::EventCount() const {
   size_t total = 0;
-  for (const ObservedEvent& event : events_) {
-    if (event.category == ObsCategory::kPacketLength) {
-      ++histogram[event.value];
-      ++total;
-    }
+  for (const auto& [category, count] : counts_) {
+    total += count;
   }
+  return total;
+}
+
+double ObservabilityLog::PacketLengthEntropyBits() const {
+  const size_t total = CountOf(ObsCategory::kPacketLength);
   if (total == 0) {
     return 0.0;
   }
   double entropy = 0.0;
-  for (const auto& [length, count] : histogram) {
+  for (const auto& [length, count] : packet_lengths_) {
     double p = static_cast<double>(count) / static_cast<double>(total);
     entropy -= p * std::log2(p);
   }

@@ -9,20 +9,17 @@
 // made, their arguments (socket options, addresses), accept timings, and
 // exact application-message boundaries.
 //
-// Every host-visible action in the simulation reports an ObservedEvent here,
-// tagged with a category and an estimate of the metadata bits it leaks. The
-// observability score of a design is the sum of leaked bits per operation —
-// the "Obs." axis of Figure 5.
+// Every host-visible action in the simulation is counted here by category,
+// each category carrying an estimate of the metadata bits one event leaks.
+// The observability score of a design is the sum of leaked bits per
+// operation — the "Obs." axis of Figure 5.
 
 #ifndef SRC_HOSTSIM_OBSERVABILITY_H_
 #define SRC_HOSTSIM_OBSERVABILITY_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <string>
 #include <string_view>
-#include <vector>
 
 namespace ciohost {
 
@@ -42,54 +39,25 @@ std::string_view ObsCategoryName(ObsCategory category);
 // Rough per-event information content in bits, used for scoring.
 uint32_t ObsCategoryBits(ObsCategory category);
 
-struct ObservedEvent {
-  ObsCategory category;
-  uint64_t value;     // length, call id, etc. (whatever the host saw)
-  std::string note;
-};
-
-// Named monotonic counters for component lifecycle accounting (e.g. the
-// multi-tenant server's accepted / rejected-at-admission / active /
-// recovered connections). Unlike ObservedEvent records these are guest-side
-// operational telemetry, not host-visible leakage — they ride on the
-// observability layer so every surface that already scrapes it (benchmarks,
-// the campaign reports) can pick them up without new plumbing.
-class CounterSet {
- public:
-  void Add(std::string_view name, uint64_t delta = 1) {
-    counters_[std::string(name)] += delta;
-  }
-  void Set(std::string_view name, uint64_t value) {
-    counters_[std::string(name)] = value;
-  }
-  uint64_t Get(std::string_view name) const {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
-  }
-  const std::map<std::string, uint64_t, std::less<>>& all() const {
-    return counters_;
-  }
-
- private:
-  std::map<std::string, uint64_t, std::less<>> counters_;
-};
-
 class ObservabilityLog {
  public:
-  void Record(ObsCategory category, uint64_t value, std::string note = "") {
-    events_.push_back({category, value, std::move(note)});
+  // `value` is what the host saw (a length, a call id, a time); only packet
+  // lengths are kept, as a histogram for PacketLengthEntropyBits().
+  void Record(ObsCategory category, uint64_t value) {
     ++counts_[category];
     bits_ += ObsCategoryBits(category);
+    if (category == ObsCategory::kPacketLength) {
+      ++packet_lengths_[value];
+    }
   }
 
-  size_t EventCount() const { return events_.size(); }
+  size_t EventCount() const;
   uint64_t TotalBits() const { return bits_; }
   size_t CountOf(ObsCategory category) const {
     auto it = counts_.find(category);
     return it == counts_.end() ? 0 : it->second;
   }
   size_t DistinctCategories() const { return counts_.size(); }
-  const std::vector<ObservedEvent>& events() const { return events_; }
 
   // Leaked metadata bits per application-level operation; the Figure 5
   // observability metric.
@@ -127,21 +95,15 @@ class ObservabilityLog {
   double PacketLengthEntropyBits() const;
 
   void Clear() {
-    events_.clear();
     counts_.clear();
+    packet_lengths_.clear();
     bits_ = 0;
   }
 
-  // Operational lifecycle counters (see CounterSet above). Not part of the
-  // leakage score; Clear() leaves them alone.
-  CounterSet& counters() { return counters_set_; }
-  const CounterSet& counters() const { return counters_set_; }
-
  private:
-  std::vector<ObservedEvent> events_;
   std::map<ObsCategory, size_t> counts_;
+  std::map<uint64_t, size_t> packet_lengths_;  // length -> frames seen
   uint64_t bits_ = 0;
-  CounterSet counters_set_;
 };
 
 }  // namespace ciohost

@@ -63,7 +63,6 @@ ciobase::Status ConfidentialServer::Start() {
 
 void ConfidentialServer::AcceptPending() {
   CIO_PROF_SCOPE(node_->costs().profiler(), "server.accept");
-  ciohost::CounterSet& counters = node_->observability().counters();
   for (;;) {
     // Accept until the backlog is empty: the failing call costs what a
     // pending-count query would, so no separate readiness query is needed.
@@ -89,7 +88,6 @@ void ConfidentialServer::AcceptPending() {
           it->second.state != ConnState::kClosed) {
         ParkConnection(it->second);
         ++stats_.closed;
-        counters.Add("server.closed");
         connections_.erase(it);
         break;
       }
@@ -101,7 +99,6 @@ void ConfidentialServer::AcceptPending() {
     if (connections_.size() >= config_.max_connections) {
       (void)sockets_->Abort(socket);
       ++stats_.rejected_admission;
-      counters.Add("server.rejected_admission");
       continue;
     }
 
@@ -122,7 +119,6 @@ void ConfidentialServer::AcceptPending() {
       conn.reattached = true;
       parked_.erase(parked);
       ++stats_.recovered;
-      counters.Add("server.recovered");
     } else {
       conn.id = next_conn_id_++;
       const cio::StackConfig& node_config = node_->config();
@@ -138,7 +134,6 @@ void ConfidentialServer::AcceptPending() {
     conn.session->Start(ciotls::TlsRole::kServer,
                         node_->config().seed + 1 + conn.id);
     ++stats_.accepted;
-    counters.Add("server.accepted");
     connections_.emplace(conn.id, std::move(conn));
   }
 }
@@ -202,7 +197,6 @@ bool ConfidentialServer::PumpConnection(Connection& conn) {
         // Hostile framing inside the protected stream: terminal for this
         // connection, and nothing worth parking.
         ++stats_.tampered;
-        node_->observability().counters().Add("server.tampered");
         (void)sockets_->Abort(conn.socket);
         conn.session.reset();
         conn.state = ConnState::kClosed;
@@ -296,10 +290,8 @@ void ConfidentialServer::PumpAdmission(Connection& conn) {
       continue;
     }
     ciobase::Status verdict = VerifyReport(conn, ctrl->body);
-    ciohost::CounterSet& counters = node_->observability().counters();
     if (verdict.ok()) {
       ++stats_.admitted;
-      counters.Add("server.admitted");
       (void)conn.session->SendControl(cio::CtrlType::kAdmitted, {});
       Admit(conn);
     } else {
@@ -308,7 +300,6 @@ void ConfidentialServer::PumpAdmission(Connection& conn) {
       // then the socket drains shut. Nothing is parked — an unadmitted
       // session has no state worth recovering.
       ++stats_.rejected_unauthenticated;
-      counters.Add("server.rejected_unauthenticated");
       (void)conn.session->SendControl(
           cio::CtrlType::kDenied,
           ciobase::BufferFromString(verdict.message()));
@@ -380,11 +371,9 @@ void ConfidentialServer::FlushOutbound() {
 
 void ConfidentialServer::Reap() {
   CIO_PROF_SCOPE(node_->costs().profiler(), "server.reap");
-  ciohost::CounterSet& counters = node_->observability().counters();
   for (auto it = connections_.begin(); it != connections_.end();) {
     if (it->second.state == ConnState::kClosed) {
       ++stats_.closed;
-      counters.Add("server.closed");
       it = connections_.erase(it);
     } else {
       ++it;
@@ -396,17 +385,11 @@ void ConfidentialServer::Reap() {
       // The client never came back: its unacknowledged messages are gone
       // for good (they would have been counted lost by the peer anyway).
       ++stats_.expired_parked;
-      counters.Add("server.expired_parked");
       it = parked_.erase(it);
     } else {
       ++it;
     }
   }
-}
-
-void ConfidentialServer::UpdateGauges() {
-  node_->observability().counters().Set("server.active",
-                                        connections_.size());
 }
 
 void ConfidentialServer::Poll() {
@@ -455,7 +438,6 @@ void ConfidentialServer::Poll() {
 
   FlushOutbound();
   Reap();
-  UpdateGauges();
 }
 
 ciobase::Result<Incoming> ConfidentialServer::Receive() {
@@ -572,7 +554,6 @@ ciobase::Result<ciobase::Buffer> ConfidentialServer::MigrateSession(
   // the sealed export is the only continuation.
   conn.state = ConnState::kMigrating;
   ++stats_.migrated_out;
-  node_->observability().counters().Add("server.migrated_out");
   return sealed;
 }
 
@@ -602,7 +583,6 @@ ciobase::Status ConfidentialServer::ImportSession(ciobase::ByteSpan sealed,
   parked_[peer] =
       ParkedSession{std::move(*session), clock_->now_ns(), next_conn_id_++};
   ++stats_.migrated_in;
-  node_->observability().counters().Add("server.migrated_in");
   return ciobase::OkStatus();
 }
 

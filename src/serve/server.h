@@ -258,7 +258,6 @@ class ConfidentialServer {
   void PumpAdmission(Connection& conn);
   void FlushOutbound();  // DRR pass over connections with queued output
   void Reap();           // drop kClosed connections, expire parked sessions
-  void UpdateGauges();   // active-connection gauge in the counter set
 
   cio::ConfidentialNode* node_;
   cio::SocketLayer* sockets_;

@@ -1,6 +1,5 @@
 #include "src/tls/record.h"
 
-#include <algorithm>
 #include <cstring>
 
 namespace ciotls {
@@ -45,24 +44,6 @@ void SealingKey::SealInto(RecordType type, ciobase::ByteSpan plaintext,
   ciocrypto::AeadSealInto(key_, ciobase::ByteSpan(nonce, sizeof(nonce)),
                           ciobase::ByteSpan(header, kRecordHeaderSize),
                           plaintext, out);
-}
-
-size_t SealingKey::SealToSpan(RecordType type, ciobase::ByteSpan plaintext,
-                              ciobase::MutableByteSpan out) {
-  uint8_t header[kRecordHeaderSize];
-  header[0] = static_cast<uint8_t>(type);
-  ciobase::StoreBe16(header + 1, kRecordVersion);
-  ciobase::StoreBe16(header + 3, static_cast<uint16_t>(
-                                     plaintext.size() +
-                                     ciocrypto::kAeadTagSize));
-  uint8_t nonce[ciocrypto::kAeadNonceSize];
-  NonceForSeq(seq_++, nonce);
-  std::memcpy(out.data(), header, kRecordHeaderSize);
-  size_t sealed = ciocrypto::AeadSealToSpan(
-      key_, ciobase::ByteSpan(nonce, sizeof(nonce)),
-      ciobase::ByteSpan(header, kRecordHeaderSize), plaintext,
-      out.subspan(kRecordHeaderSize));
-  return kRecordHeaderSize + sealed;
 }
 
 ciobase::Buffer SealingKey::Seal(RecordType type, ciobase::ByteSpan plaintext) {

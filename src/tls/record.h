@@ -30,9 +30,6 @@ inline constexpr size_t kRecordHeaderSize = 5;
 inline constexpr uint16_t kRecordVersion = 0x0304;
 // Cap per-record plaintext like TLS (2^14).
 inline constexpr size_t kMaxRecordPayload = 16384;
-// Bytes a sealed record adds on top of its plaintext: header + AEAD tag.
-inline constexpr size_t kSealedRecordOverhead =
-    kRecordHeaderSize + ciocrypto::kAeadTagSize;
 
 struct Record {
   RecordType type;
@@ -59,12 +56,6 @@ class SealingKey {
   // zero-allocation send path (plaintext must not alias out).
   void SealInto(RecordType type, ciobase::ByteSpan plaintext,
                 ciobase::Buffer& out);
-  // Seals a full protected record directly into a caller-provided span —
-  // the registered-slot path, where no intermediate buffer may exist. `out`
-  // must hold plaintext.size() + kSealedRecordOverhead bytes and must not
-  // alias `plaintext`. Returns bytes written.
-  size_t SealToSpan(RecordType type, ciobase::ByteSpan plaintext,
-                    ciobase::MutableByteSpan out);
   // Opens `body` (ciphertext||tag) for a record with the given header.
   ciobase::Result<ciobase::Buffer> Open(RecordType type,
                                         ciobase::ByteSpan body);

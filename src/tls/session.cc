@@ -262,25 +262,6 @@ ciobase::Status TlsSession::WriteMessage(ciobase::ByteSpan plaintext) {
   return ciobase::OkStatus();
 }
 
-ciobase::Result<size_t> TlsSession::SealRecordToSpan(
-    ciobase::ByteSpan plaintext, ciobase::MutableByteSpan out) {
-  if (state_ != TlsState::kEstablished) {
-    return ciobase::FailedPrecondition("not established");
-  }
-  CIO_PROF_SCOPE(prof_, "aead.encrypt");
-  if (plaintext.size() > kMaxRecordPayload) {
-    return ciobase::InvalidArgument("record plaintext too large");
-  }
-  if (out.size() < plaintext.size() + kSealedRecordOverhead) {
-    return ciobase::InvalidArgument("seal target too small");
-  }
-  size_t written =
-      send_key_.SealToSpan(RecordType::kApplicationData, plaintext, out);
-  ++stats_.records_sealed;
-  stats_.bytes_protected += plaintext.size();
-  return written;
-}
-
 ciobase::Result<ciobase::Buffer> TlsSession::ReadMessage() {
   if (state_ == TlsState::kFailed) {
     return ciobase::FailedPrecondition("session failed: " + failure_);

@@ -83,12 +83,6 @@ class TlsSession {
 
   // Protects and queues a message (fragmented into records as needed).
   ciobase::Status WriteMessage(ciobase::ByteSpan plaintext);
-  // Seals ONE record (<= kMaxRecordPayload of plaintext) directly into a
-  // caller-provided span, bypassing the output queue — the registered-slot
-  // path. `out` must hold plaintext.size() + kSealedRecordOverhead bytes.
-  // Returns bytes written into `out`.
-  ciobase::Result<size_t> SealRecordToSpan(ciobase::ByteSpan plaintext,
-                                           ciobase::MutableByteSpan out);
   // Next decrypted application record payload, kUnavailable when none.
   ciobase::Result<ciobase::Buffer> ReadMessage();
 

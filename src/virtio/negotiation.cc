@@ -34,34 +34,34 @@ ciobase::Result<NegotiatedConfig> DriverNegotiate(
     ciotee::SharedRegion* region, const ConfigLayout& layout,
     uint64_t wanted_features, bool restrict_features,
     ciohost::ObservabilityLog* observability) {
-  auto observe = [&](const char* what, uint64_t value) {
+  auto observe = [&](uint64_t value) {
     if (observability != nullptr) {
-      observability->Record(ciohost::ObsCategory::kConfigField, value, what);
+      observability->Record(ciohost::ObsCategory::kConfigField, value);
     }
   };
 
   // Step 1-3: RESET, ACKNOWLEDGE, DRIVER. Each is a separate, stateful,
   // host-visible transition.
   region->GuestWriteU8(layout.StatusOffset(), 0);
-  observe("status=RESET", 0);
+  observe(0);
   region->GuestWriteU8(layout.StatusOffset(), kStatusAcknowledge);
-  observe("status=ACK", kStatusAcknowledge);
+  observe(kStatusAcknowledge);
   region->GuestWriteU8(layout.StatusOffset(),
                        kStatusAcknowledge | kStatusDriver);
-  observe("status=DRIVER", kStatusAcknowledge | kStatusDriver);
+  observe(kStatusAcknowledge | kStatusDriver);
 
   // Step 4: read device features (host-controlled; this is a fetch of
   // attacker data) and write back the subset we accept.
   uint64_t device_features =
       region->GuestReadLe64(layout.DeviceFeaturesOffset());
-  observe("read device_features", device_features);
+  observe(device_features);
   uint64_t accept = device_features & wanted_features;
   if (restrict_features) {
     // Hardening guidance: refuse the complex transport variants.
     accept &= ~(kFeatureIndirectDesc | kFeatureEventIdx | kFeatureMrgRxbuf);
   }
   region->GuestWriteLe64(layout.DriverFeaturesOffset(), accept);
-  observe("write driver_features", accept);
+  observe(accept);
 
   // Step 5: FEATURES_OK, then re-read to check the device kept it. This
   // read-back is itself a second fetch of host-controlled state: the window
@@ -70,8 +70,7 @@ ciobase::Result<NegotiatedConfig> DriverNegotiate(
   // on *now*, in private memory, and never re-read it.
   region->GuestWriteU8(layout.StatusOffset(),
                        kStatusAcknowledge | kStatusDriver | kStatusFeaturesOk);
-  observe("status=FEATURES_OK",
-          kStatusAcknowledge | kStatusDriver | kStatusFeaturesOk);
+  observe(kStatusAcknowledge | kStatusDriver | kStatusFeaturesOk);
   uint8_t status = region->GuestReadU8(layout.StatusOffset());
   if ((status & kStatusFeaturesOk) == 0) {
     region->GuestWriteU8(layout.StatusOffset(),
@@ -100,7 +99,7 @@ ciobase::Result<NegotiatedConfig> DriverNegotiate(
   uint64_t device_features_again =
       region->GuestReadLe64(layout.DeviceFeaturesOffset());
   if (device_features_again != device_features) {
-    observe("device_features changed mid-negotiation", device_features_again);
+    observe(device_features_again);
     CIO_COV("virtio.negotiate.features_changed",
             ciobase::StatusCode::kHostViolation);
     return ciobase::HostViolation("device features changed mid-negotiation");
@@ -111,11 +110,11 @@ ciobase::Result<NegotiatedConfig> DriverNegotiate(
   if ((accept & kFeatureMac) != 0) {
     region->GuestRead(layout.MacOffset(),
                       ciobase::MutableByteSpan(config.mac.bytes.data(), 6));
-    observe("read mac", 0);
+    observe(0);
   }
   if ((accept & kFeatureMtu) != 0) {
     uint16_t mtu = region->GuestReadLe16(layout.MtuOffset());
-    observe("read mtu", mtu);
+    observe(mtu);
     // Validate host-supplied MTU against sane bounds ("add checks").
     if (mtu < 68 || mtu > 9000) {
       CIO_COV("virtio.negotiate.hostile_mtu",
@@ -132,7 +131,7 @@ ciobase::Result<NegotiatedConfig> DriverNegotiate(
   constexpr uint8_t kFinalStatus = kStatusAcknowledge | kStatusDriver |
                                    kStatusFeaturesOk | kStatusDriverOk;
   region->GuestWriteU8(layout.StatusOffset(), kFinalStatus);
-  observe("status=DRIVER_OK", 0);
+  observe(0);
   if (uint8_t final_status = region->GuestReadU8(layout.StatusOffset());
       final_status != kFinalStatus) {
     CIO_COV("virtio.negotiate.driverok_clobbered",

@@ -55,8 +55,7 @@ void VirtioNetDevice::Kick() {
   }
   ++stats_.kicks;
   if (observability_ != nullptr) {
-    observability_->Record(ciohost::ObsCategory::kDoorbell, clock_->now_ns(),
-                           "virtqueue kick");
+    observability_->Record(ciohost::ObsCategory::kDoorbell, clock_->now_ns());
   }
   Poll();
 }
@@ -126,10 +125,9 @@ void VirtioNetDevice::DrainTx() {
       adversary_->MaybeCorruptPayload(frame);
     }
     if (observability_ != nullptr) {
-      observability_->Record(ciohost::ObsCategory::kPacketLength,
-                             frame.size(), "tx frame");
+      observability_->Record(ciohost::ObsCategory::kPacketLength, frame.size());
       observability_->Record(ciohost::ObsCategory::kPacketTiming,
-                             clock_->now_ns(), "tx frame");
+                             clock_->now_ns());
     }
     ++stats_.frames_tx;
     if (Faulted(ciohost::FaultStrategy::kDropFrames)) {
@@ -179,9 +177,9 @@ void VirtioNetDevice::FillRx() {
       region_->HostWrite(desc.addr, ciobase::ByteSpan(frame->data(), written));
       if (observability_ != nullptr) {
         observability_->Record(ciohost::ObsCategory::kPacketLength,
-                               frame->size(), "rx frame");
+                               frame->size());
         observability_->Record(ciohost::ObsCategory::kPacketTiming,
-                               clock_->now_ns(), "rx frame");
+                               clock_->now_ns());
       }
       ++stats_.frames_rx;
       rx_.PushUsed(*head, n, desc.len);

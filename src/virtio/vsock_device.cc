@@ -81,8 +81,7 @@ void VirtioVsockDevice::Kick() {
   }
   ++stats_.kicks;
   if (observability_ != nullptr) {
-    observability_->Record(ciohost::ObsCategory::kDoorbell, clock_->now_ns(),
-                           "vsock kick");
+    observability_->Record(ciohost::ObsCategory::kDoorbell, clock_->now_ns());
   }
   Poll();
 }
@@ -154,7 +153,7 @@ void VirtioVsockDevice::DrainTx() {
     ciobase::ByteSpan payload(packet.data() + kVsockHeaderSize, payload_len);
     if (observability_ != nullptr) {
       observability_->Record(ciohost::ObsCategory::kPacketLength,
-                             packet.size(), "vsock tx packet");
+                             packet.size());
     }
 
     // Reply with src/dst swapped; credit fields describe the host side.

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/base/rng.h"
 #include "src/cio/attack_campaign.h"
 #include "src/cio/engine.h"
@@ -187,24 +189,46 @@ TEST(DualBoundary, DualTeeBoundaryCostsMore) {
   EXPECT_GT(dual_tee_ns, compartment_ns);
 }
 
-// Same-round transmit: the polled L2 host takes every doorbell's frames at
-// the publish, whichever call path rang it. The node's next Poll() is not
-// needed to get them onto the fabric.
-TEST(DualBoundary, StreamingSendLeavesWhenItIsFlushed) {
+// One send path: SendMessage seals through Session::Send and queues the
+// sealed bytes in the SQ with no crossing, whatever the message size. The
+// client's next Poll() rings one doorbell that carries the whole batch, and
+// the polled L2 host takes that doorbell's frames when they are published.
+TEST(DualBoundary, SendMessageBatchesUntilTheNextDoorbell) {
   LinkedPair pair(Options(StackProfile::kDualBoundary, 1),
                   Options(StackProfile::kDualBoundary, 2));
   ASSERT_TRUE(pair.Establish());
   pair.PumpUntil([] { return false; }, 50);  // let the handshake settle
   ASSERT_EQ(StrandedTxFrames(*pair.client), 0u);
-  const uint64_t doorbells = pair.client->l5()->stats().doorbells;
-  const uint64_t routed = pair.fabric->stats().bytes_routed;
-  // Too large for one scatter-gather entry: SendMessage streams it through
-  // L5Channel::SendOne, whose doorbell publishes the TCP segments.
-  Buffer message = ciobase::Rng(9).Bytes(40'000);
-  ASSERT_TRUE(pair.client->SendMessage(message).ok());
-  EXPECT_GT(pair.client->l5()->stats().doorbells, doorbells);
+  const L5Channel& l5 = *pair.client->l5();
+  const uint64_t crossings = l5.stats().crossings;
+  const uint64_t doorbells = l5.stats().doorbells;
+  ciobase::Rng rng(9);
+  std::vector<Buffer> sent;
+  for (size_t i = 0; i < 8; ++i) {
+    // Message 3 needs more than one SQ entry's 8 x 4 KiB segments.
+    sent.push_back(rng.Bytes(i == 3 ? 40'000 : 200 + 100 * i));
+    ASSERT_TRUE(pair.client->SendMessage(sent.back()).ok()) << i;
+  }
+  EXPECT_EQ(l5.stats().crossings, crossings);
+  EXPECT_FALSE(pair.client->session().HasOutbound());
+
+  pair.client->Poll();
+  EXPECT_EQ(l5.stats().doorbells, doorbells + 1);
+  EXPECT_EQ(l5.in_flight_entries(kSqOpSend), 0u);
   EXPECT_EQ(StrandedTxFrames(*pair.client), 0u);
-  EXPECT_GT(pair.fabric->stats().bytes_routed - routed, 1000u);
+
+  for (size_t i = 0; i < sent.size(); ++i) {
+    Buffer at_server;
+    ASSERT_TRUE(pair.PumpUntil([&] {
+      auto received = pair.server->ReceiveMessage();
+      if (received.ok()) {
+        at_server = *received;
+        return true;
+      }
+      return false;
+    })) << "message " << i << " never arrived";
+    EXPECT_EQ(at_server, sent[i]) << i;
+  }
 }
 
 TEST(DualBoundary, CloseSendsTheFinWhenItIsCalled) {

@@ -1,7 +1,7 @@
 // Tests for the L5 single-distrust channel and its async SQ/CQ datapath:
-// trusted-component-allocates semantics, zero-copy submission through the
-// registered slot pool, copy vs revoke vs sealed receive accounting at the
-// doorbell that harvests a completion (the receive drain itself is free),
+// trusted-component-allocates semantics, submission through the registered
+// slot pool, copy vs revoke vs sealed receive accounting at the doorbell
+// that harvests a completion (the receive drain itself is free),
 // boundary-kind cost accounting, and the grant-matrix direction (app may
 // touch I/O memory, never vice versa).
 
@@ -217,14 +217,9 @@ TEST(L5Channel, BatchedSubmissionSharesOneDoorbell) {
   uint64_t crossings_before = world.l5->stats().crossings;
   Buffer payload(512, 0xab);
   for (int i = 0; i < 8; ++i) {
-    L5Channel::MessageWriter writer;
-    ASSERT_TRUE(
-        world.l5->BeginMessage(server, payload.size(), false, writer));
-    ciobase::MutableByteSpan span = writer.NextSpan(payload.size());
-    ASSERT_GE(span.size(), payload.size());
-    std::copy(payload.begin(), payload.end(), span.begin());
-    writer.Commit(payload.size());
-    world.l5->SubmitMessage(writer);
+    auto queued = world.l5->SubmitStream(server, payload);
+    ASSERT_TRUE(queued.ok());
+    ASSERT_EQ(*queued, payload.size());
   }
   EXPECT_EQ(world.l5->stats().crossings, crossings_before);  // no crossing yet
   ASSERT_TRUE(world.l5->Doorbell().ok());
@@ -261,19 +256,6 @@ TEST(L5Channel, OwnershipTransferRevokesOldOwner) {
       world.compartments.Transfer(world.app, *handle, world.app).ok());
   EXPECT_FALSE(world.compartments.Access(world.io, *handle).ok());
   EXPECT_TRUE(world.compartments.Access(world.app, *handle).ok());
-}
-
-TEST(L5Channel, SlotsForMessageMatchesWriterConsumption) {
-  // The public estimate and the writer must agree, or BeginMessage would
-  // reserve the wrong number of slots.
-  for (size_t payload : {size_t{1}, size_t{100}, size_t{4096}, size_t{9000},
-                         size_t{16384}, size_t{24000}}) {
-    size_t plain = L5Channel::SlotsForMessage(payload, false, 4096);
-    EXPECT_EQ(plain, (12 + payload + 4095) / 4096) << payload;
-    size_t tls = L5Channel::SlotsForMessage(payload, true, 4096);
-    EXPECT_GE(tls, plain) << payload;
-    EXPECT_LE(tls, 8u) << payload;
-  }
 }
 
 TEST(L5Channel, ManyMessagesDoNotExhaustHeaps) {

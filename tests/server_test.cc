@@ -175,11 +175,8 @@ TEST(Server, ManyClientsEchoOnEveryProfile) {
           << cio::StackProfileName(profile) << " client " << i
           << ": echoes out of order or corrupted";
     }
-    // Lifecycle counters surfaced through the observability layer.
-    const ciohost::CounterSet& counters =
-        world.server_node->observability().counters();
-    EXPECT_EQ(counters.Get("server.accepted"), 12u);
-    EXPECT_EQ(counters.Get("server.active"), 12u);
+    EXPECT_EQ(world.server->stats().accepted, 12u);
+    EXPECT_EQ(world.server->active_connections(), 12u);
   }
 }
 
@@ -259,9 +256,6 @@ TEST(Server, AdmissionRefusesBeyondCapWithTypedFailure) {
   }
   EXPECT_EQ(ready, 4u);
   EXPECT_EQ(failed, 2u);
-  EXPECT_EQ(world.server_node->observability().counters().Get(
-                "server.rejected_admission"),
-            world.server->stats().rejected_admission);
   // Admitted clients are unaffected by the refused herd.
   cio::ConfidentialNode* admitted = nullptr;
   for (auto& client : world.clients) {
@@ -581,9 +575,6 @@ TEST(Server, FaultWindowWithEightClientsMidTransferZeroLost) {
   // The fault actually bit and the server actually recovered sessions.
   EXPECT_GT(world.server_node->adversary().fault_events(), 0u);
   EXPECT_GE(world.server->stats().recovered, 1u);
-  EXPECT_EQ(world.server_node->observability().counters().Get(
-                "server.recovered"),
-            world.server->stats().recovered);
   // No message the server's sessions reassembled was lost either.
   EXPECT_EQ(world.server->active_connections(), 8u);
 }

@@ -179,26 +179,11 @@ struct SqcqWorld {
     }
   }
 
-  // Seals `payload` into pool slots and queues the SQ entry (no doorbell).
+  // Copies `payload` into pool slots and queues its SQ entries (no
+  // doorbell). False when SQ or pool pushback took only a prefix.
   bool QueuePlain(cionet::SocketId socket, const Buffer& payload) {
-    L5Channel::MessageWriter writer;
-    if (!l5->BeginMessage(socket, payload.size(), /*use_tls=*/false, writer)) {
-      return false;
-    }
-    size_t written = 0;
-    while (written < payload.size()) {
-      ciobase::MutableByteSpan span = writer.NextSpan(1);
-      if (span.empty()) {
-        l5->AbandonMessage(writer);
-        return false;
-      }
-      size_t n = std::min(span.size(), payload.size() - written);
-      std::memcpy(span.data(), payload.data() + written, n);
-      writer.Commit(n);
-      written += n;
-    }
-    l5->SubmitMessage(writer);
-    return true;
+    auto queued = l5->SubmitStream(socket, payload);
+    return queued.ok() && *queued == payload.size();
   }
 
   // Rings doorbells until the socket has a receive armed; returns the
@@ -273,7 +258,7 @@ TEST(Sqcq, PoolExhaustionBackpressuresUntilCompletionsReturnSlots) {
   ASSERT_NE(world.ArmedRecv(server), 0u);
   ASSERT_EQ(world.l5->in_flight_slots(kSqOpRecv), 1u);
   ciobase::Rng rng(3);
-  Buffer big = rng.Bytes(1500);  // 12B framing + 1500B -> 6 of 8 slots
+  Buffer big = rng.Bytes(1500);  // 1500B -> 6 of 8 slots
 
   uint64_t backpressure_before = world.l5->stats().sq_backpressure;
   EXPECT_TRUE(world.QueuePlain(server, big));
