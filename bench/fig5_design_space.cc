@@ -12,7 +12,8 @@
 // clock (boundary crossings, copies, page ops are charged; see
 // src/base/clock.h). Absolute numbers are simulation-relative; the figure's
 // claim is the *shape*: this work reaches passthrough-class performance and
-// syscall-class TCB at network-level observability.
+// syscall-class TCB at network-level observability. Exits 1 when a profile
+// fails to establish or a shape check reads NO.
 
 #include <cstdio>
 
@@ -26,6 +27,7 @@ int main() {
               "Gbit/s(sim)", "appTCB KLoC", "xnet bits/op", "len entropy");
   std::printf("%s\n", std::string(86, '-').c_str());
 
+  bool failed = false;
   double baseline_gbps = 0.0;
   struct Row {
     StackProfile profile;
@@ -41,6 +43,7 @@ int main() {
     if (!pair.Establish()) {
       std::printf("%-18s  FAILED TO ESTABLISH\n",
                   std::string(StackProfileName(profile)).c_str());
+      failed = true;
       continue;
     }
     pair.client->observability().Clear();
@@ -68,6 +71,10 @@ int main() {
 
   std::printf(
       "\nShape checks (paper's Figure 5 claims):\n");
+  auto check = [&](bool holds) {
+    failed = failed || !holds;
+    return holds ? "yes" : "NO";
+  };
   auto find = [&](StackProfile profile) -> const Row* {
     for (const Row& row : rows) {
       if (row.profile == profile) {
@@ -83,34 +90,28 @@ int main() {
   if (syscall && passthrough && dual && virtio) {
     std::printf("  this-work throughput within %.0f%% of passthrough: %s\n",
                 100.0 * (1.0 - dual->gbps / passthrough->gbps),
-                dual->gbps > 0.5 * passthrough->gbps ? "yes" : "NO");
+                check(dual->gbps > 0.5 * passthrough->gbps));
     std::printf("  this-work faster than syscall-L5: %s (%.1fx)\n",
-                dual->gbps > syscall->gbps ? "yes" : "NO",
+                check(dual->gbps > syscall->gbps),
                 syscall->gbps == 0 ? 0 : dual->gbps / syscall->gbps);
     std::printf("  this-work TCB ~= syscall TCB, << passthrough TCB: %s\n",
-                dual->tcb_kloc < 1.2 * syscall->tcb_kloc &&
-                        dual->tcb_kloc < 0.7 * passthrough->tcb_kloc
-                    ? "yes"
-                    : "NO");
+                check(dual->tcb_kloc < 1.2 * syscall->tcb_kloc &&
+                      dual->tcb_kloc < 0.7 * passthrough->tcb_kloc));
     std::printf("  this-work leaks ~no beyond-network metadata, syscall "
                 "does: %s (%.1f vs %.1f bits/op)\n",
-                dual->bits_per_op < 1.0 && syscall->bits_per_op > 10.0
-                    ? "yes"
-                    : "NO",
+                check(dual->bits_per_op < 1.0 && syscall->bits_per_op > 10.0),
                 dual->bits_per_op, syscall->bits_per_op);
     std::printf("  hardened-virtio slower than this-work: %s (%.2fx)\n",
-                virtio->gbps < dual->gbps ? "yes" : "NO",
+                check(virtio->gbps < dual->gbps),
                 virtio->gbps == 0 ? 0 : dual->gbps / virtio->gbps);
     const Row* tunneled = find(StackProfile::kTunneledL2);
     if (tunneled != nullptr) {
       std::printf("  tunneled-l2 (LightBox corner) hides even packet sizes "
                   "(%.2f vs %.2f entropy bits) at the largest TCB: %s\n",
                   tunneled->length_entropy, passthrough->length_entropy,
-                  tunneled->length_entropy < 0.3 &&
-                          tunneled->tcb_kloc > dual->tcb_kloc
-                      ? "yes"
-                      : "NO");
+                  check(tunneled->length_entropy < 0.3 &&
+                        tunneled->tcb_kloc > dual->tcb_kloc));
     }
   }
-  return 0;
+  return failed ? 1 : 0;
 }

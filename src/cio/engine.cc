@@ -192,9 +192,6 @@ struct ConfidentialNode::GuestStackOps final : SocketLayer {
     if (node->virtio_device_ != nullptr) {
       node->virtio_device_->Poll();
     }
-    if (node->virtio_device2_ != nullptr) {
-      node->virtio_device2_->Poll();
-    }
     if (node->dda_device_ != nullptr) {
       node->dda_device_->Poll();
     }
@@ -325,28 +322,6 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
         failed_ = true;
         break;
       }
-      if (config_.net_devices == 2) {
-        // Second device: same MAC (the fabric spreads unicast round-robin
-        // across the two endpoints), own region/rings/negotiation.
-        auto layout2 = ciovirtio::VirtioNetLayout::Make(128, 2048, 256);
-        shared2_ = std::make_unique<ciotee::SharedRegion>(
-            &memory_, layout2.TotalSize(), name + "-virtio1");
-        virtio_device2_ = std::make_unique<ciovirtio::VirtioNetDevice>(
-            shared2_.get(), layout2, fabric, name + "-nic1", mac, 1500,
-            ciovirtio::kFeatureMac | ciovirtio::kFeatureMtu |
-                ciovirtio::kFeatureCsum | ciovirtio::kFeatureVersion1 |
-                ciovirtio::kFeatureIndirectDesc,
-            &adversary_, &observability_, clock);
-        virtio_driver2_ = std::make_unique<ciovirtio::VirtioNetDriver>(
-            shared2_.get(), layout2, virtio_device2_.get(), &costs_,
-            hardening, &observability_, config_.recovery);
-        if (!virtio_driver2_->Negotiate().ok()) {
-          failed_ = true;
-          break;
-        }
-        bond_port_ = std::make_unique<ciovirtio::BondPort>(
-            virtio_driver_.get(), virtio_driver2_.get());
-      }
       if (config_.profile == StackProfile::kTunneledL2) {
         // LightBox-style: the tunnel wraps the raw port; one endpoint of a
         // pair must be the initiator (odd node ids initiate).
@@ -355,10 +330,6 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
             ciobase::BufferFromString("tunnel-gateway-psk-32-bytes....."),
             config_.node_id % 2 == 1, &costs_);
         guest_stack_ = std::make_unique<cionet::NetStack>(tunnel_port_.get(),
-                                                          clock,
-                                                          stack_config);
-      } else if (bond_port_ != nullptr) {
-        guest_stack_ = std::make_unique<cionet::NetStack>(bond_port_.get(),
                                                           clock,
                                                           stack_config);
       } else {
@@ -436,23 +407,6 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
   if (config_.profiler != nullptr) {
     if (guest_stack_ != nullptr) guest_stack_->set_profiler(config_.profiler);
     if (host_stack_ != nullptr) host_stack_->set_profiler(config_.profiler);
-  }
-  if (config_.enable_vsock && !failed_) {
-    // Independent shared region: vsock traffic never rides the net fabric,
-    // so it attaches beside whatever transport the profile chose.
-    auto vsock_layout = ciovirtio::VsockLayout::Make(64, 2048, 128);
-    uint64_t guest_cid = ciovirtio::kVsockGuestCidBase + config_.node_id;
-    vsock_shared_ = std::make_unique<ciotee::SharedRegion>(
-        &memory_, vsock_layout.TotalSize(), name + "-vsock");
-    vsock_device_ = std::make_unique<ciovirtio::VirtioVsockDevice>(
-        vsock_shared_.get(), vsock_layout, guest_cid, &adversary_,
-        &observability_, clock);
-    vsock_driver_ = std::make_unique<ciovirtio::VirtioVsockDriver>(
-        vsock_shared_.get(), vsock_layout, vsock_device_.get(), &costs_,
-        guest_cid, &observability_);
-    if (!vsock_driver_->Negotiate().ok()) {
-      failed_ = true;
-    }
   }
 }
 
@@ -748,9 +702,6 @@ void ConfidentialNode::Poll() {
     return;
   }
   CIO_PROF_SCOPE(costs_.profiler(), "engine.poll");
-  if (vsock_device_ != nullptr) {
-    vsock_device_->Poll();
-  }
   ciobase::Status link = ops_->Poll();
   if (!link.ok() && link.code() == ciobase::StatusCode::kTimedOut) {
     // The transport's reset budget is exhausted: the host stopped the link

@@ -45,9 +45,7 @@
 #include "src/tee/compartment.h"
 #include "src/tee/memory.h"
 #include "src/tee/trust.h"
-#include "src/virtio/bond_port.h"
 #include "src/virtio/net_driver.h"
-#include "src/virtio/vsock_driver.h"
 
 namespace cio {
 
@@ -153,13 +151,6 @@ class ConfidentialNode {
   L5Channel* l5() { return l5_.get(); }
   L2Transport* l2_transport() { return l2_transport_.get(); }
   ciovirtio::VirtioNetDriver* virtio_driver() { return virtio_driver_.get(); }
-  // Second bonded net device (null unless config.net_devices == 2).
-  ciovirtio::VirtioNetDriver* virtio_driver2() { return virtio_driver2_.get(); }
-  ciotee::SharedRegion* shared_region2() { return shared2_.get(); }
-  // Vsock stream device (null unless config.enable_vsock).
-  ciovirtio::VirtioVsockDriver* vsock_driver() { return vsock_driver_.get(); }
-  ciovirtio::VirtioVsockDevice* vsock_device() { return vsock_device_.get(); }
-  ciotee::SharedRegion* vsock_region() { return vsock_shared_.get(); }
   DdaTransport* dda_transport() { return dda_transport_.get(); }
   TunnelPort* tunnel_port() { return tunnel_port_.get(); }
   ciotee::SharedRegion* shared_region() { return shared_.get(); }
@@ -230,16 +221,6 @@ class ConfidentialNode {
   ciotee::CompartmentId io_compartment_{};
   std::unique_ptr<ciovirtio::VirtioNetDevice> virtio_device_;
   std::unique_ptr<ciovirtio::VirtioNetDriver> virtio_driver_;
-  // Second bonded net device (config.net_devices == 2): own region, own
-  // rings, own negotiation; BondPort stripes the stack across both.
-  std::unique_ptr<ciotee::SharedRegion> shared2_;
-  std::unique_ptr<ciovirtio::VirtioNetDevice> virtio_device2_;
-  std::unique_ptr<ciovirtio::VirtioNetDriver> virtio_driver2_;
-  std::unique_ptr<ciovirtio::BondPort> bond_port_;
-  // Vsock stream device (config.enable_vsock): independent shared region.
-  std::unique_ptr<ciotee::SharedRegion> vsock_shared_;
-  std::unique_ptr<ciovirtio::VirtioVsockDevice> vsock_device_;
-  std::unique_ptr<ciovirtio::VirtioVsockDriver> vsock_driver_;
   std::unique_ptr<L2HostDevice> l2_device_;
   std::unique_ptr<L2Transport> l2_transport_;
   std::unique_ptr<TunnelPort> tunnel_port_;

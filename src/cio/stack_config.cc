@@ -79,16 +79,6 @@ bool StackConfig::Valid() const {
       t.max_retries <= 0) {
     return false;
   }
-  if (net_devices == 0 || net_devices > 2) {
-    return false;
-  }
-  if (net_devices == 2 && profile != StackProfile::kPassthroughL2 &&
-      profile != StackProfile::kHardenedVirtio) {
-    return false;  // bonding exists only below a virtio FramePort
-  }
-  if (enable_vsock && profile == StackProfile::kSyscallL5) {
-    return false;  // no host boundary to carry a vsock device
-  }
   return true;
 }
 

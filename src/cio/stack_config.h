@@ -88,14 +88,6 @@ struct StackConfig {
   // One registry per node — counter snapshots don't compose across nodes.
   cioprof::ProfRegistry* profiler = nullptr;
 
-  // Device zoo (ISSUE 7). `enable_vsock` attaches a vsock stream device in
-  // its own shared region (any profile with a host boundary, i.e. not the
-  // syscall profile). `net_devices` = 2 bonds a second virtio-net device
-  // under the stack (passthrough-l2 / hardened-virtio only — the profiles
-  // whose FramePort is a virtio driver).
-  bool enable_vsock = false;
-  uint32_t net_devices = 1;
-
   // Link-fault recovery: watchdog timeouts, ring-reset budgets, TLS
   // reconnect budget, resend window. Disabled by default; DefaultsFor()
   // switches it on for the dual-boundary profile.

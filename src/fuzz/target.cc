@@ -6,7 +6,6 @@
 #include "src/blockio/block_ring.h"
 #include "src/blockio/crypt_client.h"
 #include "src/cio/engine.h"
-#include "src/crypto/aead.h"
 
 namespace ciofuzz {
 namespace {
@@ -74,27 +73,11 @@ TargetWindow Spec(const char* name, uint64_t length, uint32_t weight) {
 
 // --- Network targets -------------------------------------------------------------
 
-// The vsock transport carries plaintext, so the workload seals its echo
-// payloads: host corruption surfaces as an AEAD failure (typed detection),
-// never as silently wrong bytes.
-constexpr char kVsockKey[] = "fuzz-vsock-seal-key-000000000000";  // 32 bytes
-constexpr uint32_t kVsockPort = 5000;
-constexpr size_t kVsockMessages = 2;
-
-ciobase::Buffer VsockNonce(uint64_t index) {
-  ciobase::Buffer nonce(ciocrypto::kAeadNonceSize, 0);
-  ciobase::StoreLe64(nonce.data(), index);
-  return nonce;
-}
-
 class NetTarget final : public FuzzTarget {
  public:
-  NetTarget(StackProfile profile, bool zoo) : profile_(profile), zoo_(zoo) {
-    name_ = "net-" + std::string(cio::StackProfileName(profile));
-    if (zoo_) {
-      name_ += "-zoo";
-    }
-  }
+  explicit NetTarget(StackProfile profile)
+      : profile_(profile),
+        name_("net-" + std::string(cio::StackProfileName(profile))) {}
 
   std::string_view name() const override { return name_; }
 
@@ -124,10 +107,6 @@ class NetTarget final : public FuzzTarget {
       // rings, and the bounce pool.
       specs.push_back(Spec("virtio.config", 64, 6));
       specs.push_back(Spec("virtio.rest", 1 << 16, 4));
-      if (zoo_) {
-        specs.push_back(Spec("virtio2.rest", 1 << 16, 2));
-        specs.push_back(Spec("vsock.rest", 1 << 16, 3));
-      }
     }
     return specs;
   }
@@ -140,10 +119,6 @@ class NetTarget final : public FuzzTarget {
     StackConfig client_config = StackConfig::DefaultsFor(profile_, 1);
     client_config.seed = options.seed * 1000003 + 17;
     TuneTcpFast(client_config);
-    if (zoo_) {
-      client_config.net_devices = 2;
-      client_config.enable_vsock = true;
-    }
     StackConfig server_config = StackConfig::DefaultsFor(profile_, 2);
     server_config.seed = client_config.seed + 7;
     TuneTcpFast(server_config);
@@ -155,16 +130,6 @@ class NetTarget final : public FuzzTarget {
       result.gated = true;
       result.kind = "establish-failed";
       result.note = "link never established with no mutation applied";
-      return result;
-    }
-
-    // Vsock stream: connected before any mutation fires (honest phase).
-    ciovirtio::VirtioVsockDriver* vsock =
-        zoo_ ? client.vsock_driver() : nullptr;
-    if (vsock != nullptr && !vsock->Connect(kVsockPort).ok()) {
-      result.gated = true;
-      result.kind = "establish-failed";
-      result.note = "vsock connect failed with no mutation applied";
       return result;
     }
 
@@ -183,24 +148,11 @@ class NetTarget final : public FuzzTarget {
     for (size_t i = 0; i < options.messages; ++i) {
       to_send.push_back(payload_rng.Bytes(options.message_size));
     }
-    ciobase::ByteSpan vsock_key(
-        reinterpret_cast<const uint8_t*>(kVsockKey), 32);
-    std::vector<ciobase::Buffer> vsock_plain;
-    std::vector<ciobase::Buffer> vsock_sealed;
-    for (size_t i = 0; i < kVsockMessages; ++i) {
-      vsock_plain.push_back(payload_rng.Bytes(48));
-      vsock_sealed.push_back(ciocrypto::AeadSeal(vsock_key, VsockNonce(i), {},
-                                                 vsock_plain[i]));
-    }
 
     size_t sent = 0;
     std::vector<ciobase::Buffer> client_received;
     std::vector<ciobase::Buffer> server_received;
     std::deque<ciobase::Buffer> echo_pending;
-    size_t vsock_sent = 0;
-    size_t vsock_echoed = 0;
-    bool vsock_detected = false;
-    bool vsock_corrupt = false;
 
     for (uint32_t round = 0; round < options.pump_rounds; ++round) {
       result.steps_applied += mutator.ApplyRound(input, round, windows);
@@ -225,44 +177,17 @@ class NetTarget final : public FuzzTarget {
         }
       }
 
-      if (vsock != nullptr) {
-        (void)vsock->Poll();  // violations are typed and counted in stats
-        for (auto r = vsock->Receive(); r.ok(); r = vsock->Receive()) {
-          auto opened = ciocrypto::AeadOpen(vsock_key,
-                                            VsockNonce(vsock_echoed), {}, *r);
-          if (!opened.ok()) {
-            vsock_detected = true;  // typed kTampered at the app seal
-          } else {
-            if (vsock_echoed < vsock_plain.size() &&
-                !(*opened == vsock_plain[vsock_echoed])) {
-              vsock_corrupt = true;
-            }
-            ++vsock_echoed;
-          }
-        }
-        if (vsock->connected() && vsock_sent == vsock_echoed &&
-            vsock_sent < vsock_sealed.size()) {
-          if (vsock->Send(vsock_sealed[vsock_sent]).ok()) {
-            ++vsock_sent;
-          }
-        }
-      }
-
       bool net_done = client_received.size() >= to_send.size();
-      bool vsock_done = vsock == nullptr || vsock_echoed >= kVsockMessages ||
-                        vsock_detected || !vsock->connected();
-      if (net_done && vsock_done && input.steps.empty()) {
+      if (net_done && input.steps.empty()) {
         break;  // baseline runs stop as soon as the workload completes
       }
-      if (net_done && vsock_done && result.steps_applied == TotalSteps(input)) {
+      if (net_done && result.steps_applied == TotalSteps(input)) {
         break;  // every scheduled mutation fired and the workload survived
       }
     }
 
     bool net_done = client_received.size() >= to_send.size();
-    bool vsock_done =
-        vsock == nullptr || vsock_echoed >= kVsockMessages || vsock_detected;
-    result.completed = net_done && vsock_done;
+    result.completed = net_done;
     result.non_ok_edges = NonOkEdges();
 
     size_t violations_after =
@@ -282,11 +207,10 @@ class NetTarget final : public FuzzTarget {
       result.gated = true;
       result.kind = "compartment-violation";
       result.note = "app/io compartment isolation break";
-    } else if (corrupted > 0 || vsock_corrupt) {
+    } else if (corrupted > 0) {
       result.gated = true;
       result.kind = "silent-corruption";
-      result.note = vsock_corrupt ? "vsock echo mismatched after AEAD open"
-                                  : "delivered message matches nothing sent";
+      result.note = "delivered message matches nothing sent";
     } else if (!net_done && !client.Failed() && result.non_ok_edges == 0 &&
                result.steps_applied > 0) {
       result.gated = true;
@@ -312,10 +236,6 @@ class NetTarget final : public FuzzTarget {
         BindRegion(window, node.shared_region(), 0, 64);
       } else if (window.name == "virtio.rest") {
         BindRegion(window, node.shared_region(), 64, UINT64_MAX);
-      } else if (window.name == "virtio2.rest") {
-        BindRegion(window, node.shared_region2(), 0, UINT64_MAX);
-      } else if (window.name == "vsock.rest") {
-        BindRegion(window, node.vsock_region(), 0, UINT64_MAX);
       } else if (node.l5() != nullptr) {
         ciobase::MutableByteSpan queue = node.l5()->queue_region_for_test();
         const cio::L5QueueConfig& geometry = node.config().l5_queue;
@@ -345,7 +265,6 @@ class NetTarget final : public FuzzTarget {
   }
 
   StackProfile profile_;
-  bool zoo_;
   std::string name_;
 };
 
@@ -471,16 +390,11 @@ class StorageTarget final : public FuzzTarget {
 
 std::vector<std::unique_ptr<FuzzTarget>> AllFuzzTargets() {
   std::vector<std::unique_ptr<FuzzTarget>> targets;
-  targets.push_back(
-      std::make_unique<NetTarget>(StackProfile::kPassthroughL2, false));
-  targets.push_back(
-      std::make_unique<NetTarget>(StackProfile::kHardenedVirtio, false));
-  targets.push_back(
-      std::make_unique<NetTarget>(StackProfile::kDualBoundary, false));
-  targets.push_back(
-      std::make_unique<NetTarget>(StackProfile::kTunneledL2, false));
-  targets.push_back(
-      std::make_unique<NetTarget>(StackProfile::kHardenedVirtio, true));
+  for (StackProfile profile :
+       {StackProfile::kPassthroughL2, StackProfile::kHardenedVirtio,
+        StackProfile::kDualBoundary, StackProfile::kTunneledL2}) {
+    targets.push_back(std::make_unique<NetTarget>(profile));
+  }
   targets.push_back(std::make_unique<StorageTarget>());
   return targets;
 }

@@ -10,9 +10,9 @@
 //                         steered a guest driver out of bounds),
 //   * compartment-violation: an isolation break between app and I/O domains,
 //   * silent-corruption:  a delivered payload that matches nothing the peer
-//                         sent — TLS (net), AEAD-at-rest (storage) and the
-//                         workload's own seal (vsock) make every corruption
-//                         typed, so a mismatch means a check was bypassed,
+//                         sent — TLS (net) and AEAD-at-rest (storage) make
+//                         every corruption typed, so a mismatch means a
+//                         check was bypassed,
 //   * hang:               the net workload stopped with NO typed non-OK
 //                         coverage edge and the node not Failed() — the
 //                         guest wedged without noticing anything.
@@ -28,12 +28,10 @@
 // same violation on a hardened profile still gates hard.
 //
 // Fuzzed stacks: passthrough-l2, hardened-virtio, dual-boundary,
-// tunneled-l2 (each over its shared-memory transport), the hardened-virtio
-// "zoo" variant (two bonded net devices + a vsock device: three regions
-// mutated at once), and the storage block ring. syscall-l5 and
-// direct-device are not fuzzed: neither exposes a host-writable
-// shared-memory window (syscalls marshal by value; the attested DDA device
-// is inside the TCB).
+// tunneled-l2 (each over its shared-memory transport), and the storage
+// block ring. syscall-l5 and direct-device are not fuzzed: neither exposes
+// a host-writable shared-memory window (syscalls marshal by value; the
+// attested DDA device is inside the TCB).
 
 #ifndef SRC_FUZZ_TARGET_H_
 #define SRC_FUZZ_TARGET_H_

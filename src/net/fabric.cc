@@ -56,19 +56,11 @@ ciobase::Status Fabric::Inject(EndpointId from, ciobase::ByteSpan frame) {
     }
     return ciobase::OkStatus();
   }
-  // Several endpoints may share one MAC (a guest with two queues/devices,
-  // RSS-style). Spread unicast traffic across them round-robin — the
-  // deterministic stand-in for a receive-side hash.
-  rss_scratch_.clear();
-  for (size_t i = 0; i < endpoints_.size(); ++i) {
-    if (endpoints_[i].attached && endpoints_[i].mac == header->dst) {
-      rss_scratch_.push_back(i);
+  for (Endpoint& endpoint : endpoints_) {
+    if (endpoint.attached && endpoint.mac == header->dst) {
+      Deliver(from, endpoint, frame);
+      return ciobase::OkStatus();
     }
-  }
-  if (!rss_scratch_.empty()) {
-    size_t pick = rss_scratch_[rss_round_++ % rss_scratch_.size()];
-    Deliver(from, endpoints_[pick], frame);
-    return ciobase::OkStatus();
   }
   ++stats_.frames_dropped_unknown;
   return ciobase::OkStatus();  // unknown unicast: silently dropped

@@ -45,11 +45,9 @@ class Fabric {
   // rather than renegotiating a live one).
   void Detach(EndpointId endpoint);
 
-  // Routes a frame from `from` to the endpoint owning the destination MAC
-  // (or floods on broadcast). When several endpoints share the MAC (multi-
-  // queue guests), unicast frames are spread round-robin across them.
-  // Unknown destinations are dropped silently, like a real switch without
-  // the FDB entry.
+  // Routes a frame from `from` to the attached endpoint owning the
+  // destination MAC (or floods on broadcast). Unknown destinations are
+  // dropped silently, like a real switch without the FDB entry.
   ciobase::Status Inject(EndpointId from, ciobase::ByteSpan frame);
 
   // Next frame deliverable to `endpoint` at the current simulated time.
@@ -93,8 +91,6 @@ class Fabric {
   ciobase::Rng rng_;
   Options options_;
   std::vector<Endpoint> endpoints_;
-  std::vector<size_t> rss_scratch_;  // endpoints matching the dst MAC
-  uint64_t rss_round_ = 0;
   Stats stats_;
   bool capture_enabled_ = false;
   std::vector<CapturedFrame> capture_;

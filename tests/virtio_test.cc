@@ -288,6 +288,49 @@ TEST(VirtioAttack, IndexStormBoundedByHardenedDriver) {
   EXPECT_EQ(world.memory.ViolationCount(ciotee::ViolationKind::kOobRead), 0u);
 }
 
+// --- Device-side bounds (mutual distrust: a forged guest ring) ----------------
+
+TEST(VirtioDeviceBounds, ForgedTxLengthCopiesAtMostOnePoolSlot) {
+  // A TX descriptor whose length claims 4 GiB must not buy a 4 GiB host-side
+  // allocation and copy: the device takes at most one pool slot for it.
+  VirtioWorld world(HardeningOptions::Full());
+  ASSERT_TRUE(world.driver->Negotiate().ok());
+  Buffer frame;
+  cionet::EthernetHeader eth{cionet::MacAddress::FromId(2),
+                             cionet::MacAddress::FromId(1), 0x88b5};
+  eth.Serialize(frame);
+  ciobase::AppendString(frame, "forged length");
+  const VirtqLayout& tx = world.layout.tx;
+  uint64_t slot = world.layout.pool_offset +
+                  (world.layout.pool_slot_count - 1) *
+                      world.layout.pool_slot_size;
+  ASSERT_TRUE(world.shared.GuestWrite(slot, frame).ok());
+  world.shared.GuestWriteLe64(tx.DescOffset(0), slot);
+  world.shared.GuestWriteLe32(tx.DescOffset(0) + 8, 0xFFFFFFFF);
+  world.shared.GuestWriteLe16(tx.AvailRing(0), 0);
+  world.shared.GuestWriteLe16(tx.AvailIdx(), 1);
+  world.device->Poll();
+  world.clock.Advance(50'000);
+
+  EXPECT_EQ(world.device->stats().frames_tx, 1u);
+  EXPECT_EQ(world.shared.HostReadLe32(tx.UsedRing(0) + 4),
+            world.layout.pool_slot_size);
+  auto received = cionet::ReceiveOne(*world.peer);
+  ASSERT_TRUE(received.ok());
+  EXPECT_EQ(received->size(), world.layout.pool_slot_size);
+  EXPECT_TRUE(std::equal(frame.begin(), frame.end(), received->begin()));
+}
+
+TEST(VirtioDeviceBounds, ForgedAvailIndexDrainsAtMostQueueSizePerPoll) {
+  // An avail index forged 65535 entries ahead must not spin the device
+  // through 65535 chains in one poll: the work budget is one queue.
+  VirtioWorld world(HardeningOptions::Full());
+  ASSERT_TRUE(world.driver->Negotiate().ok());
+  world.shared.GuestWriteLe16(world.layout.tx.AvailIdx(), 0xFFFF);
+  world.device->Poll();
+  EXPECT_EQ(world.device->stats().frames_tx, world.layout.tx.queue_size);
+}
+
 TEST(VirtioSwiotlb, AllocFreeExhaustion) {
   ciobase::SimClock clock;
   ciobase::CostModel costs(&clock);
