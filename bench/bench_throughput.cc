@@ -3,11 +3,13 @@
 // with the size sweep.
 //
 // Two arms per (profile, size) cell:
-//   throughput  — burst submission (8 messages per round share one
-//                 doorbell): the async SQ/CQ batching shape.
-//   latency     — one message per round with l5_latency_mode set, so the
-//                 dual-boundary engine doorbells inline on every submit
-//                 (batch depth capped at 1).
+//   throughput  — burst submission (8 messages per round: the first
+//                 rings its own doorbell, the other 7 share the next
+//                 poll's): the async SQ/CQ batching shape.
+//   latency     — one message per round: a load shape, not a config
+//                 flag. Nothing queues behind a message, so the dual-
+//                 boundary engine's early doorbell (the first send after a
+//                 Poll() rings at once) carries every message alone.
 // `--mode=latency|throughput` restricts the run to one arm; default is both.
 //
 // `--json <path>` additionally writes the table as a JSON array, one object
@@ -154,13 +156,8 @@ int main(int argc, char** argv) {
           continue;
         }
         const char* mode = latency_arm ? "latency" : "throughput";
-        StackConfig client = ciobench::MakeNode(profile, 1);
-        StackConfig server = ciobench::MakeNode(profile, 2);
-        if (latency_arm) {
-          client.l5_latency_mode = true;
-          server.l5_latency_mode = true;
-        }
-        LinkedPair pair(client, server);
+        LinkedPair pair(ciobench::MakeNode(profile, 1),
+                        ciobench::MakeNode(profile, 2));
         if (!pair.Establish()) {
           std::printf("%-18s %-10s %8zu  establish failed\n",
                       std::string(StackProfileName(profile)).c_str(), mode,

@@ -73,8 +73,9 @@ struct TimedTransferResult : TransferResult {
 };
 
 // Like BulkTransfer, but submits up to `burst` messages per pump round
-// (back-to-back into the async submission queue — one doorbell carries the
-// whole burst) and stamps every message from submission to delivery, so the
+// (back-to-back into the async submission queue — the first message's
+// early doorbell carries it, the next poll's doorbell the rest of the
+// burst) and stamps every message from submission to delivery, so the
 // per-message latency distribution is measured alongside throughput.
 // burst == 1 is the latency-test shape: one message per round, nothing
 // queueing behind it.

@@ -511,15 +511,6 @@ void ConfidentialNode::PumpBytes() {
     }
   };
   flush();
-  if (l5_ != nullptr && config_.l5_latency_mode) {
-    // Latency mode does not batch doorbells: ring once more so bytes that
-    // arrived since this round's Poll() are harvested now, not next round.
-    ciobase::Status rung = l5_->Doorbell();
-    if (rung.code() == ciobase::StatusCode::kTampered) {
-      BeginRecovery(rung.message().c_str());
-      return;
-    }
-  }
   // Drain inbound bytes into the reusable scratch chunk: the steady-state
   // receive path allocates nothing per round. On the L5 channel this is a
   // drain of what the doorbell already harvested — no crossing.
@@ -697,19 +688,14 @@ void ConfidentialNode::PollControlPlane() {
   }
 }
 
-void ConfidentialNode::Poll() {
-  if (ops_ == nullptr) {
-    return;
-  }
-  CIO_PROF_SCOPE(costs_.profiler(), "engine.poll");
-  ciobase::Status link = ops_->Poll();
-  if (!link.ok() && link.code() == ciobase::StatusCode::kTimedOut) {
+bool ConfidentialNode::OnLinkStatus(const ciobase::Status& link) {
+  if (link.code() == ciobase::StatusCode::kTimedOut) {
     // The transport's reset budget is exhausted: the host stopped the link
     // for good. Everything still in flight is lost.
     ++recovery_stats_.link_errors;
     recovery_stats_.last_fault_ns = clock_->now_ns();
     failed_ = true;
-    return;
+    return false;
   }
   // (kLinkReset needs no action here: the transport already reattached its
   // ring and TCP retransmission replays the frames that died with it.)
@@ -717,6 +703,18 @@ void ConfidentialNode::Poll() {
     // The L5 reaper rejected a forged completion: treat the channel as
     // faulted, as for any hostile bytes on the receive path.
     BeginRecovery(link.message().c_str());
+  }
+  return true;
+}
+
+void ConfidentialNode::Poll() {
+  if (ops_ == nullptr) {
+    return;
+  }
+  CIO_PROF_SCOPE(costs_.profiler(), "engine.poll");
+  early_doorbell_ = true;
+  if (!OnLinkStatus(ops_->Poll())) {
+    return;
   }
 
   // Server: adopt the first pending connection.
@@ -764,18 +762,19 @@ ciobase::Status ConfidentialNode::SendMessage(ciobase::ByteSpan message) {
     PumpBytes();
     return ciobase::OkStatus();
   }
-  // Async datapath: queue the sealed bytes in the SQ, front to back, with
-  // no crossing here. The next doorbell (this round's Poll, or right now in
-  // latency mode) carries the whole batch. Bytes refused under SQ or pool
-  // pushback stay in outbound() and leave, in order, at the next flush.
+  // Async datapath: queue the sealed bytes in the SQ, front to back. Bytes
+  // refused under SQ or pool pushback stay in outbound() and leave, in
+  // order, at the next flush.
   auto queued = l5_->SubmitStream(socket_, session_.outbound());
   if (queued.ok()) {
     session_.ConsumeOutbound(*queued);
   }
-  if (config_.l5_latency_mode) {
-    // Don't batch: ring the doorbell for this message alone.
-    (void)ops_->Poll();
-    PumpBytes();
+  // The first send after a Poll() rings the doorbell at once, so a message
+  // sent into an idle round leaves now instead of at the next Poll(); the
+  // sends after it batch behind that Poll()'s doorbell.
+  if (early_doorbell_) {
+    early_doorbell_ = false;
+    (void)OnLinkStatus(l5_->Doorbell());
   }
   return ciobase::OkStatus();
 }

@@ -133,6 +133,8 @@ class ConfidentialNode {
   // replay unacknowledged messages and the receiver can drop duplicates:
   // every message is delivered exactly once, or counted in
   // recovery_stats().messages_lost. (See cio::Session for the machinery.)
+  // On the L5 channel the first SendMessage after each Poll() rings the
+  // doorbell at once; the ones after it leave with the next Poll().
   ciobase::Status SendMessage(ciobase::ByteSpan message);
   ciobase::Result<ciobase::Buffer> ReceiveMessage();
 
@@ -195,6 +197,10 @@ class ConfidentialNode {
   struct DualBoundaryOps;
 
   void PumpBytes();
+  // Acts on the link status a doorbell returns, for Poll() and the early
+  // doorbell alike: kTimedOut fails the node (returns false), kTampered
+  // begins recovery.
+  bool OnLinkStatus(const ciobase::Status& link);
   // Tears down the failed secure channel and schedules re-establishment
   // (client re-connects with backoff; server re-arms its accept loop).
   void BeginRecovery(const char* reason);
@@ -243,6 +249,7 @@ class ConfidentialNode {
   cionet::SocketId socket_{};
   bool have_socket_ = false;
   ciobase::Buffer rx_scratch_;  // reusable inbound chunk staging (PumpBytes)
+  bool early_doorbell_ = true;  // next SendMessage rings; re-armed by Poll()
   bool failed_ = false;
 
   // Recovery state machine (active only with config_.recovery.enabled).

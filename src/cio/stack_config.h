@@ -66,9 +66,6 @@ struct StackConfig {
 
   // Async L5 datapath: SQ/CQ geometry + sealed-buffer pool.
   L5QueueConfig l5_queue;
-  // Latency mode: doorbell immediately after each submitted message instead
-  // of batching until the next poll round — trades peak throughput for p99.
-  bool l5_latency_mode = false;
   // Sealed L2 receive: charge only a header snapshot per frame instead of a
   // defensive payload copy — sound when every payload byte is authenticated
   // by the L5 AEAD layer before parsing (the dual-boundary default).

@@ -190,9 +190,10 @@ TEST(DualBoundary, DualTeeBoundaryCostsMore) {
 }
 
 // One send path: SendMessage seals through Session::Send and queues the
-// sealed bytes in the SQ with no crossing, whatever the message size. The
-// client's next Poll() rings one doorbell that carries the whole batch, and
-// the polled L2 host takes that doorbell's frames when they are published.
+// sealed bytes in the SQ, whatever the message size. The first send after a
+// Poll() rings the doorbell at once, and the polled L2 host takes that
+// doorbell's frames when they are published; the sends after it make no
+// crossing, and the client's next Poll() carries them in one doorbell.
 TEST(DualBoundary, SendMessageBatchesUntilTheNextDoorbell) {
   LinkedPair pair(Options(StackProfile::kDualBoundary, 1),
                   Options(StackProfile::kDualBoundary, 2));
@@ -200,20 +201,29 @@ TEST(DualBoundary, SendMessageBatchesUntilTheNextDoorbell) {
   pair.PumpUntil([] { return false; }, 50);  // let the handshake settle
   ASSERT_EQ(StrandedTxFrames(*pair.client), 0u);
   const L5Channel& l5 = *pair.client->l5();
-  const uint64_t crossings = l5.stats().crossings;
   const uint64_t doorbells = l5.stats().doorbells;
+  const uint64_t routed = pair.fabric->stats().frames_routed;
   ciobase::Rng rng(9);
   std::vector<Buffer> sent;
-  for (size_t i = 0; i < 8; ++i) {
+  auto send = [&](size_t i) {
     // Message 3 needs more than one SQ entry's 8 x 4 KiB segments.
     sent.push_back(rng.Bytes(i == 3 ? 40'000 : 200 + 100 * i));
-    ASSERT_TRUE(pair.client->SendMessage(sent.back()).ok()) << i;
+    return pair.client->SendMessage(sent.back()).ok();
+  };
+  ASSERT_TRUE(send(0));
+  EXPECT_EQ(l5.stats().doorbells, doorbells + 1);
+  EXPECT_GT(pair.fabric->stats().frames_routed, routed);
+  EXPECT_EQ(StrandedTxFrames(*pair.client), 0u);
+
+  const uint64_t crossings = l5.stats().crossings;
+  for (size_t i = 1; i < 8; ++i) {
+    ASSERT_TRUE(send(i)) << i;
   }
   EXPECT_EQ(l5.stats().crossings, crossings);
   EXPECT_FALSE(pair.client->session().HasOutbound());
 
   pair.client->Poll();
-  EXPECT_EQ(l5.stats().doorbells, doorbells + 1);
+  EXPECT_EQ(l5.stats().doorbells, doorbells + 2);
   EXPECT_EQ(l5.in_flight_entries(kSqOpSend), 0u);
   EXPECT_EQ(StrandedTxFrames(*pair.client), 0u);
 

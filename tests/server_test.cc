@@ -437,6 +437,27 @@ TEST(Server, EgressDoorbellTransmitsInTheRoundItRings) {
   EXPECT_GE(world.fabric->stats().bytes_routed - routed, message.size());
 }
 
+TEST(Server, ClientSendBetweenRoundsArrivesInTheNextRound) {
+  // A client's first send after its Poll() rings its doorbell at once, so
+  // with a zero-latency fabric the server harvests the message in the very
+  // next round instead of waiting for the client's own Poll() to ring it.
+  MultiClientWorld::Options options;
+  options.profile = StackProfile::kDualBoundary;
+  options.num_clients = 2;
+  options.seed = 1717;
+  options.fabric_options.latency_ns = 0;
+  MultiClientWorld world(options);
+  ASSERT_TRUE(world.EstablishAll());
+  world.PumpUntil([] { return false; }, 100);  // let the handshakes settle
+  ASSERT_FALSE(world.server->Receive().ok());
+  const Buffer message(300, 0x3c);
+  ASSERT_TRUE(world.clients[1]->SendMessage(message).ok());
+  world.Pump();
+  auto incoming = world.server->Receive();
+  ASSERT_TRUE(incoming.ok());
+  EXPECT_EQ(incoming->message, message);
+}
+
 // --- Fairness ---------------------------------------------------------------
 
 TEST(Server, HotClientCannotStarveTheQuiet) {
