@@ -1,7 +1,6 @@
 #include "src/cio/engine.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/base/log.h"
 #include "src/prof/profiler.h"
@@ -26,26 +25,16 @@ class ObservedPort final : public cionet::FramePort {
   ciobase::Result<size_t> SendFrames(
       std::span<const ciobase::ByteSpan> frames) override {
     auto sent = inner_->SendFrames(frames);
-    if (sent.ok()) {
-      for (size_t i = 0; i < *sent; ++i) {
-        observability_->Record(ciohost::ObsCategory::kPacketLength,
-                               frames[i].size());
-        observability_->Record(ciohost::ObsCategory::kPacketTiming,
-                               clock_->now_ns());
-      }
+    for (size_t i = 0; sent.ok() && i < *sent; ++i) {
+      Observe(frames[i].size());
     }
     return sent;
   }
   ciobase::Result<size_t> ReceiveFrames(cionet::FrameBatch& batch,
                                         size_t max_frames) override {
     auto got = inner_->ReceiveFrames(batch, max_frames);
-    if (got.ok()) {
-      for (size_t i = 0; i < *got; ++i) {
-        observability_->Record(ciohost::ObsCategory::kPacketLength,
-                               batch[i].size());
-        observability_->Record(ciohost::ObsCategory::kPacketTiming,
-                               clock_->now_ns());
-      }
+    for (size_t i = 0; got.ok() && i < *got; ++i) {
+      Observe(batch[i].size());
     }
     return got;
   }
@@ -53,6 +42,13 @@ class ObservedPort final : public cionet::FramePort {
   uint16_t mtu() const override { return inner_->mtu(); }
 
  private:
+  // Every frame's length and timing is host-visible.
+  void Observe(size_t frame_bytes) {
+    observability_->Record(ciohost::ObsCategory::kPacketLength, frame_bytes);
+    observability_->Record(ciohost::ObsCategory::kPacketTiming,
+                           clock_->now_ns());
+  }
+
   std::unique_ptr<cionet::DirectFabricPort> inner_;
   ciohost::ObservabilityLog* observability_;
   ciobase::SimClock* clock_;
@@ -62,131 +58,91 @@ class ObservedPort final : public cionet::FramePort {
 
 // --- Byte-stream plumbing ------------------------------------------------------
 
-// Syscall-level I/O (Graphene/SCONE style): the socket lives in the HOST
-// network stack; every data-carrying operation is a host exit with a
-// boundary copy, and its type, arguments, and exact size are host-visible.
-struct ConfidentialNode::SyscallOps final : SocketLayer {
+// The sockets of a NetStack. Guest-owned (passthrough, hardened virtio,
+// direct device, tunnel): one trust domain containing app + TLS + stack +
+// driver. Host-owned (the syscall profile, Graphene/SCONE style): the socket
+// lives in the HOST network stack, every data-carrying operation is a host
+// exit with a boundary copy, and its type, arguments, and exact size are
+// host-visible.
+struct ConfidentialNode::StackOps final : SocketLayer {
   ConfidentialNode* node;
-  explicit SyscallOps(ConfidentialNode* n) : node(n) {}
+  cionet::NetStack* stack;
+  bool host;  // the syscall profile's host-owned stack
 
-  void RecordCall(uint64_t arg) {
-    node->observability_.Record(ciohost::ObsCategory::kCallType, 0);
-    node->observability_.Record(ciohost::ObsCategory::kCallArgs, arg);
+  StackOps(ConfidentialNode* n, cionet::NetStack* s, bool h)
+      : node(n), stack(s), host(h) {}
+
+  // A host-visible control syscall: one exit, its type and argument seen.
+  void Call(uint64_t arg) {
+    if (host) {
+      node->costs_.ChargeHostExit();
+      node->observability_.Record(ciohost::ObsCategory::kCallType, 0);
+      node->observability_.Record(ciohost::ObsCategory::kCallArgs, arg);
+    }
+  }
+  // A host-visible data syscall (type 1 send, 2 receive): one exit, a copy
+  // across the boundary, the exact size seen — and, without TLS, the bytes.
+  void DataCall(uint64_t type, size_t bytes) {
+    if (host) {
+      node->costs_.ChargeHostExit();
+      node->costs_.ChargeCopy(bytes);
+      node->observability_.Record(ciohost::ObsCategory::kCallType, type);
+      node->observability_.Record(ciohost::ObsCategory::kMessageBoundary,
+                                  bytes);
+      if (!node->config_.use_tls && bytes > 0) {
+        node->observability_.Record(ciohost::ObsCategory::kPayload, bytes);
+      }
+    }
   }
 
   ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
                                             uint16_t port) override {
-    node->costs_.ChargeHostExit();
-    RecordCall((static_cast<uint64_t>(ip.value) << 16) | port);
-    return node->host_stack_->TcpConnect(ip, port);
+    Call((static_cast<uint64_t>(ip.value) << 16) | port);
+    return stack->TcpConnect(ip, port);
   }
   ciobase::Result<cionet::SocketId> Listen(uint16_t port) override {
-    node->costs_.ChargeHostExit();
-    RecordCall(port);
-    return node->host_stack_->TcpListen(port);
+    Call(port);
+    return stack->TcpListen(port);
   }
   ciobase::Result<cionet::SocketId> Accept(cionet::SocketId id) override {
-    auto result = node->host_stack_->TcpAccept(id);
+    auto result = stack->TcpAccept(id);
     if (result.ok()) {
-      // The accept timing itself is a host-visible event [3].
-      node->costs_.ChargeHostExit();
-      RecordCall(node->clock_->now_ns());
+      Call(node->clock_->now_ns());  // the accept timing is host-visible [3]
     }
     return result;
   }
   ciobase::Result<cionet::TcpState> State(cionet::SocketId id) override {
-    return node->host_stack_->GetTcpState(id);
+    return stack->GetTcpState(id);
   }
   ciobase::Status Close(cionet::SocketId id) override {
-    node->costs_.ChargeHostExit();
-    RecordCall(id.value);
-    return node->host_stack_->TcpClose(id);
+    Call(id.value);
+    return stack->TcpClose(id);
   }
   ciobase::Status Abort(cionet::SocketId id) override {
-    node->costs_.ChargeHostExit();
-    RecordCall(id.value);
-    return node->host_stack_->TcpAbort(id);
+    Call(id.value);
+    return stack->TcpAbort(id);
   }
   ciobase::Result<size_t> SendBytes(cionet::SocketId id,
                                     ciobase::ByteSpan data) override {
-    node->costs_.ChargeHostExit();
-    node->costs_.ChargeCopy(data.size());  // guest -> host buffer
-    node->observability_.Record(ciohost::ObsCategory::kCallType, 1);
-    node->observability_.Record(ciohost::ObsCategory::kMessageBoundary,
-                                data.size());
-    if (!node->config_.use_tls && !data.empty()) {
-      node->observability_.Record(ciohost::ObsCategory::kPayload, data.size());
-    }
-    return node->host_stack_->TcpSend(id, data);
+    DataCall(1, data.size());  // guest -> host buffer
+    return stack->TcpSend(id, data);
   }
   ciobase::Result<size_t> ReceiveBytes(cionet::SocketId id, size_t max,
                                        ciobase::Buffer& out) override {
     out.resize(max);
-    auto got = node->host_stack_->TcpReceive(id, out);
+    auto got = stack->TcpReceive(id, out);
     if (!got.ok()) {
       out.clear();
       return got.status();
     }
     if (*got > 0) {
-      node->costs_.ChargeHostExit();
-      node->costs_.ChargeCopy(*got);  // host buffer -> guest
-      node->observability_.Record(ciohost::ObsCategory::kCallType, 2);
-      node->observability_.Record(ciohost::ObsCategory::kMessageBoundary, *got);
-      if (!node->config_.use_tls) {
-        node->observability_.Record(ciohost::ObsCategory::kPayload, *got);
-      }
+      DataCall(2, *got);  // host buffer -> guest
     }
     out.resize(*got);
     return *got;
   }
   ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) override {
-    return node->host_stack_->GetTcpPeer(id);
-  }
-  ciobase::Status Poll() override { return node->host_stack_->Poll(); }
-};
-
-// Guest-owned stack over some FramePort (passthrough / hardened virtio):
-// a single trust domain containing app + TLS + stack + driver.
-struct ConfidentialNode::GuestStackOps final : SocketLayer {
-  ConfidentialNode* node;
-  explicit GuestStackOps(ConfidentialNode* n) : node(n) {}
-
-  ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
-                                            uint16_t port) override {
-    return node->guest_stack_->TcpConnect(ip, port);
-  }
-  ciobase::Result<cionet::SocketId> Listen(uint16_t port) override {
-    return node->guest_stack_->TcpListen(port);
-  }
-  ciobase::Result<cionet::SocketId> Accept(cionet::SocketId id) override {
-    return node->guest_stack_->TcpAccept(id);
-  }
-  ciobase::Result<cionet::TcpState> State(cionet::SocketId id) override {
-    return node->guest_stack_->GetTcpState(id);
-  }
-  ciobase::Status Close(cionet::SocketId id) override {
-    return node->guest_stack_->TcpClose(id);
-  }
-  ciobase::Status Abort(cionet::SocketId id) override {
-    return node->guest_stack_->TcpAbort(id);
-  }
-  ciobase::Result<size_t> SendBytes(cionet::SocketId id,
-                                    ciobase::ByteSpan data) override {
-    return node->guest_stack_->TcpSend(id, data);
-  }
-  ciobase::Result<size_t> ReceiveBytes(cionet::SocketId id, size_t max,
-                                       ciobase::Buffer& out) override {
-    out.resize(max);
-    auto got = node->guest_stack_->TcpReceive(id, out);
-    if (!got.ok()) {
-      out.clear();
-      return got.status();
-    }
-    out.resize(*got);
-    return *got;
-  }
-  ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) override {
-    return node->guest_stack_->GetTcpPeer(id);
+    return stack->GetTcpPeer(id);
   }
   void PollDevice() {
     if (node->virtio_device_ != nullptr) {
@@ -201,56 +157,9 @@ struct ConfidentialNode::GuestStackOps final : SocketLayer {
     // with the guest in reality, so frames the stack emits this round must
     // not be stranded in the ring until the next simulation round.
     PollDevice();
-    ciobase::Status link = node->guest_stack_->Poll();
+    ciobase::Status link = stack->Poll();
     PollDevice();
     return link;
-  }
-};
-
-// Dual-boundary: the stack lives in the I/O compartment; all socket calls
-// cross the L5 channel.
-struct ConfidentialNode::DualBoundaryOps final : SocketLayer {
-  ConfidentialNode* node;
-  explicit DualBoundaryOps(ConfidentialNode* n) : node(n) {}
-
-  ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
-                                            uint16_t port) override {
-    return node->l5_->Connect(ip, port);
-  }
-  ciobase::Result<cionet::SocketId> Listen(uint16_t port) override {
-    return node->l5_->Listen(port);
-  }
-  ciobase::Result<cionet::SocketId> Accept(cionet::SocketId id) override {
-    return node->l5_->Accept(id);
-  }
-  ciobase::Result<cionet::TcpState> State(cionet::SocketId id) override {
-    return node->l5_->State(id);
-  }
-  ciobase::Status Close(cionet::SocketId id) override {
-    return node->l5_->Close(id);
-  }
-  ciobase::Status Abort(cionet::SocketId id) override {
-    return node->l5_->Abort(id);
-  }
-  ciobase::Result<size_t> SendBytes(cionet::SocketId id,
-                                    ciobase::ByteSpan data) override {
-    return node->l5_->SendOne(id, data);
-  }
-  ciobase::Result<size_t> ReceiveBytes(cionet::SocketId id, size_t max,
-                                       ciobase::Buffer& out) override {
-    return node->l5_->ReceiveOne(id, max, out);
-  }
-  ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) override {
-    return node->l5_->Peer(id);
-  }
-  ciobase::Status Poll() override {
-    // The host backend fills RX first, so the doorbell harvests what the
-    // fabric has delivered by now. Nothing polls it afterwards: the polled
-    // backend services the ring at every guest publish (L2Transport's
-    // `host_poll`), so frames this doorbell emits leave when they are
-    // published, as a notify-mode kick would send them.
-    node->l2_device_->Poll();
-    return node->l5_->Doorbell();
   }
 };
 
@@ -264,11 +173,8 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
           10, 0, 0, static_cast<uint8_t>(config_.node_id))),
       clock_(clock),
       costs_(clock),
-      adversary_(config_.seed ^ 0xadu),
-      session_(config_.use_tls, config_.psk,
-               config_.recovery.enabled ? config_.recovery.resend_window : 0,
-               RekeyPolicy{config_.rekey_after_records,
-                           config_.rekey_after_bytes}) {
+      adversary_(config_.seed ^ 0xadu) {
+  conn_.session = NewSession();
   if (!config_.Valid()) {
     failed_ = true;
     return;
@@ -279,7 +185,7 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
     // through the same counter snapshots.
     config_.profiler->Bind(clock, &costs_);
     costs_.set_profiler(config_.profiler);
-    session_.set_profiler(config_.profiler);
+    conn_.session->set_profiler(config_.profiler);
   }
   cionet::MacAddress mac = cionet::MacAddress::FromId(config_.node_id);
   std::string name = "node-" + std::to_string(config_.node_id);
@@ -289,14 +195,13 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
   stack_config.tcp_tuning = config_.tcp_tuning;
   stack_config.tcp_accept_backlog = config_.accept_backlog;
 
+  cionet::FramePort* port = nullptr;  // frames under the node's one stack
   switch (config_.profile) {
     case StackProfile::kSyscallL5: {
       host_port_ = std::make_unique<ObservedPort>(
           std::make_unique<cionet::DirectFabricPort>(fabric, name, mac),
           &observability_, clock);
-      host_stack_ = std::make_unique<cionet::NetStack>(host_port_.get(),
-                                                       clock, stack_config);
-      ops_ = std::make_unique<SyscallOps>(this);
+      port = host_port_.get();
       break;
     }
     case StackProfile::kPassthroughL2:
@@ -322,6 +227,7 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
         failed_ = true;
         break;
       }
+      port = virtio_driver_.get();
       if (config_.profile == StackProfile::kTunneledL2) {
         // LightBox-style: the tunnel wraps the raw port; one endpoint of a
         // pair must be the initiator (odd node ids initiate).
@@ -329,14 +235,8 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
             virtio_driver_.get(),
             ciobase::BufferFromString("tunnel-gateway-psk-32-bytes....."),
             config_.node_id % 2 == 1, &costs_);
-        guest_stack_ = std::make_unique<cionet::NetStack>(tunnel_port_.get(),
-                                                          clock,
-                                                          stack_config);
-      } else {
-        guest_stack_ = std::make_unique<cionet::NetStack>(
-            virtio_driver_.get(), clock, stack_config);
+        port = tunnel_port_.get();
       }
-      ops_ = std::make_unique<GuestStackOps>(this);
       break;
     }
     case StackProfile::kDirectDevice: {
@@ -364,9 +264,7 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
         failed_ = true;
         break;
       }
-      guest_stack_ = std::make_unique<cionet::NetStack>(dda_transport_.get(),
-                                                        clock, stack_config);
-      ops_ = std::make_unique<GuestStackOps>(this);
+      port = dda_transport_.get();
       break;
     }
     case StackProfile::kDualBoundary: {
@@ -387,30 +285,47 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
       l2_transport_ = std::make_unique<L2Transport>(
           shared_.get(), l2_config, &costs_, l2_device_.get(),
           config_.recovery, [device = l2_device_.get()] { device->Poll(); });
-      l2_transport_->set_sealed_rx(config_.l2_sealed_rx);
-      guest_stack_ = std::make_unique<cionet::NetStack>(l2_transport_.get(),
-                                                        clock, stack_config);
-      compartments_ = std::make_unique<ciotee::CompartmentManager>(&costs_);
-      app_compartment_ = compartments_->Create("app", 4 << 20);
-      io_compartment_ = compartments_->Create("io-stack", 4 << 20);
-      // Single distrust: the app may reach into the I/O heap; the I/O
-      // stack gets NO grant into app memory (ternary model, §3.1).
-      compartments_->GrantAccess(app_compartment_, io_compartment_);
-      l5_ = std::make_unique<L5Channel>(
-          compartments_.get(), app_compartment_, io_compartment_,
-          guest_stack_.get(), &costs_, config_.l5_receive,
-          config_.l5_boundary, config_.l5_queue);
-      ops_ = std::make_unique<DualBoundaryOps>(this);
+      // Every payload byte is sealed end to end by the L5 AEAD layer, so
+      // the defensive per-byte receive copy is redundant: snapshot headers.
+      l2_transport_->set_sealed_rx(true);
+      port = l2_transport_.get();
       break;
     }
   }
-  if (config_.profiler != nullptr) {
-    if (guest_stack_ != nullptr) guest_stack_->set_profiler(config_.profiler);
-    if (host_stack_ != nullptr) host_stack_->set_profiler(config_.profiler);
+  if (port == nullptr) {
+    return;  // the device failed to negotiate or attest
   }
+  stack_ = std::make_unique<cionet::NetStack>(port, clock, stack_config);
+  stack_->set_profiler(config_.profiler);
+  if (config_.profile != StackProfile::kDualBoundary) {
+    ops_ = std::make_unique<StackOps>(
+        this, stack_.get(), config_.profile == StackProfile::kSyscallL5);
+    return;
+  }
+  compartments_ = std::make_unique<ciotee::CompartmentManager>(&costs_);
+  app_compartment_ = compartments_->Create("app", 4 << 20);
+  io_compartment_ = compartments_->Create("io-stack", kIoHeapBytes);
+  // Single distrust: the app may reach into the I/O heap; the I/O stack
+  // gets NO grant into app memory (ternary model, §3.1).
+  compartments_->GrantAccess(app_compartment_, io_compartment_);
+  auto l5 = std::make_unique<L5Channel>(
+      compartments_.get(), app_compartment_, io_compartment_, stack_.get(),
+      &costs_, config_.l5_receive, config_.l5_boundary, config_.l5_queue,
+      [device = l2_device_.get()] { device->Poll(); });
+  l5_ = l5.get();
+  ops_ = std::move(l5);
 }
 
 ConfidentialNode::~ConfidentialNode() = default;
+
+std::unique_ptr<Session> ConfidentialNode::NewSession() const {
+  auto session = std::make_unique<Session>(
+      config_.use_tls, config_.psk,
+      config_.recovery.enabled ? config_.recovery.resend_window : 0,
+      RekeyPolicy{config_.rekey_after_records, config_.rekey_after_bytes});
+  session->set_profiler(costs_.profiler());
+  return session;
+}
 
 ciobase::Status ConfidentialNode::Listen(uint16_t port) {
   if (failed_ || ops_ == nullptr) {
@@ -421,8 +336,6 @@ ciobase::Status ConfidentialNode::Listen(uint16_t port) {
     return listener.status();
   }
   listener_ = *listener;
-  listening_ = true;
-  listen_port_ = port;
   return ciobase::OkStatus();
 }
 
@@ -431,16 +344,16 @@ ciobase::Status ConfidentialNode::Connect(cionet::Ipv4Address peer,
   if (failed_ || ops_ == nullptr) {
     return ciobase::FailedPrecondition("node failed to initialize");
   }
+  if (conn_.open()) {
+    return ciobase::FailedPrecondition("a connection is open or draining");
+  }
   auto socket = ops_->Connect(peer, port);
   if (!socket.ok()) {
     return socket.status();
   }
-  socket_ = *socket;
-  have_socket_ = true;
-  is_client_ = true;
-  peer_ip_ = peer;
-  peer_port_ = port;
-  session_.Start(ciotls::TlsRole::kClient, config_.seed);
+  conn_.peer = peer;
+  conn_.port = port;
+  conn_.Open(*socket, /*up=*/false, ciotls::TlsRole::kClient, config_.seed);
   return ciobase::OkStatus();
 }
 
@@ -448,95 +361,61 @@ ciobase::Status ConfidentialNode::Disconnect() {
   if (failed_ || ops_ == nullptr) {
     return ciobase::FailedPrecondition("node failed to initialize");
   }
-  if (have_socket_) {
-    // Orderly FIN first (buffered data flushes), then release every pool
-    // slot / held CQE / armed counter the socket still pins — the churn
-    // loop must return the node to exact pool-accounting zero.
-    (void)ops_->Close(socket_);
-    if (l5_ != nullptr) {
-      l5_->CancelSocket(socket_);
-    }
+  if (conn_.open()) {
+    conn_.state = ConnState::kDraining;
+    Flush();
+    PollDrain();
+  } else {
+    Retire();  // nothing to drain (never connected, or mid-recovery)
   }
-  have_socket_ = false;
-  connected_transport_ = false;
-  is_client_ = false;
-  admitted_ = false;
-  reconnect_pending_ = false;
-  resend_pending_ = false;
-  reconnect_attempts_ = 0;
-  reconnect_backoff_ns_ = 0;
-  RetireSessionStats();
-  session_.Forget();
-  ++sessions_retired_;
   return ciobase::OkStatus();
 }
 
-void ConfidentialNode::RetireSessionStats() {
-  const Session::Stats& s = session_.stats();
-  retired_.sent += s.messages_sent;
-  retired_.received += s.messages_received;
-  retired_.resent += s.messages_resent;
-  retired_.dups += s.messages_duplicate_dropped;
-  retired_.lost += s.messages_lost;
+void ConfidentialNode::PollDrain() {
+  // Orderly FIN, then release every pool slot / held CQE / armed counter
+  // the socket still pins: the churn loop must return the node to exact
+  // pool-accounting zero.
+  if (conn_.CloseIfDrained(*ops_, l5_)) {
+    Retire();
+  }
+}
+
+void ConfidentialNode::Retire() {
+  const Session::Stats& s = conn_.session->stats();
+  retired_.messages_sent += s.messages_sent;
+  retired_.messages_received += s.messages_received;
+  retired_.messages_resent += s.messages_resent;
+  retired_.messages_duplicate_dropped += s.messages_duplicate_dropped;
+  retired_.messages_lost += s.messages_lost;
   retired_.tls_restarts += s.tls_restarts;
   retired_.rekeys += s.rekeys;
+  conn_ = Connection{};
+  conn_.session = NewSession();
+  admitted_ = false;
+  ++sessions_retired_;
 }
 
-bool ConfidentialNode::Ready() const {
-  if (failed_ || !have_socket_ || !connected_transport_) {
-    return false;
+void ConfidentialNode::Flush() {
+  auto queued = conn_.Flush(*ops_);
+  if (l5_ != nullptr && queued.ok() && *queued > 0) {
+    (void)OnLinkStatus(l5_->Doorbell());
   }
-  return session_.Established();
 }
 
-bool ConfidentialNode::Failed() const {
-  // With recovery enabled a dead TLS session is a fault in flight, not a
-  // terminal state — Poll() tears it down and re-establishes.
-  return failed_ || (!config_.recovery.enabled && session_.TlsFailed());
-}
-
-void ConfidentialNode::PumpBytes() {
-  if (!have_socket_) {
+void ConfidentialNode::Pump() {
+  if (!conn_.open()) {
     return;
   }
   CIO_PROF_SCOPE(costs_.profiler(), "engine.pump");
-  // Flush pending protected bytes into the transport, as far as it allows.
-  auto flush = [this] {
-    while (have_socket_ && session_.HasOutbound()) {
-      auto sent = ops_->SendBytes(socket_, session_.outbound());
-      if (!sent.ok() || *sent == 0) {
-        break;
-      }
-      session_.ConsumeOutbound(*sent);
-    }
-  };
-  flush();
-  // Drain inbound bytes into the reusable scratch chunk: the steady-state
-  // receive path allocates nothing per round. On the L5 channel this is a
-  // drain of what the doorbell already harvested — no crossing.
-  for (;;) {
-    auto got = ops_->ReceiveBytes(socket_, 16384, rx_scratch_);
-    if (!got.ok()) {
-      if (got.status().code() == ciobase::StatusCode::kFailedPrecondition) {
-        break;  // orderly EOF: the peer closed on purpose — not a fault
-      }
-      BeginRecovery(got.status().message().c_str());
-      break;
-    }
-    if (*got == 0) {
-      break;
-    }
-    ciobase::Status ingested = session_.Ingest(rx_scratch_);
-    if (!ingested.ok()) {
-      if (ingested.code() == ciobase::StatusCode::kTampered) {
-        failed_ = true;  // hostile framing inside the protected stream
-      } else {
-        BeginRecovery(ingested.message().c_str());
-      }
-      break;
-    }
+  Flush();
+  // (An orderly EOF is the peer closing on purpose: not a fault.)
+  const DrainOutcome drained = conn_.Drain(*ops_, rx_scratch_, SIZE_MAX);
+  if (drained == DrainOutcome::kFault) {
+    BeginRecovery("transport or tls stream fault");
+  } else if (drained == DrainOutcome::kTampered) {
+    failed_ = true;  // hostile framing inside the protected stream
   }
-  flush();  // a handshake reply flight produced while ingesting leaves now
+  Flush();  // a handshake reply flight produced while ingesting leaves now
 }
 
 void ConfidentialNode::BeginRecovery(const char* reason) {
@@ -547,24 +426,30 @@ void ConfidentialNode::BeginRecovery(const char* reason) {
   CIO_LOG(kDebug) << "link recovery (" << reason << ")";
   ++recovery_stats_.link_errors;
   recovery_stats_.last_fault_ns = clock_->now_ns();
-  if (have_socket_) {
-    (void)ops_->Abort(socket_);
+  Teardown(/*redial_at_once=*/false);
+}
+
+void ConfidentialNode::Teardown(bool redial_at_once) {
+  const bool draining = conn_.state == ConnState::kDraining;
+  if (conn_.open()) {
+    conn_.Abort(*ops_);
   }
-  have_socket_ = false;
-  connected_transport_ = false;
-  session_.ResetChannel();
   if (l5_ != nullptr) {
     // Ring epoch reset: everything still queued in the SQ/CQ is abandoned
     // (its payloads live in the resend window) and any completions the old
     // generation still posts reap as stale instead of as tampering.
     l5_->AbandonInFlight();
   }
-  reconnect_pending_ = true;
-  resend_pending_ = true;
-  if (reconnect_backoff_ns_ == 0) {
-    reconnect_backoff_ns_ = config_.recovery.backoff_initial_ns;
+  if (draining) {
+    Retire();  // the drain ends with the link; nothing left to replay for
+    return;
   }
-  next_reconnect_ns_ = clock_->now_ns() + reconnect_backoff_ns_;
+  conn_.replay_due = true;
+  if (conn_.backoff_ns == 0) {
+    conn_.backoff_ns = config_.recovery.backoff_initial_ns;
+  }
+  conn_.next_reconnect_ns =
+      clock_->now_ns() + (redial_at_once ? 0 : conn_.backoff_ns);
 }
 
 void ConfidentialNode::PollRecovery() {
@@ -572,59 +457,43 @@ void ConfidentialNode::PollRecovery() {
     return;
   }
   uint64_t now = clock_->now_ns();
-  // Client side: re-establish TCP + TLS with capped exponential backoff.
-  // (The server keeps listening; Poll()'s accept branch re-arms it.)
-  if (reconnect_pending_ && is_client_ && !have_socket_ &&
-      now >= next_reconnect_ns_) {
-    if (reconnect_attempts_ >= config_.recovery.max_reconnects) {
+  // Client role: re-establish TCP + TLS with capped exponential backoff.
+  // (The server role keeps listening; Poll()'s accept re-arms it.)
+  if (conn_.replay_due && conn_.port != 0 && !conn_.open() &&
+      now >= conn_.next_reconnect_ns) {
+    if (conn_.reconnect_attempts >= config_.recovery.max_reconnects) {
       failed_ = true;  // the host never let a connection live again
       return;
     }
-    ++reconnect_attempts_;
+    ++conn_.reconnect_attempts;
     ++recovery_stats_.reconnects;
-    auto socket = ops_->Connect(peer_ip_, peer_port_);
+    auto socket = ops_->Connect(conn_.peer, conn_.port);
     if (socket.ok()) {
-      socket_ = *socket;
-      have_socket_ = true;
-      session_.Start(ciotls::TlsRole::kClient, config_.seed);
+      conn_.Open(*socket, /*up=*/false, ciotls::TlsRole::kClient,
+                 config_.seed);
     }
     // If this attempt dies too, the next one waits twice as long (capped).
-    reconnect_backoff_ns_ = std::min(reconnect_backoff_ns_ * 2,
-                                     config_.recovery.backoff_cap_ns);
-    next_reconnect_ns_ = now + reconnect_backoff_ns_;
+    conn_.backoff_ns =
+        std::min(conn_.backoff_ns * 2, config_.recovery.backoff_cap_ns);
+    conn_.next_reconnect_ns = now + conn_.backoff_ns;
   }
-  // Both sides: once the channel is back, replay the resend window. The
-  // receiver's sequence numbers drop whatever was already delivered.
-  if (resend_pending_ && Ready()) {
-    resend_pending_ = false;
-    reconnect_pending_ = false;
-    reconnect_attempts_ = 0;
-    reconnect_backoff_ns_ = 0;
+  // Both roles: once the channel is back, replay the resend window.
+  if (conn_.replay_due && Ready()) {
     recovery_stats_.last_recovery_ns = now;
-    (void)session_.Replay();
-    PumpBytes();
+    conn_.ReplayIfDue();
+    Pump();
   }
 }
 
 void ConfidentialNode::PollControlPlane() {
-  while (session_.HasControl()) {
-    auto msg = session_.PollControl();
-    if (!msg.has_value()) {
-      break;
-    }
+  while (auto msg = conn_.session->PollControl()) {
     switch (static_cast<CtrlType>(msg->type)) {
       case CtrlType::kAttestChallenge: {
-        // Bind the report to this connection: nonce = H(challenge ||
-        // transcript), so a report lifted from another connection or signed
-        // over an old challenge fails verification. A node without a
-        // platform key answers with an empty report and takes the typed
-        // rejection.
+        // Bind the report to this connection (Connection::BindNonce). A
+        // node without a platform key answers with an empty report and
+        // takes the typed rejection.
         ciobase::Buffer report_bytes;
         if (!config_.attestation_key.empty()) {
-          ciocrypto::Sha256Digest transcript{};
-          if (session_.tls() != nullptr) {
-            transcript = session_.tls()->transcript_hash();
-          }
           // Stale-probe hook: sign zeros instead of the fresh challenge,
           // modeling a replayed report.
           ciobase::Buffer challenge =
@@ -634,11 +503,12 @@ void ConfidentialNode::PollControlPlane() {
           ciotee::AttestationAuthority authority(config_.attestation_key);
           ciotee::AttestationReport report = authority.Issue(
               ciotee::Measure(config_.code_identity, {}),
-              ciotee::BindNonce(challenge, transcript));
+              conn_.BindNonce(challenge));
           report_bytes = report.Serialize();
         }
-        (void)session_.SendControl(CtrlType::kAttestReport, report_bytes);
-        PumpBytes();
+        (void)conn_.session->SendControl(CtrlType::kAttestReport,
+                                         report_bytes);
+        Pump();
         break;
       }
       case CtrlType::kAdmitted:
@@ -651,35 +521,18 @@ void ConfidentialNode::PollControlPlane() {
         failed_ = true;
         return;
       case CtrlType::kRedirect: {
-        if (msg->body.size() != 6 || !is_client_ ||
+        if (msg->body.size() != 6 || conn_.port == 0 ||
             !config_.recovery.enabled) {
           break;
         }
-        cionet::Ipv4Address target{ciobase::LoadLe32(msg->body.data())};
-        uint16_t port = static_cast<uint16_t>(
-            msg->body[4] | static_cast<uint16_t>(msg->body[5]) << 8);
         // The session migrated: drop the transport to the old instance and
         // reconnect to the new one immediately (directed move, no backoff).
         // The resend window + fresh handshake restore exactly-once there.
         ++migrations_;
-        if (have_socket_) {
-          (void)ops_->Abort(socket_);
-        }
-        have_socket_ = false;
-        connected_transport_ = false;
-        session_.ResetChannel();
-        if (l5_ != nullptr) {
-          l5_->AbandonInFlight();
-        }
+        Teardown(/*redial_at_once=*/true);
         admitted_ = false;
-        peer_ip_ = target;
-        peer_port_ = port;
-        reconnect_pending_ = true;
-        resend_pending_ = true;
-        if (reconnect_backoff_ns_ == 0) {
-          reconnect_backoff_ns_ = config_.recovery.backoff_initial_ns;
-        }
-        next_reconnect_ns_ = clock_->now_ns();
+        conn_.peer = cionet::Ipv4Address{ciobase::LoadLe32(msg->body.data())};
+        conn_.port = ciobase::LoadLe16(msg->body.data() + 4);
         return;  // ResetChannel dropped the rest of the control inbox
       }
       default:
@@ -699,7 +552,7 @@ bool ConfidentialNode::OnLinkStatus(const ciobase::Status& link) {
   }
   // (kLinkReset needs no action here: the transport already reattached its
   // ring and TCP retransmission replays the frames that died with it.)
-  if (link.code() == ciobase::StatusCode::kTampered && have_socket_) {
+  if (link.code() == ciobase::StatusCode::kTampered && conn_.open()) {
     // The L5 reaper rejected a forged completion: treat the channel as
     // faulted, as for any hostile bytes on the receive path.
     BeginRecovery(link.message().c_str());
@@ -716,32 +569,28 @@ void ConfidentialNode::Poll() {
   if (!OnLinkStatus(ops_->Poll())) {
     return;
   }
-
-  // Server: adopt the first pending connection.
-  if (listening_ && !have_socket_) {
-    auto accepted = ops_->Accept(listener_);
+  // Server role: adopt the first pending connection.
+  if (listener_.has_value() && !conn_.open()) {
+    auto accepted = ops_->Accept(*listener_);
     if (accepted.ok()) {
-      socket_ = *accepted;
-      have_socket_ = true;
-      connected_transport_ = true;
-      session_.Start(ciotls::TlsRole::kServer, config_.seed + 1);
+      conn_.Open(*accepted, /*up=*/true, ciotls::TlsRole::kServer,
+                 config_.seed + 1);
     }
   }
-  // Client: detect transport establishment (or its death mid-handshake).
-  if (have_socket_ && !connected_transport_) {
-    auto state = ops_->State(socket_);
+  // Client role: detect transport establishment (or its death mid-handshake).
+  if (conn_.open() && !conn_.transport_up) {
+    auto state = ops_->State(conn_.socket);
     if (state.ok() && *state == cionet::TcpState::kEstablished) {
-      connected_transport_ = true;
+      conn_.transport_up = true;
     }
     if (state.ok() && *state == cionet::TcpState::kClosed) {
       BeginRecovery("transport closed before establishment");
     }
   }
-  // A dead TLS session is a fault to recover from, not a terminal state.
-  if (config_.recovery.enabled && session_.TlsFailed()) {
-    BeginRecovery("tls session failed");
+  Pump();
+  if (conn_.state == ConnState::kHandshaking && conn_.ChannelUp()) {
+    conn_.state = ConnState::kEstablished;
   }
-  PumpBytes();
   {
     CIO_PROF_SCOPE(costs_.profiler(), "engine.ctrl");
     PollControlPlane();
@@ -750,6 +599,7 @@ void ConfidentialNode::Poll() {
     CIO_PROF_SCOPE(costs_.profiler(), "engine.recovery");
     PollRecovery();
   }
+  PollDrain();
 }
 
 ciobase::Status ConfidentialNode::SendMessage(ciobase::ByteSpan message) {
@@ -757,21 +607,17 @@ ciobase::Status ConfidentialNode::SendMessage(ciobase::ByteSpan message) {
     return ciobase::FailedPrecondition("link not ready");
   }
   CIO_PROF_SCOPE(costs_.profiler(), "engine.send");
-  CIO_RETURN_IF_ERROR(session_.Send(message));
-  if (l5_ == nullptr || !l5_->queues_ready()) {
-    PumpBytes();
+  CIO_RETURN_IF_ERROR(conn_.session->Send(message));
+  if (l5_ == nullptr) {
+    Pump();  // the per-call profiles move the bytes at once
     return ciobase::OkStatus();
   }
-  // Async datapath: queue the sealed bytes in the SQ, front to back. Bytes
-  // refused under SQ or pool pushback stay in outbound() and leave, in
-  // order, at the next flush.
-  auto queued = l5_->SubmitStream(socket_, session_.outbound());
-  if (queued.ok()) {
-    session_.ConsumeOutbound(*queued);
-  }
-  // The first send after a Poll() rings the doorbell at once, so a message
-  // sent into an idle round leaves now instead of at the next Poll(); the
-  // sends after it batch behind that Poll()'s doorbell.
+  // The sealed bytes queue in the SQ with no crossing; bytes refused under
+  // SQ or pool pushback stay in outbound() and leave, in order, at the next
+  // flush. The first send after a Poll() rings the doorbell at once, so a
+  // message sent into an idle round leaves now instead of at the next
+  // Poll(); the sends after it batch behind that Poll()'s doorbell.
+  (void)conn_.Flush(*ops_);
   if (early_doorbell_) {
     early_doorbell_ = false;
     (void)OnLinkStatus(l5_->Doorbell());
@@ -781,17 +627,17 @@ ciobase::Status ConfidentialNode::SendMessage(ciobase::ByteSpan message) {
 
 ciobase::Result<ciobase::Buffer> ConfidentialNode::ReceiveMessage() {
   CIO_PROF_SCOPE(costs_.profiler(), "engine.reap");
-  return session_.Receive();
+  return conn_.session->Receive();
 }
 
 ConfidentialNode::RecoveryStats ConfidentialNode::recovery_stats() const {
   RecoveryStats stats = recovery_stats_;
-  const Session::Stats& session = session_.stats();
+  const Session::Stats& session = conn_.session->stats();
   stats.tls_restarts = session.tls_restarts + retired_.tls_restarts;
-  stats.messages_resent = session.messages_resent + retired_.resent;
-  stats.messages_duplicate_dropped =
-      session.messages_duplicate_dropped + retired_.dups;
-  stats.messages_lost = session.messages_lost + retired_.lost;
+  stats.messages_resent = session.messages_resent + retired_.messages_resent;
+  stats.messages_duplicate_dropped = session.messages_duplicate_dropped +
+                                     retired_.messages_duplicate_dropped;
+  stats.messages_lost = session.messages_lost + retired_.messages_lost;
   return stats;
 }
 

@@ -28,9 +28,11 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/base/clock.h"
+#include "src/cio/connection.h"
 #include "src/cio/dda.h"
 #include "src/cio/l2_host_device.h"
 #include "src/cio/l2_transport.h"
@@ -49,45 +51,6 @@
 
 namespace cio {
 
-// The profile-specific socket plumbing a stack assembly exposes: every
-// profile provides the same byte-stream interface over its own machinery
-// (host syscalls, guest stack, or the L5 channel into the I/O compartment).
-// ConfidentialNode drives exactly one socket through it; the multi-tenant
-// ConfidentialServer (src/serve/) multiplexes many.
-class SocketLayer {
- public:
-  virtual ~SocketLayer() = default;
-
-  virtual ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
-                                                    uint16_t port) = 0;
-  virtual ciobase::Result<cionet::SocketId> Listen(uint16_t port) = 0;
-  virtual ciobase::Result<cionet::SocketId> Accept(
-      cionet::SocketId listener) = 0;
-  virtual ciobase::Result<cionet::TcpState> State(cionet::SocketId id) = 0;
-  // Orderly close (FIN after buffered data); the server's draining state
-  // uses it.
-  virtual ciobase::Status Close(cionet::SocketId id) = 0;
-  // Abortive close (RST now); the recovery path uses it to kill a dead
-  // connection before re-establishing.
-  virtual ciobase::Status Abort(cionet::SocketId id) = 0;
-  // Returns bytes accepted (possibly 0 under backpressure).
-  virtual ciobase::Result<size_t> SendBytes(cionet::SocketId id,
-                                            ciobase::ByteSpan data) = 0;
-  // Fills `out` with the next chunk (capacity reused across calls); returns
-  // the byte count — 0 when nothing is pending — kFailedPrecondition at
-  // orderly EOF, kLinkReset when the connection died underneath us. Cheap
-  // on an idle connection in every profile: on the L5 channel it drains
-  // what the last Poll() harvested, with no crossing.
-  virtual ciobase::Result<size_t> ReceiveBytes(cionet::SocketId id, size_t max,
-                                               ciobase::Buffer& out) = 0;
-  // Remote address of an established connection (the server's reattach key).
-  virtual ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) = 0;
-  // Drives the stack; surfaces the link status (kTimedOut = transport
-  // watchdog exhausted its reset budget, kLinkReset = ring reset this round,
-  // kTampered = the L5 reaper rejected a completion).
-  virtual ciobase::Status Poll() = 0;
-};
-
 class ConfidentialNode {
  public:
   ConfidentialNode(cionet::Fabric* fabric, ciobase::SimClock* clock,
@@ -100,17 +63,27 @@ class ConfidentialNode {
   // --- Connection lifecycle ---------------------------------------------------
 
   ciobase::Status Listen(uint16_t port);
+  // kFailedPrecondition while a connection is open or still draining.
   ciobase::Status Connect(cionet::Ipv4Address peer, uint16_t port);
   // Orderly teardown of the current connection and a full session reset:
   // the node can Connect() again as a brand-new peer relationship (churn).
+  // The connection drains first, as ConfidentialServer::Drain does: no new
+  // sends, queued bytes flush, and the FIN leaves once nothing is queued or
+  // in flight; with nothing queued that happens inside this call.
   // Cumulative message/recovery counters survive in the retired totals.
   ciobase::Status Disconnect();
   // Drives everything: host devices, guest stack, TLS pumping. Call in the
   // simulation loop.
   void Poll();
-  // True once the transport is connected and (if enabled) TLS established.
-  bool Ready() const;
-  bool Failed() const;
+  // True once the transport is connected and (if enabled) TLS established,
+  // until a fault or Disconnect().
+  bool Ready() const {
+    return !failed_ && conn_.state == ConnState::kEstablished;
+  }
+  // Terminal. With recovery enabled a dead TLS session is a fault in
+  // flight, not a failure: Poll() tears it down and re-establishes; without
+  // it, the drain that saw the TLS stream fail set this.
+  bool Failed() const { return failed_; }
 
   // --- Admission / migration (client side) ------------------------------------
 
@@ -150,29 +123,34 @@ class ConfidentialNode {
   ciotee::CompartmentManager* compartments() { return compartments_.get(); }
   // The dual-boundary async datapath (null on other profiles): the server
   // drives batched egress + per-connection teardown through this.
-  L5Channel* l5() { return l5_.get(); }
+  L5Channel* l5() { return l5_; }
   L2Transport* l2_transport() { return l2_transport_.get(); }
   ciovirtio::VirtioNetDriver* virtio_driver() { return virtio_driver_.get(); }
   DdaTransport* dda_transport() { return dda_transport_.get(); }
   TunnelPort* tunnel_port() { return tunnel_port_.get(); }
   ciotee::SharedRegion* shared_region() { return shared_.get(); }
-  const ciotls::TlsSession* tls() const { return session_.tls(); }
+  const ciotls::TlsSession* tls() const { return conn_.session->tls(); }
   // The profile's socket plumbing: the multi-tenant server drives its own
   // connection table through this instead of the node's single socket.
   SocketLayer* sockets() { return ops_.get(); }
+  // A fresh session under this node's channel policy (PSK, TLS, resend
+  // window, rekey thresholds); the server opens one per new connection.
+  std::unique_ptr<Session> NewSession() const;
   // Application-level operations completed (messages in + out): the
   // denominator of the observability score.
   uint64_t app_ops() const { return messages_sent() + messages_received(); }
   uint64_t messages_sent() const {
-    return session_.stats().messages_sent + retired_.sent;
+    return conn_.session->stats().messages_sent + retired_.messages_sent;
   }
   uint64_t messages_received() const {
-    return session_.stats().messages_received + retired_.received;
+    return conn_.session->stats().messages_received +
+           retired_.messages_received;
   }
   // Send-direction key updates initiated (live session + retired ones).
-  uint64_t rekeys() const { return session_.stats().rekeys + retired_.rekeys; }
-  const Session& session() const { return session_; }
-  Session& session_mut() { return session_; }
+  uint64_t rekeys() const {
+    return conn_.session->stats().rekeys + retired_.rekeys;
+  }
+  const Session& session() const { return *conn_.session; }
 
   // Link-recovery bookkeeping (PR 2): what the node survived and what it
   // cost. `messages_lost` counts receive-side sequence gaps — messages a
@@ -192,25 +170,33 @@ class ConfidentialNode {
   RecoveryStats recovery_stats() const;
 
  private:
-  struct SyscallOps;       // profile-specific byte-stream plumbing
-  struct GuestStackOps;
-  struct DualBoundaryOps;
+  struct StackOps;  // a NetStack's sockets (guest-owned, or host syscalls)
 
-  void PumpBytes();
+  // One round of the connection: flush, drain, flush.
+  void Pump();
+  // Flushes outbound() and, on the L5 channel, rings the doorbell once if
+  // anything was queued.
+  void Flush();
   // Acts on the link status a doorbell returns, for Poll() and the early
   // doorbell alike: kTimedOut fails the node (returns false), kTampered
   // begins recovery.
   bool OnLinkStatus(const ciobase::Status& link);
-  // Tears down the failed secure channel and schedules re-establishment
-  // (client re-connects with backoff; server re-arms its accept loop).
+  // Counts the fault and tears the secure channel down for re-establishment.
   void BeginRecovery(const char* reason);
+  // Abortive teardown plus the client's L5 ring reset; schedules the redial
+  // (at once for a redirect) unless the connection was draining, which ends
+  // the drain instead.
+  void Teardown(bool redial_at_once);
   // Drives reconnect attempts and resend-window replay from Poll().
   void PollRecovery();
   // Drains the session's control inbox: attestation challenges, admission
   // verdicts, migration redirects.
   void PollControlPlane();
-  // Folds the live session's counters into the retired totals (Disconnect).
-  void RetireSessionStats();
+  // Sends the FIN once a draining connection has flushed, then retires.
+  void PollDrain();
+  // Folds the live session's counters into the retired totals and starts
+  // over with a fresh session and a closed connection.
+  void Retire();
 
   StackConfig config_;
   cionet::Ipv4Address ip_;
@@ -233,34 +219,21 @@ class ConfidentialNode {
   std::unique_ptr<ciotee::AttestationAuthority> device_authority_;
   std::unique_ptr<DdaDevice> dda_device_;
   std::unique_ptr<DdaTransport> dda_transport_;
-  std::unique_ptr<cionet::NetStack> guest_stack_;
-  std::unique_ptr<cionet::FramePort> host_port_;
-  std::unique_ptr<cionet::NetStack> host_stack_;  // syscall profile
-  std::unique_ptr<L5Channel> l5_;
+  std::unique_ptr<cionet::FramePort> host_port_;  // syscall profile
+  // The node's one TCP/IP stack: the guest's own, or on the syscall profile
+  // the host's.
+  std::unique_ptr<cionet::NetStack> stack_;
+  // The profile's sockets: a StackOps, or on dual-boundary the L5 channel.
   std::unique_ptr<SocketLayer> ops_;
+  L5Channel* l5_ = nullptr;  // ops_ on the dual-boundary profile
 
-  // The single secure channel this node runs (TLS + framing + resend
-  // window); src/serve/ holds one Session per connection instead.
-  Session session_;
-  bool listening_ = false;
-  bool connected_transport_ = false;
-  uint16_t listen_port_ = 0;
-  cionet::SocketId listener_{};
-  cionet::SocketId socket_{};
-  bool have_socket_ = false;
-  ciobase::Buffer rx_scratch_;  // reusable inbound chunk staging (PumpBytes)
+  // The single secure channel this node runs; src/serve/ holds a table of
+  // Connections instead. The client role has a dial target (conn_.port).
+  Connection conn_;
+  std::optional<cionet::SocketId> listener_;  // the server role
+  ciobase::Buffer rx_scratch_;  // reusable inbound chunk staging (Pump)
   bool early_doorbell_ = true;  // next SendMessage rings; re-armed by Poll()
   bool failed_ = false;
-
-  // Recovery state machine (active only with config_.recovery.enabled).
-  bool is_client_ = false;
-  cionet::Ipv4Address peer_ip_{};
-  uint16_t peer_port_ = 0;
-  bool reconnect_pending_ = false;   // channel down, re-establishment due
-  bool resend_pending_ = false;      // replay the window once Ready() again
-  uint32_t reconnect_attempts_ = 0;
-  uint64_t next_reconnect_ns_ = 0;
-  uint64_t reconnect_backoff_ns_ = 0;
   RecoveryStats recovery_stats_;  // link-level half; session owns the rest
 
   // Admission / migration state (client side).
@@ -270,16 +243,7 @@ class ConfidentialNode {
   uint64_t sessions_retired_ = 0;
   // Counters of sessions already retired by Disconnect(), so churn-style
   // reuse doesn't erase a node's lifetime accounting.
-  struct RetiredTotals {
-    uint64_t sent = 0;
-    uint64_t received = 0;
-    uint64_t resent = 0;
-    uint64_t dups = 0;
-    uint64_t lost = 0;
-    uint64_t tls_restarts = 0;
-    uint64_t rekeys = 0;
-  };
-  RetiredTotals retired_;
+  Session::Stats retired_;
 };
 
 // Convenience for tests/benchmarks: two nodes on one fabric, pumped until

@@ -12,7 +12,8 @@ L5Channel::L5Channel(ciotee::CompartmentManager* compartments,
                      ciotee::CompartmentId app, ciotee::CompartmentId io,
                      cionet::NetStack* stack, ciobase::CostModel* costs,
                      L5ReceiveMode receive_mode, L5BoundaryKind boundary_kind,
-                     const L5QueueConfig& queues)
+                     const L5QueueConfig& queues,
+                     std::function<void()> host_poll)
     : compartments_(compartments),
       app_(app),
       io_(io),
@@ -20,7 +21,8 @@ L5Channel::L5Channel(ciotee::CompartmentManager* compartments,
       costs_(costs),
       receive_mode_(receive_mode),
       boundary_kind_(boundary_kind),
-      queues_(queues) {
+      queues_(queues),
+      host_poll_(std::move(host_poll)) {
   InitQueues();
 }
 
@@ -98,12 +100,8 @@ ciobase::Result<cionet::TcpState> L5Channel::State(cionet::SocketId socket) {
 }
 
 ciobase::Status L5Channel::Close(cionet::SocketId socket) {
-  // An orderly close must not outrun this socket's queued submissions: the
-  // FIN would precede (or discard) data still sitting in the SQ. One
-  // doorbell pushes whatever is pending before the stack sees the close.
-  if (HasInFlightSends(socket)) {
-    (void)Doorbell();
-  }
+  // Owners close only once HasInFlightSends() is false (cio::Connection::
+  // CloseIfDrained), so the FIN never outruns data still sitting in the SQ.
   Crossing crossing(this);
   return stack_->TcpClose(socket);
 }
@@ -722,19 +720,6 @@ void L5Channel::AbandonInFlight() {
 }
 
 // --- Byte-stream surface ----------------------------------------------------
-
-ciobase::Result<size_t> L5Channel::SendOne(cionet::SocketId socket,
-                                           ciobase::ByteSpan data) {
-  auto accepted = SubmitStream(socket, data);
-  if (!accepted.ok()) {
-    return accepted;
-  }
-  ciobase::Status rung = Doorbell();
-  if (rung.code() == ciobase::StatusCode::kTampered) {
-    return rung;
-  }
-  return accepted;
-}
 
 ciobase::Result<size_t> L5Channel::ReceiveOne(cionet::SocketId socket,
                                               size_t max_bytes,

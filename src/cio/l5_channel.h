@@ -37,10 +37,12 @@
 #define SRC_CIO_L5_CHANNEL_H_
 
 #include <deque>
+#include <functional>
 #include <map>
 
 #include "src/base/clock.h"
 #include "src/cio/buffer_pool.h"
+#include "src/cio/connection.h"
 #include "src/cio/sqcq.h"
 #include "src/net/stack.h"
 #include "src/tee/compartment.h"
@@ -50,27 +52,53 @@ namespace cio {
 enum class L5ReceiveMode { kCopy, kRevoke, kSealed };
 enum class L5BoundaryKind { kCompartment, kDualTee };
 
-class L5Channel {
+// The dual-boundary profile's SocketLayer: every socket call of the app
+// goes through this channel into the I/O compartment.
+class L5Channel final : public SocketLayer {
  public:
+  // `host_poll` runs the host backend under the stack (the node's L2 host
+  // device) before each Poll()'s doorbell, so the doorbell harvests what
+  // the fabric has delivered by now.
   L5Channel(ciotee::CompartmentManager* compartments,
             ciotee::CompartmentId app, ciotee::CompartmentId io,
             cionet::NetStack* stack, ciobase::CostModel* costs,
             L5ReceiveMode receive_mode, L5BoundaryKind boundary_kind,
-            const L5QueueConfig& queues = L5QueueConfig{});
+            const L5QueueConfig& queues = L5QueueConfig{},
+            std::function<void()> host_poll = {});
 
   // Connection management: thin crossings into the I/O compartment. A
   // socket from Connect or Accept is kept armed for receive until Abort or
   // CancelSocket retires it.
   ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
-                                            uint16_t port);
-  ciobase::Result<cionet::SocketId> Listen(uint16_t port);
-  ciobase::Result<cionet::SocketId> Accept(cionet::SocketId listener);
-  ciobase::Result<cionet::TcpState> State(cionet::SocketId socket);
-  ciobase::Status Close(cionet::SocketId socket);
+                                            uint16_t port) override;
+  ciobase::Result<cionet::SocketId> Listen(uint16_t port) override;
+  ciobase::Result<cionet::SocketId> Accept(cionet::SocketId listener) override;
+  ciobase::Result<cionet::TcpState> State(cionet::SocketId socket) override;
+  ciobase::Status Close(cionet::SocketId socket) override;
   // Abortive close (RST now): the engine's recovery path kills dead
   // connections through this before re-establishing.
-  ciobase::Status Abort(cionet::SocketId socket);
-  ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId socket);
+  ciobase::Status Abort(cionet::SocketId socket) override;
+  ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId socket) override;
+  // Queues sealed bytes with no crossing (SubmitStream); the owner rings
+  // the doorbell once after its flush.
+  ciobase::Result<size_t> SendBytes(cionet::SocketId socket,
+                                    ciobase::ByteSpan data) override {
+    return SubmitStream(socket, data);
+  }
+  ciobase::Result<size_t> ReceiveBytes(cionet::SocketId socket, size_t max,
+                                       ciobase::Buffer& out) override {
+    return ReceiveOne(socket, max, out);
+  }
+  // The host backend fills RX first, then the round's doorbell. Nothing
+  // polls the backend afterwards: the polled L2 host services the ring at
+  // every guest publish, so frames this doorbell emits leave when they are
+  // published, as a notify-mode kick would send them.
+  ciobase::Status Poll() override {
+    if (host_poll_) {
+      host_poll_();
+    }
+    return Doorbell();
+  }
 
   // --- Async datapath --------------------------------------------------------
 
@@ -115,10 +143,6 @@ class L5Channel {
   void AbandonInFlight();
 
   // --- Byte-stream surface (SocketLayer) -------------------------------------
-
-  // Submit-and-doorbell one streaming send. Returns bytes accepted.
-  ciobase::Result<size_t> SendOne(cionet::SocketId socket,
-                                  ciobase::ByteSpan data);
 
   // Drains this socket's already-harvested receive events into `out`
   // (cleared; capacity reused) — no doorbell, no crossing. Ok(0) = nothing
@@ -245,6 +269,7 @@ class L5Channel {
   L5ReceiveMode receive_mode_;
   L5BoundaryKind boundary_kind_;
   L5QueueConfig queues_;
+  std::function<void()> host_poll_;
   Stats stats_;
 
   bool queues_ready_ = false;

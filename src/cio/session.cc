@@ -427,19 +427,4 @@ ciobase::Result<std::unique_ptr<Session>> Session::Restore(
   return session;
 }
 
-void Session::Forget() {
-  tls_.reset();
-  outbound_.clear();
-  frame_rx_.clear();
-  inbox_.clear();
-  control_inbox_.clear();
-  resend_window_.clear();
-  next_send_seq_ = 1;
-  last_delivered_seq_ = 0;
-  records_since_rekey_ = 0;
-  bytes_since_rekey_ = 0;
-  started_once_ = false;
-  stats_ = Stats{};
-}
-
 }  // namespace cio

@@ -176,12 +176,8 @@ class Session {
   static ciobase::Result<std::unique_ptr<Session>> Restore(
       ciobase::ByteSpan blob, RekeyPolicy rekey = {});
 
-  // Resets ALL state (sequence numbers, window, stats, channel) so the
-  // object can serve a brand-new peer relationship — churn-style reuse.
-  void Forget();
-
   // In-sim profiler for the owning node ("session.seal"/"session.open"
-  // probes); null = disabled. Survives Start()/ResetChannel()/Forget().
+  // probes); null = disabled. Survives Start()/ResetChannel().
   void set_profiler(cioprof::ProfRegistry* profiler) { prof_ = profiler; }
   cioprof::ProfRegistry* profiler() const { return prof_; }
 

@@ -54,9 +54,9 @@ StackConfig StackConfig::DefaultsFor(StackProfile profile, uint32_t node_id) {
   if (profile == StackProfile::kDualBoundary) {
     // With the async datapath every payload byte is sealed end to end, so
     // the defensive per-byte receive copies at both layers are redundant
-    // with the AEAD check: harvest in place, snapshot only headers.
+    // with the AEAD check: harvest in place (the L2 layer snapshots only
+    // headers on this profile).
     config.l5_receive = L5ReceiveMode::kSealed;
-    config.l2_sealed_rx = true;
   }
   return config;
 }
@@ -68,8 +68,8 @@ bool StackConfig::Valid() const {
   if (!recovery.Valid()) {
     return false;
   }
-  if (!l5_queue.Valid()) {
-    return false;
+  if (!l5_queue.Valid() || l5_queue.TotalBytes() > kIoHeapBytes) {
+    return false;  // a region the I/O heap refuses would wedge the node
   }
   const cionet::TcpConnection::Tuning& t = tcp_tuning;
   if (t.initial_rto_ns < t.min_rto_ns || t.initial_rto_ns > t.max_rto_ns) {

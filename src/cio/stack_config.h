@@ -47,6 +47,10 @@ inline constexpr int kStackProfileCount = 6;
 std::string_view StackProfileName(StackProfile profile);
 std::vector<StackProfile> AllStackProfiles();
 
+// The I/O compartment heap of a dual-boundary node: the L5 channel registers
+// its one queue region (L5QueueConfig::TotalBytes) there.
+inline constexpr size_t kIoHeapBytes = size_t{4} << 20;
+
 // The trust model each profile instantiates (§2.1/§3.1).
 ciotee::TrustModel ProfileTrustModel(StackProfile profile);
 
@@ -64,12 +68,9 @@ struct StackConfig {
   ReceiveOwnership l2_rx_ownership = ReceiveOwnership::kCopy;
   bool l2_polling = true;
 
-  // Async L5 datapath: SQ/CQ geometry + sealed-buffer pool.
+  // Async L5 datapath: SQ/CQ geometry + sealed-buffer pool. The whole
+  // region must fit the I/O compartment heap (kIoHeapBytes).
   L5QueueConfig l5_queue;
-  // Sealed L2 receive: charge only a header snapshot per frame instead of a
-  // defensive payload copy — sound when every payload byte is authenticated
-  // by the L5 AEAD layer before parsing (the dual-boundary default).
-  bool l2_sealed_rx = false;
 
   // Guest (and, for the syscall profile, host-proxy) TCP stack tuning. The
   // recovery campaign shrinks the RTO so retransmit-driven catch-up fits in

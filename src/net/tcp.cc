@@ -205,17 +205,24 @@ void TcpConnection::Abort() {
   }
 }
 
+uint32_t TcpConnection::UnsentOffset() const {
+  uint32_t data_base = iss_ + 1;  // first data sequence number
+  uint32_t sent = snd_nxt_ - data_base;  // data bytes already streamed out
+  if (fin_sent_) {
+    sent -= 1;
+  }
+  // send_buffer_ front corresponds to snd_una_'s data byte; `sent` counts
+  // from data_base, so the acked prefix comes off it.
+  uint32_t acked = snd_una_ == iss_ ? 0 : snd_una_ - data_base;  // SYN unacked
+  return sent - acked;
+}
+
 void TcpConnection::MaybeSendFin() {
   if (!fin_queued_ || fin_sent_) {
     return;
   }
   // FIN goes out only after all buffered data has been transmitted.
-  uint32_t data_base = iss_ + 1;
-  uint32_t unsent =
-      static_cast<uint32_t>(send_buffer_.size()) -
-      std::min<uint32_t>(static_cast<uint32_t>(send_buffer_.size()),
-                         snd_nxt_ - data_base);
-  if (unsent > 0 || state_ == TcpState::kSynSent ||
+  if (UnsentOffset() < send_buffer_.size() || state_ == TcpState::kSynSent ||
       state_ == TcpState::kSynReceived) {
     return;
   }
@@ -237,20 +244,9 @@ void TcpConnection::TrySendData() {
     MaybeSendFin();
     return;
   }
-  uint32_t data_base = iss_ + 1;  // first data sequence number
   for (;;) {
-    uint32_t sent = snd_nxt_ - data_base;  // data bytes already streamed out
-    if (fin_sent_) {
-      sent -= 1;
-    }
     uint32_t buffered = static_cast<uint32_t>(send_buffer_.size());
-    // send_buffer_ front corresponds to snd_una_'s data byte; `sent` counts
-    // from data_base, so in-buffer offset of the next unsent byte is:
-    uint32_t acked = snd_una_ - data_base;  // data bytes fully acked
-    if (snd_una_ == iss_) {
-      acked = 0;  // SYN itself unacked
-    }
-    uint32_t unsent_offset = sent - acked;
+    uint32_t unsent_offset = UnsentOffset();
     if (unsent_offset >= buffered) {
       break;  // nothing new to send
     }

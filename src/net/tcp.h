@@ -150,6 +150,8 @@ class TcpConnection {
   void HandleData(const TcpHeader& header, ciobase::ByteSpan payload);
   void ProcessFin(uint32_t fin_seq);
   void MaybeSendFin();
+  // In-buffer offset of the next unsent byte of send_buffer_.
+  uint32_t UnsentOffset() const;
   void RetransmitHead();
   void EnterTimeWait();
   void Fail(std::string reason);

@@ -6,11 +6,12 @@
 // L2 transport and the same single-distrust L5 boundary — which raises
 // exactly the problems this subsystem owns:
 //
-//  * Connection table. Every client gets its own cio::Session (TLS, framing,
-//    resend window) keyed by a connection id, with an explicit lifecycle:
-//    handshaking -> established -> draining -> closed. The per-connection
-//    recovery state is the PR-2 machinery, shared with the engine through
-//    cio::Session — one implementation, two owners.
+//  * Connection table. Every client gets its own cio::Connection (socket,
+//    cio::Session with TLS, framing and resend window) keyed by a connection
+//    id, with an explicit lifecycle: handshaking -> established -> draining
+//    -> closed. Drain, flush, close, teardown and replay are the same
+//    cio::Connection steps the single-socket engine runs — one state
+//    machine, two owners; this class keeps only table policy.
 //
 //  * Completion-driven poll loop. One Poll() drives the transport once — on
 //    the L5 channel that is the round's one receive doorbell, harvesting
@@ -47,6 +48,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,23 +60,7 @@
 
 namespace cioserve {
 
-// Connection lifecycle. kHandshaking covers TCP establishment + the TLS
-// flight; kAttesting means the channel is up but the client still owes a
-// transcript-bound attestation report (attestation-gated admission);
-// kDraining means Close was requested and queued output is still flushing
-// (no new Sends accepted); kMigrating means the session was exported to
-// another instance and only the redirect still needs to flush; kClosed
-// connections are reaped.
-enum class ConnState {
-  kHandshaking,
-  kAttesting,
-  kEstablished,
-  kDraining,
-  kMigrating,
-  kClosed,
-};
-
-std::string_view ConnStateName(ConnState state);
+using cio::ConnState;
 
 using ConnId = uint64_t;
 
@@ -89,22 +75,9 @@ struct ServerConfig {
   // kResourceExhausted beyond it.
   size_t max_send_queue_bytes = 256 << 10;
 
-  // Deficit round-robin: bytes of transport credit each established
-  // connection accrues per Poll() round.
-  size_t drr_quantum_bytes = 4096;
-
-  // Inbound chunking per connection per round (bounds one client's share
-  // of a round even when its pipe is full).
-  size_t rx_chunk_bytes = 16384;
-  size_t max_rx_chunks_per_round = 4;
-
   // How long a faulted connection's Session stays parked awaiting the
   // client's reconnect before its state (and resend window) is dropped.
   uint64_t reattach_timeout_ns = 500'000'000;
-
-  // A connection stuck in kHandshaking (or kAttesting) longer than this is
-  // aborted (slow handshakes hold a table slot; this bounds the squat).
-  uint64_t handshake_timeout_ns = 2'000'000'000;
 
   // Attestation-gated admission. When enabled, every established channel
   // (including reattaches after a fault) is challenged with a fresh nonce
@@ -216,17 +189,22 @@ class ConfidentialServer {
   cio::ConfidentialNode* node() { return node_; }
 
  private:
-  struct Connection {
+  // Deficit round-robin: bytes of transport credit each backlogged
+  // connection accrues per Poll() round (capped at 8 quanta).
+  static constexpr size_t kDrrQuantumBytes = 4096;
+  // Inbound chunks per connection per round: bounds one client's share of
+  // a round even when its pipe is full.
+  static constexpr size_t kMaxRxChunksPerRound = 4;
+  // A connection stuck in kHandshaking (or kAttesting) longer than this is
+  // aborted: slow handshakes hold a table slot, and this bounds the squat.
+  static constexpr uint64_t kHandshakeTimeoutNs = 2'000'000'000;
+
+  // One table entry: the shared connection state machine plus this
+  // server's scheduling and admission state.
+  struct Entry : cio::Connection {
     ConnId id = 0;
-    cionet::SocketId socket{};
-    cionet::Ipv4Address peer{};
-    ConnState state = ConnState::kHandshaking;
-    // The per-connection secure channel; a unique_ptr so it can be parked
-    // across a transport fault and reattached on reconnect.
-    std::unique_ptr<cio::Session> session;
     size_t drr_deficit = 0;     // unused transport credit (DRR)
     uint64_t opened_ns = 0;
-    bool reattached = false;    // carries a recovered session
     ciobase::Buffer challenge;  // admission nonce (kAttesting only)
   };
 
@@ -239,23 +217,22 @@ class ConfidentialServer {
   };
 
   void AcceptPending();
-  // The transport under `conn` died: park its Session for reattach and
-  // drop the connection from the table.
-  void ParkConnection(Connection& conn);
-  // Orderly teardown: FIN, then release every L5 resource (pool slots,
-  // armed recv entries, held completions) the socket still pins.
-  void CloseAndRelease(Connection& conn);
-  // Moves inbound bytes into and outbound bytes out of the Session, within
-  // this round's budgets. Returns false when the connection died.
-  bool PumpConnection(Connection& conn);
+  // The open entry `id`, or null.
+  Entry* Find(ConnId id);
+  // The transport under `entry` died: cancel its L5 queue state, abort,
+  // and park its Session for reattach unless it was draining or migrating.
+  void Park(Entry& entry);
+  // Drains inbound bytes into the Session within this round's budget, then
+  // runs admission and delivers to the inbox.
+  void Step(Entry& entry);
   // Channel up (and, when gated, attested): established + reattach replay.
-  void Admit(Connection& conn);
+  void Admit(Entry& entry);
   // Checks a client's attestation report against the expected measurement
   // and this connection's {challenge, transcript}-bound nonce.
-  ciobase::Status VerifyReport(const Connection& conn,
+  ciobase::Status VerifyReport(const Entry& entry,
                                ciobase::ByteSpan report_bytes) const;
   // kAttesting: consume the client's report and admit or deny.
-  void PumpAdmission(Connection& conn);
+  void PumpAdmission(Entry& entry);
   void FlushOutbound();  // DRR pass over connections with queued output
   void Reap();           // drop kClosed connections, expire parked sessions
 
@@ -264,12 +241,11 @@ class ConfidentialServer {
   ciobase::SimClock* clock_;
   ServerConfig config_;
 
-  bool listening_ = false;
-  cionet::SocketId listener_{};
+  std::optional<cionet::SocketId> listener_;  // set by Start()
   ConnId next_conn_id_ = 1;
   // Poll/flush iterate in id order, which doubles as round-robin order;
   // DRR deficits make the shares fair regardless of iteration order.
-  std::map<ConnId, Connection> connections_;
+  std::map<ConnId, Entry> connections_;
   // Faulted connections' sessions awaiting the client's reconnect, keyed
   // by peer address (the engine reconnects from the same simulated IP).
   std::map<uint32_t, ParkedSession> parked_;

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -251,6 +254,70 @@ TEST(DualBoundary, CloseSendsTheFinWhenItIsCalled) {
   ASSERT_TRUE(pair.client->Disconnect().ok());  // L5Channel::Close: the FIN
   EXPECT_EQ(StrandedTxFrames(*pair.client), 0u);
   EXPECT_EQ(pair.fabric->stats().frames_routed - routed, 1u);
+}
+
+// Disconnect() right after SendMessage drains the way ConfidentialServer::
+// Drain does: the queued bytes flush, and the FIN leaves only behind the
+// last of them, so the peer reads the whole message before its EOF. The
+// smaller sizes fit TCP's 256 KiB send buffer and lose their tail only if
+// the FIN overtakes data the window held back; the larger ones are still
+// queued above TCP when Disconnect() is called.
+class DisconnectDrainTest
+    : public ::testing::TestWithParam<std::tuple<StackProfile, size_t>> {};
+
+TEST_P(DisconnectDrainTest, MessageSentBeforeDisconnectArrivesWhole) {
+  const auto [profile, size] = GetParam();
+  LinkedPair pair(Options(profile, 1), Options(profile, 2));
+  ASSERT_TRUE(pair.Establish());
+  const Buffer message = ciobase::Rng(11).Bytes(size);
+  ASSERT_TRUE(pair.client->SendMessage(message).ok());
+  ASSERT_TRUE(pair.client->Disconnect().ok());
+  EXPECT_FALSE(pair.client->Ready());  // no new sends while draining
+  Buffer at_server;
+  ASSERT_TRUE(pair.PumpUntil([&] {
+    auto received = pair.server->ReceiveMessage();
+    if (received.ok()) {
+      at_server = *received;
+      return true;
+    }
+    return false;
+  })) << "the message died with the connection";
+  EXPECT_EQ(at_server, message);
+  ASSERT_TRUE(pair.PumpUntil(
+      [&] { return pair.client->sessions_retired() == 1; }));
+  EXPECT_FALSE(pair.client->Failed());
+  if (const L5Channel* l5 = pair.client->l5()) {
+    EXPECT_EQ(l5->free_slots(), l5->queue_config().pool_slots);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, DisconnectDrainTest,
+    ::testing::Values(std::make_tuple(StackProfile::kDualBoundary, 48 << 10),
+                      std::make_tuple(StackProfile::kPassthroughL2, 200 << 10),
+                      std::make_tuple(StackProfile::kDualBoundary, 300 << 10),
+                      std::make_tuple(StackProfile::kPassthroughL2, 300 << 10),
+                      std::make_tuple(StackProfile::kDualBoundary, 600 << 10),
+                      std::make_tuple(StackProfile::kPassthroughL2,
+                                      600 << 10)),
+    [](const ::testing::TestParamInfo<DisconnectDrainTest::ParamType>& info) {
+      std::string name(StackProfileName(std::get<0>(info.param)));
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name + "_" + std::to_string(std::get<1>(info.param) >> 10) +
+             "KiB";
+    });
+
+// An L5 queue region larger than the I/O compartment heap cannot be
+// registered. The node fails at construction, as for any invalid config,
+// instead of wedging neither Ready() nor Failed().
+TEST(DualBoundary, QueueRegionBeyondTheIoHeapFailsAtConstruction) {
+  StackConfig client = Options(StackProfile::kDualBoundary, 1);
+  client.l5_queue.pool_slots = 1024;  // 4 MiB of slots alone
+  EXPECT_TRUE(client.l5_queue.Valid());
+  EXPECT_FALSE(client.Valid());
+  LinkedPair pair(client, Options(StackProfile::kDualBoundary, 2));
+  EXPECT_TRUE(pair.client->Failed());
+  EXPECT_FALSE(pair.Establish());
 }
 
 // --- Figure-level orderings ----------------------------------------------------

@@ -448,8 +448,9 @@ TEST(PoolAccounting, SlotsBalancedAfterChurnAndFaults) {
       200000));
 
   // The audit: every registered pool slot is back in the free list on both
-  // sides of the boundary. Before the CloseAndRelease/Disconnect fix the
-  // server leaked each closed connection's armed receive slots.
+  // sides of the boundary. An orderly close (cio::Connection::Close) must
+  // cancel the socket's L5 state, or the server leaks each closed
+  // connection's armed receive slots.
   cio::L5Channel* server_l5 = world.server_node->l5();
   ASSERT_NE(server_l5, nullptr);
   EXPECT_EQ(server_l5->free_slots(), server_l5->queue_config().pool_slots);

@@ -113,6 +113,36 @@ TEST(TcpUnit, DataSendAndAck) {
   EXPECT_FALSE(conn.failed());
 }
 
+// The send buffer starts at snd_una, so bytes already acknowledged are no
+// longer in it: a Close() while the peer's window holds data back must not
+// let the FIN leave ahead of that data.
+TEST(TcpUnit, FinWaitsForDataTheWindowHeldBack) {
+  ciobase::SimClock clock;
+  TcpConnection conn =
+      TcpConnection::ActiveOpen(&clock, Endpoints(), 1460, /*iss=*/100);
+  Drain(conn);
+  // The peer's window holds one segment.
+  conn.OnSegment(MakeSegment(5000, 101, kTcpFlagSyn | kTcpFlagAck, 1460), {});
+  Drain(conn);
+  ASSERT_TRUE(conn.Send(Buffer(3000, 0xab)).ok());
+  EXPECT_EQ(Drain(conn).size(), 1u);
+  // The first segment is acknowledged: the second leaves, 80 bytes wait.
+  conn.OnSegment(MakeSegment(5001, 1561, kTcpFlagAck, 1460), {});
+  EXPECT_EQ(Drain(conn).size(), 1u);
+  conn.Close();
+  for (const OutSegment& segment : Drain(conn)) {
+    EXPECT_EQ(segment.header.flags & kTcpFlagFin, 0) << "FIN overtook data";
+  }
+  // The second segment is acknowledged: the last 80 bytes, then the FIN.
+  conn.OnSegment(MakeSegment(5001, 3021, kTcpFlagAck, 1460), {});
+  auto out = Drain(conn);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].header.seq, 3021u);
+  EXPECT_EQ(out[0].payload.size(), 80u);
+  EXPECT_NE(out[1].header.flags & kTcpFlagFin, 0);
+  EXPECT_EQ(out[1].header.seq, 3101u);
+}
+
 TEST(TcpUnit, RetransmissionOnTimeoutWithBackoff) {
   ciobase::SimClock clock;
   TcpConnection conn = EstablishedClient(&clock);
