@@ -1,6 +1,8 @@
 // §3.3 storage benchmarks: 4 KiB-class operations through the layers of
 // the dual-boundary storage stack — raw hardened block ring, + encryption
-// at rest, + extent FS, + the full ConfidentialStore (compartment boundary
+// at rest, + durable generations (the encrypted layer with a rollback
+// counter, flushed every 16th write, so each flush commits the generation
+// table), + the full ConfidentialStore (extent FS, compartment boundary
 // and app-side sealing). Sequential and random access, modeled clock.
 //
 // `--json <path>` additionally writes the table as a JSON array, one
@@ -14,6 +16,7 @@
 
 #include "src/base/rng.h"
 #include "src/blockio/store.h"
+#include "src/tee/monotonic_counter.h"
 
 namespace {
 
@@ -25,9 +28,10 @@ struct StorageWorld {
   std::unique_ptr<ciotee::SharedRegion> shared;
   std::unique_ptr<cioblock::HostBlockDevice> device;
   std::unique_ptr<cioblock::RingBlockClient> ring;
+  ciotee::MonotonicCounter rollback_counter;
   std::unique_ptr<cioblock::EncryptedBlockClient> crypt;
 
-  StorageWorld() {
+  explicit StorageWorld(bool durable_generations = false) {
     config.block_count = 2048;
     shared = std::make_unique<ciotee::SharedRegion>(
         &memory, config.RegionSize(), "ring");
@@ -35,9 +39,12 @@ struct StorageWorld {
         shared.get(), config, nullptr, nullptr, &clock);
     ring = std::make_unique<cioblock::RingBlockClient>(shared.get(), config,
                                                        device.get(), &costs);
+    cioblock::CryptClientOptions options;
+    options.durable_generations = durable_generations;
+    options.rollback_counter = &rollback_counter;
     crypt = std::make_unique<cioblock::EncryptedBlockClient>(
         ring.get(), ciobase::BufferFromString("disk-key-0123456789abcdef"),
-        &costs);
+        &costs, options);
   }
 };
 
@@ -54,8 +61,11 @@ double OpsPerSec(uint64_t ops, uint64_t modeled_ns) {
                                static_cast<double>(modeled_ns);
 }
 
+// `flush_every` > 0 flushes after every that-many writes, inside the
+// timed write loop.
 Row BenchClient(const char* name, cioblock::BlockClient* client,
-                ciobase::SimClock* clock, bool random_access) {
+                ciobase::SimClock* clock, bool random_access,
+                int flush_every = 0) {
   ciobase::Rng rng(5);
   ciobase::Buffer block = rng.Bytes(client->block_size());
   constexpr int kOps = 300;
@@ -64,6 +74,9 @@ Row BenchClient(const char* name, cioblock::BlockClient* client,
     uint64_t lba = random_access ? rng.NextBounded(1024)
                                  : static_cast<uint64_t>(i % 1024);
     (void)client->WriteBlock(lba, block);
+    if (flush_every > 0 && (i + 1) % flush_every == 0) {
+      (void)client->Flush();
+    }
   }
   uint64_t write_ns = clock->now_ns() - start_ns;
   start_ns = clock->now_ns();
@@ -128,6 +141,12 @@ int main(int argc, char** argv) {
       rows.push_back(BenchClient("+ encryption at rest", world.crypt.get(),
                                  &world.clock, random_access));
     }
+    {
+      StorageWorld world(/*durable_generations=*/true);
+      rows.push_back(BenchClient("+ durable generations", world.crypt.get(),
+                                 &world.clock, random_access,
+                                 /*flush_every=*/16));
+    }
   }
 
   // Full store with compartment boundary and app-side sealing.
@@ -172,7 +191,8 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nShape: the hardened ring itself costs one copy per op; encryption\n"
-      "adds the AEAD per block; the full store adds the compartment\n"
-      "crossing and value sealing — the same layering as the network path.\n");
+      "adds the AEAD per block; durable generations add a table commit per\n"
+      "flush; the full store adds the compartment crossing and value\n"
+      "sealing — the same layering as the network path.\n");
   return 0;
 }

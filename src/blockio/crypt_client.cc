@@ -1,14 +1,32 @@
 #include "src/blockio/crypt_client.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/base/coverage.h"
+#include "src/crypto/hkdf.h"
 
 namespace cioblock {
+namespace {
 
-// Stored block layout: [generation u64][sealed_len u32][ciphertext || tag].
-// generation and sealed_len are bound into the AEAD associated data along
-// with the LBA, so the host cannot tamper with them undetected.
+// A data block or chunk stores its generation, the head of its nonce.
+constexpr size_t kGenerationBytes = 8;
+// A root stores its whole synthetic nonce.
+constexpr size_t kRootOverhead =
+    ciocrypto::kAeadNonceSize + 4 + ciocrypto::kAeadTagSize;
+// Root plaintext: [epoch u64], then per chunk [generation u64][home u8].
+constexpr size_t kRootEpochBytes = 8;
+constexpr size_t kRootEntryBytes = 9;
+// Bound into a root's associated data in place of an LBA.
+constexpr uint64_t kRootLba = ~0ULL;
+constexpr int kSaltShift = 24;
+
+}  // namespace
+
+// Stored block layout: [nonce head][sealed_len u32][ciphertext || tag].
+// The head (a generation, or a root's whole nonce) and sealed_len are bound
+// into the AEAD associated data along with the LBA, so the host cannot
+// tamper with them undetected.
 
 EncryptedBlockClient::EncryptedBlockClient(BlockClient* inner,
                                            ciobase::ByteSpan key,
@@ -33,25 +51,28 @@ EncryptedBlockClient::EncryptedBlockClient(BlockClient* inner,
           "durable generations require a rollback counter");
       return;
     }
-    // Reserve two alternating table slots of T chunks each at the head of
-    // the inner device: smallest T with T chunks covering every remaining
-    // data block's generation entry.
-    uint64_t epc = usable_block_size_ / 8;
-    if (epc == 0) {
-      geometry_status_ = ciobase::InvalidArgument(
-          "block too small for a generation table chunk");
-      return;
-    }
+    // Two root slots and two homes for each of T chunks at the head of the
+    // inner device: smallest T whose chunks cover every remaining data
+    // block's generation entry, i.e. T * epc >= count - 2 - 2T.
+    uint64_t epc = EntriesPerChunk();
     uint64_t t = 1;
-    while (2 * t < inner_count && t * epc < inner_count - 2 * t) {
-      ++t;
+    if (inner_count > kRootSlots + 2) {
+      t = (inner_count - kRootSlots + epc + 1) / (epc + 2);  // rounded up
     }
-    if (2 * t >= inner_count) {
+    if (kRootSlots + 2 * t >= inner_count) {
       geometry_status_ = ciobase::InvalidArgument(
           "device too small for the generation table");
       return;
     }
-    reserved_blocks_ = 2 * t;
+    if (kRootOverhead + kRootEpochBytes + t * kRootEntryBytes > inner_bs) {
+      geometry_status_ = ciobase::InvalidArgument(
+          "generation table root does not fit one block");
+      return;
+    }
+    reserved_blocks_ = kRootSlots + 2 * t;
+    chunks_.resize(t);
+    root_nonce_key_ = ciocrypto::HkdfExpandLabel(key_, "root nonce", {},
+                                                 ciocrypto::kAeadKeySize);
   } else {
     session_established_ = true;  // volatile mode needs no mount handshake
   }
@@ -69,48 +90,50 @@ ciobase::Buffer EncryptedBlockClient::NonceFor(uint64_t lba,
   return nonce;
 }
 
-ciobase::Buffer EncryptedBlockClient::SealStored(
-    uint64_t lba, uint64_t generation, ciobase::ByteSpan plaintext) const {
+ciobase::Buffer EncryptedBlockClient::Seal(uint64_t lba,
+                                           ciobase::ByteSpan nonce,
+                                           size_t head,
+                                           ciobase::ByteSpan plaintext) const {
   uint32_t sealed_len =
       static_cast<uint32_t>(plaintext.size() + ciocrypto::kAeadTagSize);
-  uint8_t aad[20];
+  ciobase::Buffer stored(nonce.begin(), nonce.begin() + head);
+  stored.resize(head + 4);
+  ciobase::StoreLe32(stored.data() + head, sealed_len);
+  uint8_t aad[8 + ciocrypto::kAeadNonceSize + 4];
   ciobase::StoreLe64(aad, lba);
-  ciobase::StoreLe64(aad + 8, generation);
-  ciobase::StoreLe32(aad + 16, sealed_len);
+  std::memcpy(aad + 8, stored.data(), stored.size());
   if (costs_ != nullptr) {
     costs_->ChargeAead(plaintext.size());
   }
-  ciobase::Buffer sealed =
-      ciocrypto::AeadSeal(key_, NonceFor(lba, generation), aad, plaintext);
-  ciobase::Buffer stored(12);
-  ciobase::StoreLe64(stored.data(), generation);
-  ciobase::StoreLe32(stored.data() + 8, sealed_len);
-  ciobase::Append(stored, sealed);
+  ciobase::Append(stored,
+                  ciocrypto::AeadSeal(key_, nonce,
+                                      ciobase::ByteSpan(aad, 8 + head + 4),
+                                      plaintext));
   return stored;
 }
 
-ciobase::Result<ciobase::Buffer> EncryptedBlockClient::OpenStored(
-    uint64_t lba, uint64_t generation, ciobase::ByteSpan stored) const {
-  if (stored.size() < kOverhead) {
+ciobase::Result<ciobase::Buffer> EncryptedBlockClient::Open(
+    uint64_t lba, ciobase::ByteSpan nonce, size_t head,
+    ciobase::ByteSpan stored) const {
+  if (stored.size() < head + 4 + ciocrypto::kAeadTagSize) {
     CIO_COV("crypt.open.truncated", ciobase::StatusCode::kTampered);
     return ciobase::Tampered("stored block truncated");
   }
-  uint32_t sealed_len = ciobase::LoadLe32(stored.data() + 8);
+  uint32_t sealed_len = ciobase::LoadLe32(stored.data() + head);
   if (sealed_len < ciocrypto::kAeadTagSize ||
-      12 + static_cast<size_t>(sealed_len) > stored.size()) {
+      head + 4 + static_cast<size_t>(sealed_len) > stored.size()) {
     CIO_COV("crypt.open.length_forged", ciobase::StatusCode::kTampered);
     return ciobase::Tampered("stored block length forged");
   }
-  uint8_t aad[20];
+  uint8_t aad[8 + ciocrypto::kAeadNonceSize + 4];
   ciobase::StoreLe64(aad, lba);
-  ciobase::StoreLe64(aad + 8, generation);
-  ciobase::StoreLe32(aad + 16, sealed_len);
+  std::memcpy(aad + 8, stored.data(), head + 4);
   if (costs_ != nullptr) {
     costs_->ChargeAead(sealed_len);
   }
-  auto opened = ciocrypto::AeadOpen(
-      key_, NonceFor(lba, generation), aad,
-      ciobase::ByteSpan(stored.data() + 12, sealed_len));
+  auto opened = ciocrypto::AeadOpen(key_, nonce,
+                                    ciobase::ByteSpan(aad, 8 + head + 4),
+                                    stored.subspan(head + 4, sealed_len));
   if (!opened.ok()) {
     CIO_COV("crypt.open.auth_failed", ciobase::StatusCode::kTampered);
     return ciobase::Tampered("block authentication failed");
@@ -119,12 +142,18 @@ ciobase::Result<ciobase::Buffer> EncryptedBlockClient::OpenStored(
   return opened;
 }
 
-uint64_t EncryptedBlockClient::NextGeneration() {
-  ++session_writes_;
+ciobase::Result<uint64_t> EncryptedBlockClient::NextGeneration() {
   if (!options_.durable_generations) {
-    return session_writes_;
+    return ++session_writes_;
   }
-  return (session_salt_ << 24) | (session_writes_ & 0xFFFFFF);
+  if (session_writes_ + 1 >= kGenerationsPerSalt) {
+    // The low bits would wrap onto generations this salt already issued.
+    // WriteBlock burns a new salt well before this; only commits that keep
+    // failing get here.
+    return ciobase::ResourceExhausted("session salt spent; remount");
+  }
+  ++session_writes_;
+  return (session_salt_ << kSaltShift) | session_writes_;
 }
 
 ciobase::Status EncryptedBlockClient::EnsureSession() {
@@ -144,11 +173,21 @@ ciobase::Status EncryptedBlockClient::WriteBlock(uint64_t lba,
   if (data.size() > usable_block_size_) {
     return ciobase::InvalidArgument("plaintext exceeds usable block size");
   }
-  uint64_t generation = NextGeneration();
+  // Burn a fresh salt while this one still has room for this write, one
+  // commit before the next write, and the burn's own commit: a commit
+  // seals at most one generation per chunk.
+  if (options_.durable_generations &&
+      session_writes_ + 2 * chunks_.size() + 1 >= kGenerationsPerSalt) {
+    CIO_RETURN_IF_ERROR(Commit(/*burn=*/true));
+  }
+  CIO_ASSIGN_OR_RETURN(uint64_t generation, NextGeneration());
   CIO_RETURN_IF_ERROR(inner_->WriteBlock(
-      lba + reserved_blocks_, SealStored(lba, generation, data)));
+      lba + reserved_blocks_,
+      Seal(lba, NonceFor(lba, generation), kGenerationBytes, data)));
   generations_[lba] = generation;
-  dirty_ = true;
+  if (options_.durable_generations) {
+    dirty_chunks_.insert(lba / EntriesPerChunk());
+  }
   return ciobase::OkStatus();
 }
 
@@ -190,7 +229,8 @@ ciobase::Result<ciobase::Buffer> EncryptedBlockClient::ReadBlock(
     // can only be host fabrication (unflushed writes die wholesale).
     return ciobase::Tampered("block not in the generation table");
   }
-  auto opened = OpenStored(lba, generation, *stored);
+  auto opened =
+      Open(lba, NonceFor(lba, generation), kGenerationBytes, *stored);
   if (!opened.ok()) {
     return opened.status();
   }
@@ -200,122 +240,196 @@ ciobase::Result<ciobase::Buffer> EncryptedBlockClient::ReadBlock(
   return opened;
 }
 
-ciobase::Status EncryptedBlockClient::PersistGenerations() {
-  uint64_t epoch = last_epoch_ + 1;
-  uint64_t slot = epoch % 2;
-  uint64_t chunks = ChunksPerSlot();
+ciobase::Buffer EncryptedBlockClient::ChunkPlaintext(uint64_t chunk) const {
   uint64_t epc = EntriesPerChunk();
-  for (uint64_t c = 0; c < chunks; ++c) {
-    ciobase::Buffer plain(epc * 8, 0);
+  ciobase::Buffer plain(epc * 8, 0);
+  for (auto it = generations_.lower_bound(chunk * epc);
+       it != generations_.end() && it->first < (chunk + 1) * epc; ++it) {
+    ciobase::StoreLe64(plain.data() + (it->first - chunk * epc) * 8,
+                       it->second);
+  }
+  return plain;
+}
+
+ciobase::Status EncryptedBlockClient::PersistGenerations() {
+  std::vector<ChunkRef> next = chunks_;
+  for (uint64_t c : dirty_chunks_) {
+    CIO_ASSIGN_OR_RETURN(uint64_t generation, NextGeneration());
+    ChunkRef ref{generation, static_cast<uint8_t>(1 - chunks_[c].home)};
+    uint64_t lba = kTableLbaBase + c;
+    CIO_RETURN_IF_ERROR(inner_->WriteBlock(
+        ChunkBlock(c, ref.home), Seal(lba, NonceFor(lba, generation),
+                                      kGenerationBytes, ChunkPlaintext(c))));
+    next[c] = ref;
+    ++stats_.table_chunk_writes;
+  }
+  CIO_RETURN_IF_ERROR(WriteRoot(next));
+  dirty_chunks_.clear();
+  return ciobase::OkStatus();
+}
+
+ciobase::Status EncryptedBlockClient::WriteRoot(
+    const std::vector<ChunkRef>& chunks) {
+  uint64_t epoch = last_epoch_ + 1;
+  ciobase::Buffer plain(kRootEpochBytes + chunks.size() * kRootEntryBytes);
+  ciobase::StoreLe64(plain.data(), epoch);
+  for (size_t c = 0; c < chunks.size(); ++c) {
+    uint8_t* entry = plain.data() + kRootEpochBytes + c * kRootEntryBytes;
+    ciobase::StoreLe64(entry, chunks[c].generation);
+    entry[8] = chunks[c].home;
+  }
+  // Synthetic nonce: equal nonces mean equal plaintexts.
+  ciocrypto::Sha256Digest mac =
+      ciocrypto::HmacSha256::Mac(root_nonce_key_, plain);
+  if (costs_ != nullptr) {
+    costs_->ChargeAead(plain.size());  // the keyed hash
+  }
+  ciobase::ByteSpan nonce(mac.data(), ciocrypto::kAeadNonceSize);
+  uint8_t slot = static_cast<uint8_t>(1 - root_slot_);
+  CIO_RETURN_IF_ERROR(inner_->WriteBlock(
+      slot, Seal(kRootLba, nonce, ciocrypto::kAeadNonceSize, plain)));
+  chunks_ = chunks;
+  root_slot_ = slot;
+  last_epoch_ = epoch;
+  return ciobase::OkStatus();
+}
+
+ciobase::Status EncryptedBlockClient::Commit(bool burn) {
+  if (burn || !dirty_chunks_.empty()) {
+    CIO_RETURN_IF_ERROR(PersistGenerations());
+  }
+  CIO_RETURN_IF_ERROR(inner_->Flush());
+  // Every root written so far is durable now, including one whose own
+  // flush failed earlier.
+  options_.rollback_counter->BumpTo(last_epoch_);
+  if (burn) {
+    session_salt_ = last_epoch_;
+    session_writes_ = 0;
+  }
+  return ciobase::OkStatus();
+}
+
+ciobase::Status EncryptedBlockClient::LoadChunks(
+    const std::vector<ChunkRef>& chunks,
+    std::map<uint64_t, uint64_t>& table) {
+  uint64_t epc = EntriesPerChunk();
+  for (uint64_t c = 0; c < chunks.size(); ++c) {
+    if (chunks[c].generation == 0) {
+      continue;  // never written
+    }
+    auto stored = inner_->ReadBlock(ChunkBlock(c, chunks[c].home));
+    if (!stored.ok()) {
+      return stored.status();
+    }
+    if (stored->size() < kOverhead ||
+        ciobase::LoadLe64(stored->data()) != chunks[c].generation) {
+      return ciobase::Tampered("table chunk not at its recorded generation");
+    }
+    uint64_t lba = kTableLbaBase + c;
+    CIO_ASSIGN_OR_RETURN(ciobase::Buffer plain,
+                         Open(lba, NonceFor(lba, chunks[c].generation),
+                              kGenerationBytes, *stored));
+    if (plain.size() != epc * 8) {
+      return ciobase::Tampered("table chunk has the wrong size");
+    }
     for (uint64_t i = 0; i < epc; ++i) {
       uint64_t idx = c * epc + i;
-      if (idx >= data_block_count_) {
-        break;
-      }
-      auto it = generations_.find(idx);
-      if (it != generations_.end()) {
-        ciobase::StoreLe64(plain.data() + i * 8, it->second);
+      uint64_t generation = ciobase::LoadLe64(plain.data() + i * 8);
+      if (idx < data_block_count_ && generation != 0) {
+        table[idx] = generation;
       }
     }
-    CIO_RETURN_IF_ERROR(inner_->WriteBlock(
-        slot * chunks + c, SealStored(kTableLbaBase + c, epoch, plain)));
   }
-  last_epoch_ = epoch;
-  dirty_ = false;
   return ciobase::OkStatus();
 }
 
 ciobase::Status EncryptedBlockClient::LoadGenerations() {
   uint64_t counter = options_.rollback_counter->value();
-  uint64_t chunks = ChunksPerSlot();
-  uint64_t epc = EntriesPerChunk();
-  uint64_t best_epoch = 0;
-  std::map<uint64_t, uint64_t> best_table;
-  for (uint64_t slot = 0; slot < 2; ++slot) {
-    uint64_t slot_epoch = 0;
-    std::map<uint64_t, uint64_t> table;
-    bool valid = true;
-    for (uint64_t c = 0; c < chunks && valid; ++c) {
-      auto stored = inner_->ReadBlock(slot * chunks + c);
-      if (!stored.ok()) {
-        if (stored.status().code() == ciobase::StatusCode::kTampered) {
-          valid = false;  // corrupted slot; the other one may still be good
-          break;
-        }
-        return stored.status();  // transport trouble: propagate, retryable
+  size_t root_size = kRootEpochBytes + chunks_.size() * kRootEntryBytes;
+  struct Root {
+    uint64_t epoch = 0;
+    uint8_t slot = 0;
+    std::vector<ChunkRef> chunks;
+  };
+  std::vector<Root> roots;
+  for (uint8_t slot = 0; slot < kRootSlots; ++slot) {
+    auto stored = inner_->ReadBlock(slot);
+    if (!stored.ok()) {
+      if (stored.status().code() == ciobase::StatusCode::kTampered) {
+        continue;  // corrupted slot; the other one may still be good
       }
-      if (stored->size() < kOverhead) {
-        valid = false;  // never written (or torn): not a table
-        break;
-      }
-      uint64_t epoch = ciobase::LoadLe64(stored->data());
-      if (c == 0) {
-        slot_epoch = epoch;
-      } else if (epoch != slot_epoch) {
-        valid = false;  // chunks from different epochs: torn table write
-        break;
-      }
-      auto plain = OpenStored(kTableLbaBase + c, epoch, *stored);
-      if (!plain.ok() || plain->size() != epc * 8) {
-        valid = false;
-        break;
-      }
-      for (uint64_t i = 0; i < epc; ++i) {
-        uint64_t idx = c * epc + i;
-        uint64_t generation = ciobase::LoadLe64(plain->data() + i * 8);
-        if (idx < data_block_count_ && generation != 0) {
-          table[idx] = generation;
-        }
-      }
+      return stored.status();  // transport trouble: propagate, retryable
     }
-    if (valid && slot_epoch > best_epoch) {
-      best_epoch = slot_epoch;
-      best_table = std::move(table);
+    if (stored->size() < ciocrypto::kAeadNonceSize) {
+      continue;  // not a root
     }
+    ciobase::ByteSpan nonce(stored->data(), ciocrypto::kAeadNonceSize);
+    auto plain = Open(kRootLba, nonce, ciocrypto::kAeadNonceSize, *stored);
+    if (!plain.ok() || plain->size() != root_size) {
+      continue;  // never written, torn, or forged: not a root
+    }
+    Root root{ciobase::LoadLe64(plain->data()), slot,
+              std::vector<ChunkRef>(chunks_.size())};
+    for (size_t c = 0; c < root.chunks.size(); ++c) {
+      const uint8_t* entry =
+          plain->data() + kRootEpochBytes + c * kRootEntryBytes;
+      root.chunks[c] = {ciobase::LoadLe64(entry),
+                        static_cast<uint8_t>(entry[8] & 1)};
+    }
+    roots.push_back(std::move(root));
   }
-  if (best_epoch == 0) {
-    if (counter != 0) {
-      return ciobase::Tampered(
-          "generation table missing: host rolled back past the last flush");
+  std::sort(roots.begin(), roots.end(), [](const Root& a, const Root& b) {
+    return a.epoch > b.epoch;
+  });
+  for (const Root& root : roots) {
+    if (root.epoch < counter) {
+      break;  // this root and any older one: the host rolled back
     }
-    // Fresh device, fresh counter: empty table is the truth.
-    generations_.clear();
-    last_epoch_ = 0;
+    std::map<uint64_t, uint64_t> table;
+    ciobase::Status status = LoadChunks(root.chunks, table);
+    if (status.code() == ciobase::StatusCode::kTampered) {
+      continue;  // a chunk failed; the older root may still be whole
+    }
+    CIO_RETURN_IF_ERROR(status);
+    generations_ = std::move(table);
+    chunks_ = root.chunks;
+    root_slot_ = root.slot;
+    last_epoch_ = root.epoch;
+    options_.rollback_counter->BumpTo(root.epoch);
+    ++stats_.table_loads;
+    stats_.entries_loaded += generations_.size();
     return ciobase::OkStatus();
   }
-  if (best_epoch < counter) {
+  if (counter != 0) {
     return ciobase::Tampered(
-        "generation table epoch behind the rollback counter");
+        "no usable generation table root: rolled back past the last flush "
+        "or corrupted");
   }
-  generations_ = std::move(best_table);
-  last_epoch_ = best_epoch;
-  options_.rollback_counter->BumpTo(best_epoch);
-  ++stats_.table_loads;
-  stats_.entries_loaded += generations_.size();
+  // Nothing was ever committed: an empty table is the truth.
+  generations_.clear();
+  std::fill(chunks_.begin(), chunks_.end(), ChunkRef{});
+  root_slot_ = 1;
+  last_epoch_ = 0;
   return ciobase::OkStatus();
 }
 
 ciobase::Status EncryptedBlockClient::Remount() {
   CIO_RETURN_IF_ERROR(geometry_status_);
   session_established_ = false;
+  generations_.clear();
   if (!options_.durable_generations) {
     // A rebooted volatile client has no memory of past generations; it
     // re-adopts whatever authenticates. (This is exactly the gap the
     // durable mode closes — see the rollback-across-remount test.)
-    generations_.clear();
     session_established_ = true;
     return ciobase::OkStatus();
   }
-  generations_.clear();
+  dirty_chunks_.clear();
   CIO_RETURN_IF_ERROR(LoadGenerations());
-  // Burn a fresh epoch as this session's nonce salt: persist + flush +
-  // bump. Generations handed to writes that a later crash discards are
-  // then never reissued (the next mount burns a higher epoch).
-  CIO_RETURN_IF_ERROR(PersistGenerations());
-  CIO_RETURN_IF_ERROR(inner_->Flush());
-  options_.rollback_counter->BumpTo(last_epoch_);
-  session_salt_ = last_epoch_;
-  session_writes_ = 0;
+  // Burn a fresh epoch as this session's nonce salt: root + flush + bump.
+  // Generations handed to writes that a later crash discards are then
+  // never reissued (the next mount burns a higher epoch).
+  CIO_RETURN_IF_ERROR(Commit(/*burn=*/true));
   session_established_ = true;
   return ciobase::OkStatus();
 }
@@ -325,14 +439,9 @@ ciobase::Status EncryptedBlockClient::Flush() {
   if (!options_.durable_generations) {
     return inner_->Flush();
   }
-  bool persisted = false;
-  if (dirty_) {
-    CIO_RETURN_IF_ERROR(PersistGenerations());
-    persisted = true;
-  }
-  CIO_RETURN_IF_ERROR(inner_->Flush());
+  bool persisted = !dirty_chunks_.empty();
+  CIO_RETURN_IF_ERROR(Commit(/*burn=*/false));
   if (persisted) {
-    options_.rollback_counter->BumpTo(last_epoch_);
     ++stats_.table_flushes;
   }
   return ciobase::OkStatus();

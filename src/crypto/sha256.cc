@@ -87,6 +87,9 @@ void Sha256::Compress(const uint8_t* block) {
 }
 
 void Sha256::Update(ciobase::ByteSpan data) {
+  if (data.empty()) {
+    return;  // an empty span may carry a null pointer; memcpy forbids it
+  }
   length_ += data.size();
   size_t i = 0;
   if (buffered_ > 0) {

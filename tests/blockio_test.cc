@@ -232,6 +232,43 @@ TEST(CryptBlock, DurableModeRequiresCounter) {
             ciobase::StatusCode::kInvalidArgument);
 }
 
+// The durable root names every table chunk's home and generation in one
+// sealed block. 512-byte blocks hold 60 entries per chunk, so 8,192 blocks
+// need 133 chunks, a 1,237-byte root; 1,024 blocks need 17 (193 bytes).
+TEST(CryptBlock, DurableRootMustFitOneBlock) {
+  for (uint64_t blocks : {uint64_t{8192}, uint64_t{1024}}) {
+    ciobase::SimClock clock;
+    ciobase::CostModel costs(&clock);
+    ciotee::TeeMemory memory;
+    ciotee::MonotonicCounter counter;
+    BlockRingConfig config;
+    config.block_size = 512;
+    config.block_count = blocks;
+    ciotee::SharedRegion shared(&memory, config.RegionSize(), "root-ring");
+    HostBlockDevice device(&shared, config, nullptr, nullptr, &clock);
+    RingBlockClient ring(&shared, config, &device, &costs);
+    CryptClientOptions options;
+    options.durable_generations = true;
+    options.rollback_counter = &counter;
+    EncryptedBlockClient crypt(&ring, BufferFromString("k"), &costs, options);
+    if (blocks == 8192) {
+      EXPECT_EQ(crypt.geometry_status().code(),
+                ciobase::StatusCode::kInvalidArgument);
+      EXPECT_EQ(crypt.Flush().code(), ciobase::StatusCode::kInvalidArgument);
+    } else {
+      ASSERT_TRUE(crypt.geometry_status().ok());
+      EXPECT_EQ(crypt.reserved_blocks(), 2u + 2 * 17);
+      EXPECT_EQ(crypt.block_count(), 988u);
+      ASSERT_TRUE(crypt.WriteBlock(987, BufferFromString("last")).ok());
+      ASSERT_TRUE(crypt.Flush().ok());
+      ASSERT_TRUE(crypt.Remount().ok());
+      auto read = crypt.ReadBlock(987);
+      ASSERT_TRUE(read.ok());
+      EXPECT_EQ(*read, BufferFromString("last"));
+    }
+  }
+}
+
 // --- Extent filesystem -----------------------------------------------------------
 
 struct FsWorld : CryptWorld {

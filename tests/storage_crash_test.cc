@@ -3,10 +3,17 @@
 // consistency (journaled WriteFile/DeleteFile under a crash at every
 // device-write boundary), corrupt-image mounting (fsck never crashes and
 // never accepts an inconsistent image), durable anti-rollback across
-// remounts, and single cells of the storage campaign (so the whole
-// machinery also runs under ASan in the test suite).
+// remounts, generation-table commits (dirty chunks + root, crash points,
+// replayed table blocks, no nonce sealing two plaintexts), and single
+// cells of the storage campaign (so the whole machinery also runs under
+// ASan in the test suite).
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "src/base/bytes.h"
 #include "src/base/rng.h"
@@ -380,6 +387,305 @@ TEST(DurableGenerations, VolatileControlAcceptsStaleImageAfterRemount) {
   auto stale = store.Get("victim");
   ASSERT_TRUE(stale.ok());
   EXPECT_EQ(*stale, BufferFromString("version-1"));
+}
+
+// --- Generation-table commits (shadow paging) -----------------------------------
+
+// Sits between a durable EncryptedBlockClient and the ring and records what
+// the host is handed: every write (also one a crash then discards) and
+// every flush.
+class RecordingClient final : public BlockClient {
+ public:
+  struct Write {
+    uint64_t lba;
+    Buffer bytes;
+  };
+
+  explicit RecordingClient(BlockClient* inner) : inner_(inner) {}
+
+  ciobase::Status WriteBlock(uint64_t lba, ciobase::ByteSpan data) override {
+    writes.push_back({lba, Buffer(data.begin(), data.end())});
+    return inner_->WriteBlock(lba, data);
+  }
+  ciobase::Result<Buffer> ReadBlock(uint64_t lba) override {
+    return inner_->ReadBlock(lba);
+  }
+  ciobase::Status Flush() override {
+    ++flushes;
+    return inner_->Flush();
+  }
+  uint32_t block_size() const override { return inner_->block_size(); }
+  uint64_t block_count() const override { return inner_->block_count(); }
+
+  std::vector<Write> writes;
+  uint64_t flushes = 0;
+
+ private:
+  BlockClient* inner_;
+};
+
+struct DurableWorld : RecoveryWorld {
+  ciotee::MonotonicCounter counter;
+  RecordingClient recorder{client.get()};
+  std::unique_ptr<EncryptedBlockClient> crypt;
+
+  explicit DurableWorld(uint64_t blocks = 256) : RecoveryWorld(blocks) {
+    CryptClientOptions options;
+    options.durable_generations = true;
+    options.rollback_counter = &counter;
+    crypt = std::make_unique<EncryptedBlockClient>(
+        &recorder, BufferFromString("disk-key-32-bytes-long-....."), &costs,
+        options);
+  }
+
+  // Two root slots, then two homes per table chunk (crypt_client.h).
+  uint64_t chunks() const { return (crypt->reserved_blocks() - 2) / 2; }
+
+  // The nonce `bytes` was sealed under at inner block `lba`: a root stores
+  // its synthetic nonce whole in its first 12 bytes; a chunk or data block
+  // stores its generation in the first 8, and the last 4 are its chunk
+  // index or data LBA.
+  Buffer NonceOf(const RecordingClient::Write& write) const {
+    Buffer nonce(write.bytes.begin(), write.bytes.begin() + 12);
+    if (write.lba >= 2) {
+      uint64_t reserved = crypt->reserved_blocks();
+      uint64_t index = write.lba < reserved ? (write.lba - 2) / 2
+                                            : write.lba - reserved;
+      ciobase::StoreLe32(nonce.data() + 8, static_cast<uint32_t>(index));
+    }
+    return nonce;
+  }
+
+  // The invariant in crypt_client.h: no nonce ever seals two different
+  // plaintexts. Two recorded writes under one nonce must be the same bytes.
+  void ExpectNoNonceSealsTwoPlaintexts() const {
+    std::map<Buffer, const RecordingClient::Write*> sealed;
+    for (const auto& write : recorder.writes) {
+      auto [it, fresh] = sealed.emplace(NonceOf(write), &write);
+      EXPECT_TRUE(fresh || it->second->bytes == write.bytes)
+          << "inner block " << write.lba << " reuses the nonce of inner block "
+          << it->second->lba << " for different bytes";
+    }
+  }
+};
+
+// A host crash discards a persist; the remount and the next persist then
+// seal table blocks again. A remount that resealed the lost persist's
+// epoch over the same table block, with different bytes, would reuse its
+// nonce.
+TEST(TableCommit, NoNonceSealsTwoPlaintextsAcrossALostPersist) {
+  DurableWorld world;
+  EncryptedBlockClient& crypt = *world.crypt;
+  ASSERT_TRUE(crypt.WriteBlock(3, BufferFromString("first")).ok());
+  ASSERT_TRUE(crypt.Flush().ok());
+  ASSERT_TRUE(crypt.WriteBlock(4, BufferFromString("second")).ok());
+  world.device->CrashAfterWrites(1);
+  EXPECT_FALSE(crypt.Flush().ok());
+  world.device->CrashAfterWrites(0);
+  world.client->Reattach();
+  ASSERT_TRUE(crypt.Remount().ok());
+  ASSERT_TRUE(crypt.WriteBlock(5, BufferFromString("third")).ok());
+  ASSERT_TRUE(crypt.Flush().ok());
+  world.ExpectNoNonceSealsTwoPlaintexts();
+  auto read = crypt.ReadBlock(3);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, BufferFromString("first"));
+}
+
+// A host that failed a flush holds two different roots of one epoch: the
+// lost persist's and the next mount's burn. It offers one to a mount whose
+// burn it then crashes, and the other to the next mount. Both burns derive
+// the same next epoch from different roots; their nonces must differ.
+TEST(TableCommit, TwoRootsOfOneEpochNeverShareABurnNonce) {
+  DurableWorld world;
+  EncryptedBlockClient& crypt = *world.crypt;
+  ASSERT_TRUE(crypt.WriteBlock(0, BufferFromString("a")).ok());
+  ASSERT_TRUE(crypt.Flush().ok());
+  ASSERT_TRUE(crypt.WriteBlock(0, BufferFromString("b")).ok());
+  size_t lost = world.recorder.writes.size();  // persist: chunk, then root
+  world.device->CrashAfterWrites(2);
+  EXPECT_FALSE(crypt.Flush().ok());
+  world.device->CrashAfterWrites(0);
+  ASSERT_EQ(world.recorder.writes.size(), lost + 2);
+  RecordingClient::Write lost_chunk = world.recorder.writes[lost];
+  RecordingClient::Write lost_root = world.recorder.writes[lost + 1];
+
+  world.client->Reattach();
+  size_t burn = world.recorder.writes.size();
+  ASSERT_TRUE(crypt.Remount().ok());  // loads the flushed root, burns
+  RecordingClient::Write burn_root = world.recorder.writes[burn];
+  ASSERT_EQ(burn_root.lba, lost_root.lba);  // same slot, other bytes
+
+  // The host puts the lost persist back; the mount adopts it, and the host
+  // crashes that mount's burn.
+  ASSERT_TRUE(world.client->WriteBlock(lost_chunk.lba, lost_chunk.bytes).ok());
+  ASSERT_TRUE(world.client->WriteBlock(lost_root.lba, lost_root.bytes).ok());
+  ASSERT_TRUE(world.client->Flush().ok());
+  world.device->CrashAfterWrites(1);
+  EXPECT_FALSE(crypt.Remount().ok());
+  world.device->CrashAfterWrites(0);
+  world.client->Reattach();
+
+  // Now the host offers the first burn's root of the same epoch instead.
+  ASSERT_TRUE(world.client->WriteBlock(burn_root.lba, burn_root.bytes).ok());
+  ASSERT_TRUE(world.client->Flush().ok());
+  ASSERT_TRUE(crypt.Remount().ok());
+  world.ExpectNoNonceSealsTwoPlaintexts();
+  auto read = crypt.ReadBlock(0);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, BufferFromString("a"));
+}
+
+// A host death between the inner flush and the counter bump leaves the
+// newest root one epoch ahead of the counter: Remount adopts it.
+TEST(TableCommit, RootOneEpochAheadOfTheCounterIsAdopted) {
+  DurableWorld world;
+  ASSERT_TRUE(world.crypt->WriteBlock(0, BufferFromString("v1")).ok());
+  ASSERT_TRUE(world.crypt->Flush().ok());
+  uint64_t epoch = world.counter.value();
+  ciotee::MonotonicCounter lagging(epoch - 1);
+  EncryptedBlockClient crypt(&world.recorder,
+                             BufferFromString("disk-key-32-bytes-long-....."),
+                             &world.costs, {true, &lagging});
+  ASSERT_TRUE(crypt.Remount().ok());
+  EXPECT_GT(lagging.value(), epoch);  // adopted, then a new salt burned
+  auto read = crypt.ReadBlock(0);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, BufferFromString("v1"));
+}
+
+// Store-mixed's 4,096-block device has 9 table chunks. A flush after one
+// write seals one chunk and the root; with every chunk dirty it seals all
+// of them and the root. Each flush is one inner flush.
+TEST(TableCommit, FlushWritesOnlyDirtyChunksAndTheRoot) {
+  DurableWorld world(4096);
+  EncryptedBlockClient& crypt = *world.crypt;
+  ASSERT_EQ(world.chunks(), 9u);
+  ASSERT_TRUE(crypt.WriteBlock(1, BufferFromString("one")).ok());
+  size_t writes = world.recorder.writes.size();
+  uint64_t flushes = world.recorder.flushes;
+  ASSERT_TRUE(crypt.Flush().ok());
+  EXPECT_EQ(world.recorder.writes.size() - writes, 2u);
+  EXPECT_EQ(world.recorder.flushes - flushes, 1u);
+  EXPECT_EQ(crypt.stats().table_chunk_writes, 1u);
+  EXPECT_EQ(crypt.stats().table_flushes, 1u);
+
+  uint64_t per_chunk = crypt.block_size() / 8;
+  for (uint64_t c = 0; c < world.chunks(); ++c) {
+    ASSERT_LT(c * per_chunk, crypt.block_count());
+    ASSERT_TRUE(
+        crypt.WriteBlock(c * per_chunk, BufferFromString("every")).ok());
+  }
+  writes = world.recorder.writes.size();
+  flushes = world.recorder.flushes;
+  ASSERT_TRUE(crypt.Flush().ok());
+  EXPECT_EQ(world.recorder.writes.size() - writes, world.chunks() + 1);
+  EXPECT_EQ(world.recorder.flushes - flushes, 1u);
+  // A flush with nothing dirty writes nothing.
+  writes = world.recorder.writes.size();
+  ASSERT_TRUE(crypt.Flush().ok());
+  EXPECT_EQ(world.recorder.writes.size(), writes);
+}
+
+// Crash the host after every k-th inner write of a write + flush that
+// touches two chunks (2 data writes, 2 chunks, 1 root). Remount always
+// succeeds and both blocks read as one version: the old one, or the new
+// one if the flush was acknowledged.
+TEST(TableCommit, CrashAtEveryInnerWriteRemountsOldOrNew) {
+  for (uint64_t k = 1; k <= 6; ++k) {
+    DurableWorld world(4096);
+    EncryptedBlockClient& crypt = *world.crypt;
+    const uint64_t lbas[] = {7, crypt.block_size() / 8 + 7};  // chunks 0, 1
+    for (uint64_t lba : lbas) {
+      ASSERT_TRUE(crypt.WriteBlock(lba, BufferFromString("old")).ok());
+    }
+    ASSERT_TRUE(crypt.Flush().ok());
+
+    world.device->CrashAfterWrites(k);
+    ciobase::Status status = crypt.WriteBlock(lbas[0], BufferFromString("new"));
+    if (status.ok()) {
+      status = crypt.WriteBlock(lbas[1], BufferFromString("new"));
+    }
+    if (status.ok()) {
+      status = crypt.Flush();
+    }
+    world.device->CrashAfterWrites(0);
+    EXPECT_EQ(status.ok(), k == 6) << "k " << k;
+
+    world.client->Reattach();
+    ASSERT_TRUE(crypt.Remount().ok()) << "k " << k;
+    auto first = crypt.ReadBlock(lbas[0]);
+    auto second = crypt.ReadBlock(lbas[1]);
+    ASSERT_TRUE(first.ok() && second.ok()) << "k " << k;
+    EXPECT_EQ(*first, *second) << "k " << k << ": torn commit";
+    EXPECT_EQ(*first, BufferFromString(status.ok() ? "new" : "old"))
+        << "k " << k;
+  }
+}
+
+// The host copies a chunk's previous authentic home over its current home.
+// In session nothing reads the table, and the next persist of that chunk
+// writes its other home, which heals it; a remount before that is
+// kTampered.
+TEST(TableCommit, StaleChunkOverCurrentHomeFailsRemountUntilRewritten) {
+  DurableWorld world;
+  EncryptedBlockClient& crypt = *world.crypt;
+  auto flush_home = [&](const char* value) {
+    EXPECT_TRUE(crypt.WriteBlock(0, BufferFromString(value)).ok());
+    size_t mark = world.recorder.writes.size();
+    EXPECT_TRUE(crypt.Flush().ok());
+    return world.recorder.writes.at(mark).lba;  // the chunk precedes the root
+  };
+  auto copy_over = [&](uint64_t from, uint64_t to) {
+    auto stale = world.client->ReadBlock(from);
+    ASSERT_TRUE(stale.ok());
+    ASSERT_TRUE(world.client->WriteBlock(to, *stale).ok());
+    ASSERT_TRUE(world.client->Flush().ok());
+  };
+
+  uint64_t old_home = flush_home("v1");
+  uint64_t current_home = flush_home("v2");
+  ASSERT_NE(old_home, current_home);
+  copy_over(old_home, current_home);
+  auto read = crypt.ReadBlock(0);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, BufferFromString("v2"));
+  EXPECT_EQ(flush_home("v3"), old_home);  // healed: the other home
+  ASSERT_TRUE(crypt.Remount().ok());
+  read = crypt.ReadBlock(0);
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(*read, BufferFromString("v3"));
+
+  copy_over(current_home, old_home);  // v2's chunk over v3's
+  EXPECT_EQ(crypt.Remount().code(), StatusCode::kTampered);
+}
+
+// Generations never wrap within a salt: near the end of the 2^24 low-bit
+// range a write first burns a fresh epoch, so generations keep rising, and
+// every block written on either side reads back after a remount.
+TEST(TableCommit, GenerationsBurnAFreshSaltInsteadOfWrapping) {
+  DurableWorld world;
+  EncryptedBlockClient& crypt = *world.crypt;
+  ASSERT_TRUE(crypt.WriteBlock(0, BufferFromString("block-0")).ok());
+  crypt.set_session_writes_for_test(EncryptedBlockClient::kGenerationsPerSalt -
+                                    40);
+  uint64_t counter = world.counter.value();
+  uint64_t previous = crypt.Generation(0);
+  for (uint64_t lba = 1; lba <= 60; ++lba) {
+    std::string value = "block-" + std::to_string(lba);
+    ASSERT_TRUE(crypt.WriteBlock(lba, BufferFromString(value)).ok());
+    EXPECT_GT(crypt.Generation(lba), previous) << "lba " << lba;
+    previous = crypt.Generation(lba);
+  }
+  EXPECT_GT(world.counter.value(), counter);  // a salt was burned
+  ASSERT_TRUE(crypt.Flush().ok());
+  ASSERT_TRUE(crypt.Remount().ok());
+  for (uint64_t lba = 0; lba <= 60; ++lba) {
+    auto read = crypt.ReadBlock(lba);
+    ASSERT_TRUE(read.ok()) << "lba " << lba;
+    EXPECT_EQ(*read, BufferFromString("block-" + std::to_string(lba)));
+  }
+  world.ExpectNoNonceSealsTwoPlaintexts();
 }
 
 // --- Full-stack crash recovery --------------------------------------------------
