@@ -275,12 +275,30 @@ void TcpConnection::TrySendData() {
   MaybeSendFin();
 }
 
-void TcpConnection::HandleAck(const TcpHeader& header) {
+int TcpConnection::DupAckThreshold() const {
+  const uint32_t outstanding = static_cast<uint32_t>(InFlight());
+  const bool can_send_new =
+      UnsentOffset() < send_buffer_.size() && outstanding < snd_wnd_;
+  if (outstanding >= 4u * mss_ || can_send_new) {
+    return 3;
+  }
+  // Byte-counted early retransmit (RFC 5827 §3.2), floored at one.
+  const uint32_t segments = (outstanding + mss_ - 1) / mss_;
+  return std::max(1, static_cast<int>(segments) - 1);
+}
+
+void TcpConnection::HandleAck(const TcpHeader& header, size_t payload_size) {
   uint32_t ack = header.ack;
   if (SeqGt(ack, snd_nxt_)) {
     EmitAck();  // acking the future: tell the peer where we really are
     return;
   }
+  // RFC 5681 §2: the peer's data, its SYN or FIN, and a window update
+  // all repeat snd_una without signalling a loss.
+  const bool duplicate =
+      payload_size == 0 &&
+      (header.flags & (kTcpFlagSyn | kTcpFlagFin)) == 0 && ack == snd_una_ &&
+      InFlight() > 0 && header.window == snd_wnd_;
   snd_wnd_ = header.window;
   if (SeqGt(ack, snd_una_)) {
     // New data acknowledged.
@@ -299,6 +317,7 @@ void TcpConnection::HandleAck(const TcpHeader& header) {
     snd_una_ = ack;
     retries_ = 0;
     dup_ack_count_ = 0;
+    dup_run_retransmitted_ = false;
 
     // RTT sample (Karn's algorithm: only for never-retransmitted data).
     if (rtt_sampling_ && SeqGt(ack, rtt_sample_seq_)) {
@@ -349,11 +368,12 @@ void TcpConnection::HandleAck(const TcpHeader& header) {
       }
     }
     TrySendData();
-  } else if (ack == snd_una_ && InFlight() > 0) {
+  } else if (duplicate) {
     ++dup_ack_count_;
     ++stats_.dup_acks;
-    if (dup_ack_count_ == 3) {
-      // Fast retransmit + multiplicative decrease.
+    if (!dup_run_retransmitted_ && dup_ack_count_ >= DupAckThreshold()) {
+      // Fast retransmit + multiplicative decrease, once per run.
+      dup_run_retransmitted_ = true;
       ++stats_.fast_retransmits;
       uint32_t inflight = static_cast<uint32_t>(InFlight());
       ssthresh_ = std::max<uint32_t>(inflight / 2, 2 * mss_);
@@ -374,9 +394,7 @@ void TcpConnection::RetransmitHead() {
     EmitSegment(kTcpFlagSyn | kTcpFlagAck, iss_, {}, mss_);
     return;
   }
-  uint32_t data_base = iss_ + 1;
-  uint32_t acked = SeqGt(snd_una_, data_base) ? snd_una_ - data_base : 0;
-  (void)acked;  // buffer front is exactly snd_una_'s byte after the pops
+  // The buffer front is exactly snd_una_'s byte after the pops.
   uint32_t inflight_data = static_cast<uint32_t>(InFlight());
   if (fin_sent_ && SeqGe(snd_nxt_ - 1, snd_una_)) {
     // FIN is in flight; it is the last sequence number.
@@ -412,10 +430,7 @@ void TcpConnection::HandleData(const TcpHeader& header,
                             ciobase::Buffer(payload.begin(), payload.end()));
       ++stats_.ooo_segments;
     }
-    if (has_fin && out_of_order_.size() < tuning_.max_ooo_segments) {
-      // Remember the FIN position by re-queueing it as an empty marker is
-      // not worth the complexity; the peer retransmits the FIN.
-    }
+    // An out-of-order FIN is not remembered; the peer retransmits it.
     EmitAck();
     return;
   }
@@ -569,7 +584,7 @@ void TcpConnection::OnSegment(const TcpHeader& header,
   }
 
   if ((header.flags & kTcpFlagAck) != 0) {
-    HandleAck(header);
+    HandleAck(header, payload.size());
   }
   if (state_ == TcpState::kClosed) {
     return;

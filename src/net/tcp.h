@@ -3,10 +3,21 @@
 // Implemented features: three-way handshake (active and passive open),
 // sliding-window flow control with advertised receive windows, cumulative
 // ACKs, out-of-order segment queueing, retransmission with RFC 6298 RTO
-// estimation and exponential backoff, fast retransmit on three duplicate
-// ACKs, slow start / congestion avoidance (AIMD), MSS negotiation via the
-// SYN option, graceful close (FIN in both directions, TIME_WAIT), and RST
+// estimation and exponential backoff, fast retransmit on duplicate ACKs,
+// slow start / congestion avoidance (AIMD), MSS negotiation via the SYN
+// option, graceful close (FIN in both directions, TIME_WAIT), and RST
 // generation/handling.
+//
+// Duplicate ACKs follow RFC 5681 §2: a segment is one only if it carries
+// no payload and no SYN or FIN, acknowledges snd_una while data is
+// outstanding, and leaves the advertised window unchanged. The peer's own
+// data segments therefore never count, so bidirectional traffic cannot
+// trigger a retransmit on a lossless path. Fast retransmit fires once per
+// run of duplicates, at the third; byte-counted early retransmit (RFC 5827
+// §3.2) lowers that to max(1, ceil(outstanding / MSS) - 1) while less
+// than 4 MSS is outstanding and nothing unsent could go out (none is
+// buffered, or the peer's advertised window has no room for it), so a
+// small flight that loses a segment does not wait for the RTO.
 //
 // Not implemented (documented limits): SACK, window scaling (the receive
 // buffer is capped at 64 KiB), timestamps, Nagle (we always send when
@@ -146,7 +157,9 @@ class TcpConnection {
   void EmitAck();
   void EmitRst(uint32_t seq);
   void TrySendData();
-  void HandleAck(const TcpHeader& header);
+  void HandleAck(const TcpHeader& header, size_t payload_size);
+  // Duplicates that trigger a fast retransmit (see the header comment).
+  int DupAckThreshold() const;
   void HandleData(const TcpHeader& header, ciobase::ByteSpan payload);
   void ProcessFin(uint32_t fin_seq);
   void MaybeSendFin();
@@ -183,6 +196,7 @@ class TcpConnection {
   uint32_t cwnd_;
   uint32_t ssthresh_ = 64 * 1024;
   int dup_ack_count_ = 0;
+  bool dup_run_retransmitted_ = false;  // this run already fast-retransmitted
 
   // RTO (RFC 6298).
   uint64_t rto_ns_;

@@ -239,36 +239,42 @@ void ConfidentialServer::PumpAdmission(Entry& entry) {
 
 void ConfidentialServer::FlushOutbound() {
   CIO_PROF_SCOPE(node_->costs().profiler(), "server.egress");
-  // Deficit round-robin over everyone with queued output: each backlogged
-  // connection accrues one quantum per round and sends only while its
-  // deficit lasts, so a hot client cannot monopolize the transport's batch
-  // slots. Each slice only queues (on the L5 channel: sealed bytes copied
-  // into registered slots, no crossing), and ONE doorbell after the loop
-  // carries the whole round's batch. Draining connections flush here too,
-  // then FIN.
+  // Work-conserving deficit round-robin over everyone with queued output:
+  // each pass gives every backlogged connection one more quantum and sends
+  // only while its deficit lasts, and passes repeat while the transport
+  // takes bytes. An idle transport carries the whole backlog this round; a
+  // full one is shared a quantum at a time, so a hot client cannot
+  // monopolize the transport's batch slots. Each slice only queues (on the
+  // L5 channel: sealed bytes copied into registered slots, no crossing),
+  // and ONE doorbell after the loop carries the whole round's batch.
+  // Draining connections flush here too, then FIN.
   const size_t deficit_cap = kDrrQuantumBytes * 8;
   cio::L5Channel* l5 = node_->l5();
   bool submitted = false;
-  for (auto& [id, entry] : connections_) {
-    if (!entry.open()) {
-      continue;
+  for (bool progressed = true; progressed;) {
+    progressed = false;
+    for (auto& [id, entry] : connections_) {
+      if (!entry.open()) {
+        continue;
+      }
+      // Not backlogged: no credit hoarding.
+      entry.drr_deficit =
+          entry.session->HasOutbound()
+              ? std::min(entry.drr_deficit + kDrrQuantumBytes, deficit_cap)
+              : 0;
+      auto sent = entry.Flush(*sockets_, entry.drr_deficit);
+      if (!sent.ok()) {
+        Park(entry);
+        continue;
+      }
+      // (Backpressure keeps the rest of the deficit for the next pass.)
+      progressed = progressed || *sent > 0;
+      entry.drr_deficit -= *sent;
+      // kMigrating rides the draining machinery: once the redirect is out,
+      // nothing local remains authoritative and the socket closes.
+      (void)entry.CloseIfDrained(*sockets_, l5);
     }
-    // Not backlogged: no credit hoarding.
-    entry.drr_deficit =
-        entry.session->HasOutbound()
-            ? std::min(entry.drr_deficit + kDrrQuantumBytes, deficit_cap)
-            : 0;
-    auto sent = entry.Flush(*sockets_, entry.drr_deficit);
-    if (!sent.ok()) {
-      Park(entry);
-      continue;
-    }
-    // (Backpressure keeps the rest of the deficit for the next round.)
-    submitted = submitted || *sent > 0;
-    entry.drr_deficit -= *sent;
-    // kMigrating rides the draining machinery: once the redirect is out,
-    // nothing local remains authoritative and the socket closes.
-    (void)entry.CloseIfDrained(*sockets_, l5);
+    submitted = submitted || progressed;
   }
   if (l5 != nullptr && submitted) {
     // The reaper drops a forged completion (a typed edge) and keeps every

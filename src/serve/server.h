@@ -19,10 +19,12 @@
 //    harvested bytes. Idle connections cost an empty drain, no crossing, so
 //    the round's boundary cost does not grow with the client count.
 //
-//  * Fair scheduling. Outbound transport capacity is shared by deficit
-//    round-robin: each established connection accrues a byte quantum per
-//    round and may only flush while its deficit lasts. A hot client cannot
-//    monopolize the L2 batch slots and starve the others.
+//  * Fair scheduling. Outbound transport capacity is shared by work-
+//    conserving deficit round-robin: each backlogged connection accrues a
+//    byte quantum per pass and may only flush while its deficit lasts, and
+//    passes repeat while the transport takes bytes. An idle transport
+//    carries every backlog in one round; under pushback a hot client
+//    cannot monopolize the L2 batch slots and starve the others.
 //
 //  * Admission control and backpressure. A connection beyond
 //    max_connections is refused at accept (abortive RST — the client sees a
@@ -188,10 +190,12 @@ class ConfidentialServer {
   const cio::Session* SessionOf(ConnId conn) const;
   cio::ConfidentialNode* node() { return node_; }
 
- private:
   // Deficit round-robin: bytes of transport credit each backlogged
-  // connection accrues per Poll() round (capped at 8 quanta).
+  // connection accrues per pass (capped at 8 quanta); passes repeat while
+  // the transport takes bytes.
   static constexpr size_t kDrrQuantumBytes = 4096;
+
+ private:
   // Inbound chunks per connection per round: bounds one client's share of
   // a round even when its pipe is full.
   static constexpr size_t kMaxRxChunksPerRound = 4;
@@ -233,7 +237,7 @@ class ConfidentialServer {
                                ciobase::ByteSpan report_bytes) const;
   // kAttesting: consume the client's report and admit or deny.
   void PumpAdmission(Entry& entry);
-  void FlushOutbound();  // DRR pass over connections with queued output
+  void FlushOutbound();  // DRR passes over connections with queued output
   void Reap();           // drop kClosed connections, expire parked sessions
 
   cio::ConfidentialNode* node_;

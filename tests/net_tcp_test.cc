@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/net/stack.h"
@@ -47,31 +48,51 @@ std::pair<SocketId, SocketId> Establish(TwoHostWorld& world, uint16_t port) {
   return {*client, server};
 }
 
+// One direction of a transfer: `data` from `from`/`src` to `to`/`dst`.
+struct Stream {
+  NetStack& from;
+  SocketId src;
+  NetStack& to;
+  SocketId dst;
+  const std::string& data;
+  size_t offset = 0;
+  std::string received;
+};
+
+// Pumps until every stream's data has arrived; the streams move at once.
+bool PumpStreams(TwoHostWorld& world, std::vector<Stream>& streams) {
+  return world.PumpUntil(
+      [&] {
+        bool done = true;
+        for (Stream& s : streams) {
+          if (s.offset < s.data.size()) {
+            auto sent = s.from.TcpSend(
+                s.src, ciobase::ByteSpan(
+                           reinterpret_cast<const uint8_t*>(s.data.data()) +
+                               s.offset,
+                           s.data.size() - s.offset));
+            if (sent.ok()) {
+              s.offset += *sent;
+            }
+          }
+          uint8_t buf[4096];
+          auto got = s.to.TcpReceive(s.dst, buf);
+          if (got.ok() && *got > 0) {
+            s.received.append(reinterpret_cast<char*>(buf), *got);
+          }
+          done = done && s.received.size() == s.data.size();
+        }
+        return done;
+      },
+      200000);
+}
+
 // Sends `data` from `from`/`src` to `to`/`dst` and returns what arrived.
 std::string Transfer(TwoHostWorld& world, NetStack& from, SocketId src,
                      NetStack& to, SocketId dst, const std::string& data) {
-  size_t offset = 0;
-  std::string received;
-  world.PumpUntil(
-      [&] {
-        if (offset < data.size()) {
-          auto sent = from.TcpSend(
-              src, ciobase::ByteSpan(
-                       reinterpret_cast<const uint8_t*>(data.data()) + offset,
-                       data.size() - offset));
-          if (sent.ok()) {
-            offset += *sent;
-          }
-        }
-        uint8_t buf[4096];
-        auto got = to.TcpReceive(dst, buf);
-        if (got.ok() && *got > 0) {
-          received.append(reinterpret_cast<char*>(buf), *got);
-        }
-        return received.size() == data.size();
-      },
-      200000);
-  return received;
+  std::vector<Stream> streams{{from, src, to, dst, data, 0, {}}};
+  PumpStreams(world, streams);
+  return streams[0].received;
 }
 
 TEST(TcpHandshake, EstablishesBothSides) {
@@ -127,6 +148,29 @@ TEST(TcpTransfer, BulkLargerThanWindows) {
                                   *world.stack_b, server, data);
   EXPECT_EQ(received.size(), data.size());
   EXPECT_EQ(received, data);
+}
+
+// Each side's data segments acknowledge the other's snd_una. Counted as
+// duplicate ACKs they would fire fast retransmits and halve cwnd on a
+// fabric that drops and reorders nothing.
+TEST(TcpTransfer,
+     ConcurrentBidirectionalBulkNeverRetransmitsOnALosslessFabric) {
+  TwoHostWorld world;
+  auto [client, server] = Establish(world, 8080);
+  const std::string a_to_b(64 * 1024, 'a');
+  const std::string b_to_a(64 * 1024, 'b');
+  std::vector<Stream> streams{
+      {*world.stack_a, client, *world.stack_b, server, a_to_b, 0, {}},
+      {*world.stack_b, server, *world.stack_a, client, b_to_a, 0, {}},
+  };
+  ASSERT_TRUE(PumpStreams(world, streams));
+  for (const Stream& s : streams) {
+    EXPECT_EQ(s.received, s.data);
+    auto stats = s.from.GetTcpStats(s.src);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->retransmissions, 0u);
+    EXPECT_EQ(stats->fast_retransmits, 0u);
+  }
 }
 
 TEST(TcpTransfer, SegmentsLargerThanMss) {

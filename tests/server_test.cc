@@ -12,13 +12,15 @@
 //   * Backpressure: Send beyond the queue budget returns
 //     kResourceExhausted; nothing grows without bound.
 //   * Fairness: with one hot client flooding, deficit round-robin keeps
-//     the other clients' echoes flowing.
+//     the other clients' echoes flowing; an idle transport takes a whole
+//     backlog in one round, a full one is shared a quantum at a time.
 //   * Recovery: a link-kill + stalled-counter window while >= 8 dual-
 //     boundary clients are mid-transfer; every message is delivered
 //     exactly once (zero lost) after the herd reconnects.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -459,6 +461,59 @@ TEST(Server, ClientSendBetweenRoundsArrivesInTheNextRound) {
 }
 
 // --- Fairness ---------------------------------------------------------------
+
+TEST(Server, BacklogLeavesInOnePollWhenTheTransportHasRoom) {
+  // Deficit round-robin is work-conserving: with the transport idle, one
+  // Poll() hands a 16 KiB reply over in full instead of one quantum.
+  MultiClientWorld::Options options;
+  options.profile = StackProfile::kDualBoundary;
+  options.num_clients = 1;
+  options.seed = 1818;
+  MultiClientWorld world(options);
+  ASSERT_TRUE(world.EstablishAll());
+  world.PumpUntil([] { return false; }, 100);  // let the handshakes settle
+  const ConnId conn = world.server->EstablishedConnections()[0];
+  const Buffer reply(16384, 0x6b);
+  ASSERT_TRUE(world.server->Send(conn, reply).ok());
+  world.Pump();
+  EXPECT_FALSE(world.server->SessionOf(conn)->HasOutbound());
+  ASSERT_TRUE(world.PumpUntil([&] {
+    auto message = world.clients[0]->ReceiveMessage();
+    return message.ok() && *message == reply;
+  }));
+}
+
+TEST(Server, DrrSharesTheTransportWhenItPushesBack) {
+  // Three full send queues are more than the L5 egress slots and the SQ
+  // take in one doorbell, so the pass that meets pushback ends the round:
+  // no connection is more than one quantum ahead of another.
+  MultiClientWorld::Options options;
+  options.profile = StackProfile::kDualBoundary;
+  options.num_clients = 3;
+  options.seed = 1919;
+  MultiClientWorld world(options);
+  ASSERT_TRUE(world.EstablishAll());
+  world.PumpUntil([] { return false; }, 100);  // let the handshakes settle
+  const std::vector<ConnId> conns = world.server->EstablishedConnections();
+  ASSERT_EQ(conns.size(), 3u);
+  const Buffer chunk(4000, 0x7e);
+  std::vector<size_t> queued;
+  for (ConnId conn : conns) {
+    while (world.server->Send(conn, chunk).ok()) {
+    }
+    queued.push_back(world.server->SessionOf(conn)->outbound().size());
+  }
+  world.Pump();
+  std::vector<size_t> handed;
+  for (size_t i = 0; i < conns.size(); ++i) {
+    const cio::Session* session = world.server->SessionOf(conns[i]);
+    EXPECT_TRUE(session->HasOutbound()) << "no pushback on connection " << i;
+    handed.push_back(queued[i] - session->outbound().size());
+    EXPECT_GT(handed.back(), 0u) << "connection " << i << " starved";
+  }
+  const auto [fewest, most] = std::minmax_element(handed.begin(), handed.end());
+  EXPECT_LE(*most - *fewest, ConfidentialServer::kDrrQuantumBytes);
+}
 
 TEST(Server, HotClientCannotStarveTheQuiet) {
   MultiClientWorld::Options options;

@@ -2,7 +2,8 @@
 // fabric: segments are hand-built and fed in, outputs inspected. Covers
 // the handshake transitions, simultaneous close, RST behavior per state,
 // zero-window probing, retransmission timeout and backoff, SYN-ACK
-// retransmission, and MSS negotiation.
+// retransmission, MSS negotiation, and what counts as a duplicate ACK
+// (RFC 5681 §2) and when it triggers a fast or early retransmit.
 
 #include <gtest/gtest.h>
 
@@ -62,6 +63,37 @@ TcpConnection EstablishedClient(ciobase::SimClock* clock) {
   EXPECT_EQ(conn.state(), TcpState::kEstablished);
   Drain(conn);  // the final ACK
   return conn;
+}
+
+constexpr uint32_t kMss = 1460;
+
+// Data segments in `out`.
+size_t DataSegments(const std::vector<OutSegment>& out) {
+  size_t n = 0;
+  for (const OutSegment& segment : out) {
+    n += segment.payload.empty() ? 0 : 1;
+  }
+  return n;
+}
+
+// An established client with `segments` full-sized segments outstanding
+// and nothing unsent: slow start is walked up first, one ACK per segment.
+// `snd_una` is what the peer's duplicate ACKs repeat.
+struct Flight {
+  TcpConnection conn;
+  uint32_t snd_una;
+};
+Flight OutstandingFlight(ciobase::SimClock* clock, uint32_t segments) {
+  Flight flight{EstablishedClient(clock), 101};
+  while (flight.conn.cwnd() < segments * kMss) {
+    EXPECT_TRUE(flight.conn.Send(Buffer(kMss, 'w')).ok());
+    Drain(flight.conn);
+    flight.snd_una += kMss;
+    flight.conn.OnSegment(MakeSegment(5001, flight.snd_una, kTcpFlagAck), {});
+  }
+  EXPECT_TRUE(flight.conn.Send(Buffer(segments * kMss, 'f')).ok());
+  EXPECT_EQ(DataSegments(Drain(flight.conn)), segments);
+  return flight;
 }
 
 TEST(TcpUnit, ActiveOpenHandshake) {
@@ -184,6 +216,105 @@ TEST(TcpUnit, FastRetransmitOnTripleDupAck) {
   auto out = Drain(conn);
   ASSERT_GE(out.size(), 1u);
   EXPECT_EQ(out[0].header.seq, 101u);
+}
+
+// The peer's own data acknowledges snd_una whenever it has nothing new to
+// ack: bidirectional traffic, not a loss signal.
+TEST(TcpUnit, PeerDataAtSndUnaIsNotADuplicateAck) {
+  ciobase::SimClock clock;
+  Flight flight = OutstandingFlight(&clock, 4);
+  const uint32_t cwnd = flight.conn.cwnd();
+  for (uint32_t i = 0; i < 3; ++i) {
+    flight.conn.OnSegment(
+        MakeSegment(5001 + 100 * i, flight.snd_una, kTcpFlagAck),
+        Buffer(100, 'd'));
+  }
+  EXPECT_EQ(flight.conn.stats().dup_acks, 0u);
+  EXPECT_EQ(flight.conn.stats().fast_retransmits, 0u);
+  EXPECT_EQ(flight.conn.cwnd(), cwnd);
+  EXPECT_EQ(DataSegments(Drain(flight.conn)), 0u);
+}
+
+TEST(TcpUnit, WindowUpdatesAreNotDuplicateAcks) {
+  ciobase::SimClock clock;
+  Flight flight = OutstandingFlight(&clock, 4);
+  for (uint16_t window : {60000, 50000, 40000}) {
+    flight.conn.OnSegment(
+        MakeSegment(5001, flight.snd_una, kTcpFlagAck, window), {});
+  }
+  EXPECT_EQ(flight.conn.stats().dup_acks, 0u);
+  EXPECT_EQ(flight.conn.stats().fast_retransmits, 0u);
+  // The same ACK with the window left alone is a duplicate again.
+  for (int i = 0; i < 3; ++i) {
+    flight.conn.OnSegment(
+        MakeSegment(5001, flight.snd_una, kTcpFlagAck, 40000), {});
+  }
+  EXPECT_EQ(flight.conn.stats().dup_acks, 3u);
+  EXPECT_EQ(flight.conn.stats().fast_retransmits, 1u);
+}
+
+TEST(TcpUnit, SynAndFinSegmentsAreNotDuplicateAcks) {
+  ciobase::SimClock clock;
+  Flight flight = OutstandingFlight(&clock, 4);
+  for (int i = 0; i < 2; ++i) {
+    flight.conn.OnSegment(
+        MakeSegment(5001, flight.snd_una, kTcpFlagSyn | kTcpFlagAck), {});
+  }
+  for (int i = 0; i < 2; ++i) {  // the peer's FIN, then its retransmission
+    flight.conn.OnSegment(
+        MakeSegment(5001, flight.snd_una, kTcpFlagFin | kTcpFlagAck), {});
+  }
+  EXPECT_EQ(flight.conn.state(), TcpState::kCloseWait);
+  EXPECT_EQ(flight.conn.stats().dup_acks, 0u);
+  EXPECT_EQ(flight.conn.stats().fast_retransmits, 0u);
+  EXPECT_EQ(DataSegments(Drain(flight.conn)), 0u);
+}
+
+// Two small segments can draw at most one duplicate ACK, never three.
+TEST(TcpUnit, EarlyRetransmitAfterOneDuplicateForASmallFlight) {
+  ciobase::SimClock clock;
+  TcpConnection conn = EstablishedClient(&clock);
+  ASSERT_TRUE(conn.Send(Buffer(100, 'a')).ok());
+  ASSERT_TRUE(conn.Send(Buffer(100, 'b')).ok());
+  ASSERT_EQ(DataSegments(Drain(conn)), 2u);
+  conn.OnSegment(MakeSegment(5001, 101, kTcpFlagAck), {});
+  EXPECT_EQ(conn.stats().fast_retransmits, 1u);
+  auto out = Drain(conn);
+  ASSERT_EQ(DataSegments(out), 1u);
+  EXPECT_EQ(out[0].header.seq, 101u);
+}
+
+TEST(TcpUnit, NoEarlyRetransmitWithFourSegmentsOutstanding) {
+  ciobase::SimClock clock;
+  Flight flight = OutstandingFlight(&clock, 4);
+  for (int i = 0; i < 2; ++i) {
+    flight.conn.OnSegment(MakeSegment(5001, flight.snd_una, kTcpFlagAck), {});
+  }
+  EXPECT_EQ(flight.conn.stats().dup_acks, 2u);
+  EXPECT_EQ(flight.conn.stats().fast_retransmits, 0u);
+  EXPECT_EQ(DataSegments(Drain(flight.conn)), 0u);
+  flight.conn.OnSegment(MakeSegment(5001, flight.snd_una, kTcpFlagAck), {});
+  EXPECT_EQ(flight.conn.stats().fast_retransmits, 1u);
+}
+
+TEST(TcpUnit, ARunOfDuplicatesRetransmitsOnce) {
+  ciobase::SimClock clock;
+  Flight flight = OutstandingFlight(&clock, 4);
+  for (int i = 0; i < 8; ++i) {
+    flight.conn.OnSegment(MakeSegment(5001, flight.snd_una, kTcpFlagAck), {});
+  }
+  EXPECT_EQ(flight.conn.stats().dup_acks, 8u);
+  EXPECT_EQ(flight.conn.stats().fast_retransmits, 1u);
+  EXPECT_EQ(flight.conn.stats().retransmissions, 1u);
+  EXPECT_EQ(DataSegments(Drain(flight.conn)), 1u);
+  // An ACK of new data ends the run; the next run may retransmit again
+  // (three segments left outstanding: early retransmit at two).
+  flight.snd_una += kMss;
+  flight.conn.OnSegment(MakeSegment(5001, flight.snd_una, kTcpFlagAck), {});
+  for (int i = 0; i < 2; ++i) {
+    flight.conn.OnSegment(MakeSegment(5001, flight.snd_una, kTcpFlagAck), {});
+  }
+  EXPECT_EQ(flight.conn.stats().fast_retransmits, 2u);
 }
 
 TEST(TcpUnit, RstInEstablishedKillsConnection) {
