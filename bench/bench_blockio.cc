@@ -8,6 +8,10 @@
 // `--json <path>` additionally writes the table as a JSON array, one
 // object per (layer, access) row — the bench-trajectory format consumed by
 // tools/run_bench.sh to track storage performance across revisions.
+//
+// Every result is checked: a failed op, or a read or Get that does not
+// return the bytes written, counts as a failure, and the bench exits 1
+// unless there are none (a failing store must not time as a fast one).
 
 #include <cstdio>
 #include <cstring>
@@ -48,6 +52,15 @@ struct StorageWorld {
   }
 };
 
+// Failed ops, plus reads and Gets that returned other bytes than written.
+uint64_t g_failures = 0;
+
+void Expect(bool ok) {
+  if (!ok) {
+    ++g_failures;
+  }
+}
+
 struct Row {
   std::string layer;
   std::string access;
@@ -69,13 +82,15 @@ Row BenchClient(const char* name, cioblock::BlockClient* client,
   ciobase::Rng rng(5);
   ciobase::Buffer block = rng.Bytes(client->block_size());
   constexpr int kOps = 300;
+  std::vector<bool> written(1024, false);
   uint64_t start_ns = clock->now_ns();
   for (int i = 0; i < kOps; ++i) {
     uint64_t lba = random_access ? rng.NextBounded(1024)
                                  : static_cast<uint64_t>(i % 1024);
-    (void)client->WriteBlock(lba, block);
+    Expect(client->WriteBlock(lba, block).ok());
+    written[lba] = true;
     if (flush_every > 0 && (i + 1) % flush_every == 0) {
-      (void)client->Flush();
+      Expect(client->Flush().ok());
     }
   }
   uint64_t write_ns = clock->now_ns() - start_ns;
@@ -83,7 +98,8 @@ Row BenchClient(const char* name, cioblock::BlockClient* client,
   for (int i = 0; i < kOps; ++i) {
     uint64_t lba = random_access ? rng.NextBounded(1024)
                                  : static_cast<uint64_t>(i % 1024);
-    (void)client->ReadBlock(lba);
+    auto read = client->ReadBlock(lba);
+    Expect(read.ok() && (!written[lba] || *read == block));
   }
   uint64_t read_ns = clock->now_ns() - start_ns;
   Row row{name, random_access ? "rand" : "seq", OpsPerSec(kOps, write_ns),
@@ -165,18 +181,19 @@ int main(int argc, char** argv) {
     cioblock::ConfidentialStore store(&memory, &compartments, app, storage,
                                       &costs, nullptr, &observability,
                                       &clock, options);
-    (void)store.Format();
+    Expect(store.Format().ok());
     ciobase::Rng rng(6);
     ciobase::Buffer value = rng.Bytes(3000);
     constexpr int kOps = 200;
     uint64_t start_ns = clock.now_ns();
     for (int i = 0; i < kOps; ++i) {
-      (void)store.Put("obj-" + std::to_string(i % 32), value);
+      Expect(store.Put("obj-" + std::to_string(i % 32), value).ok());
     }
     uint64_t put_ns = clock.now_ns() - start_ns;
     start_ns = clock.now_ns();
     for (int i = 0; i < kOps; ++i) {
-      (void)store.Get("obj-" + std::to_string(i % 32));
+      auto read = store.Get("obj-" + std::to_string(i % 32));
+      Expect(read.ok() && *read == value);
     }
     uint64_t get_ns = clock.now_ns() - start_ns;
     Row row{"full dual-boundary", "3KB", OpsPerSec(kOps, put_ns),
@@ -194,5 +211,7 @@ int main(int argc, char** argv) {
       "adds the AEAD per block; durable generations add a table commit per\n"
       "flush; the full store adds the compartment crossing and value\n"
       "sealing — the same layering as the network path.\n");
-  return 0;
+  std::printf("\nfailed ops or wrong bytes: %llu\n",
+              static_cast<unsigned long long>(g_failures));
+  return g_failures == 0 ? 0 : 1;
 }

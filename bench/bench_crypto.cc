@@ -5,8 +5,11 @@
 // the simulated datapath whose cost is NOT modeled — it is paid for real on
 // every sealed byte. `chacha20-ref` is the seed-style scalar loop (one
 // ChaCha20Block + byte-wise XOR per 64-byte block); `chacha20` is the
-// shipping 4-block word-wise ChaCha20Xor fast path. The ratio between the
-// two rows is the multi-block speedup.
+// shipping 4-block word-wise ChaCha20Xor. The last line prints their ratio
+// at 16 KiB (shipping over reference). It depends on the build and the
+// host and can read below 1: in Release (-O3) builds the 4-block path has
+// run slower than the reference (DESIGN.md, "Wall-clock costs"). A
+// vectorized ChaCha20 is an open ROADMAP item.
 
 #include <chrono>
 #include <cstdio>

@@ -4,12 +4,17 @@
 // boundary, and blocks are encrypted again before they cross the block-ring
 // boundary to the host. The demo stores tenant records, survives a
 // remount, shows the host's view is ciphertext, and demonstrates that a
-// tampering filesystem/host is detected rather than believed.
+// tampering filesystem/host is detected rather than believed. Generations
+// are durable (anchored in a monotonic counter), so the remount also
+// checks the image for rollback. Exits 1 if any of that does not hold.
 
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
-#include "src/base/rng.h"
 #include "src/blockio/store.h"
+#include "src/tee/monotonic_counter.h"
 
 int main() {
   ciobase::SimClock clock;
@@ -20,11 +25,13 @@ int main() {
   ciotee::CompartmentId storage = compartments.Create("storage", 1 << 20);
   ciohost::Adversary adversary(21);
   ciohost::ObservabilityLog observability;
+  ciotee::MonotonicCounter rollback_counter;
 
   cioblock::ConfidentialStore::Options options;
   options.ring.block_count = 1024;
   options.disk_key = ciobase::BufferFromString("disk-key-................");
   options.value_key = ciobase::BufferFromString("value-key-...............");
+  options.rollback_counter = &rollback_counter;
   cioblock::ConfidentialStore store(&memory, &compartments, app, storage,
                                     &costs, &adversary, &observability,
                                     &clock, options);
@@ -33,18 +40,42 @@ int main() {
     return 1;
   }
 
-  // Store tenant records.
-  ciobase::Rng rng(3);
+  // Store tenant records. Each acknowledged Put is durable; none is
+  // followed by a Flush.
+  std::vector<std::pair<std::string, std::string>> records;
   for (int i = 0; i < 10; ++i) {
-    std::string name = "patient-" + std::to_string(1000 + i);
-    std::string record = "diagnosis: confidential; visit " +
-                         std::to_string(i);
+    records.emplace_back("patient-" + std::to_string(1000 + i),
+                         "diagnosis: confidential; visit " +
+                             std::to_string(i));
+    const auto& [name, record] = records.back();
     if (!store.Put(name, ciobase::BufferFromString(record)).ok()) {
       std::printf("store: put %s failed\n", name.c_str());
       return 1;
     }
   }
   std::printf("store: stored %zu objects\n", store.List().size());
+
+  // Remount: reload the generation table, check it for rollback, remount
+  // the filesystem, and read every record back.
+  ciobase::Status remount = store.Remount();
+  if (!remount.ok()) {
+    std::printf("store: remount failed: %s\n", remount.ToString().c_str());
+    return 1;
+  }
+  size_t intact = 0;
+  for (const auto& [name, record] : records) {
+    auto read = store.Get(name);
+    if (read.ok() && *read == ciobase::BufferFromString(record)) {
+      ++intact;
+    } else {
+      std::printf("store: %s differs after the remount\n", name.c_str());
+    }
+  }
+  std::printf("store: after a remount, %zu/%zu records read back intact\n",
+              intact, records.size());
+  if (intact != records.size()) {
+    return 1;
+  }
 
   auto record = store.Get("patient-1003");
   if (record.ok()) {
@@ -63,6 +94,9 @@ int main() {
   }
   std::printf("store: host image contains plaintext: %s\n",
               plaintext_found ? "YES (bug!)" : "no — ciphertext only");
+  if (plaintext_found) {
+    return 1;
+  }
   std::printf("store: host observed %zu LBA access events (the residual "
               "storage side channel the paper notes [3])\n",
               observability.CountOf(ciohost::ObsCategory::kCallArgs));
@@ -74,6 +108,9 @@ int main() {
               tampered.ok() ? "unexpectedly succeeded"
                             : tampered.status().ToString().c_str());
   adversary.set_strategy(ciohost::AttackStrategy::kNone);
+  if (tampered.ok()) {
+    return 1;
+  }
 
   // The boundary cost profile of this workload.
   std::printf("store: compartment switches=%llu, bytes copied=%llu, "

@@ -107,8 +107,10 @@ void RingBlockClient::ResetRing() {
 }
 
 void RingBlockClient::Reattach() {
-  needs_remount_ = false;
+  // Reset first: the reset itself may notice a restart no op has seen yet,
+  // and this call acknowledges that one too.
   ResetRing();
+  needs_remount_ = false;
 }
 
 ciobase::Result<ciobase::Buffer> RingBlockClient::Reap(uint32_t expected_len) {

@@ -115,9 +115,10 @@ class RingBlockClient final : public BlockClient {
   // True after a host restart was detected; every op returns kLinkReset
   // until Reattach().
   bool needs_remount() const { return needs_remount_; }
-  // Acknowledges a detected host restart: resets the ring under a fresh
-  // epoch and resumes issuing ops. The caller is responsible for remounting
-  // the layers above (their cached view of the disk is stale).
+  // Acknowledges a host restart, also one no op has detected yet: resets
+  // the ring under a fresh epoch and resumes issuing ops. The caller is
+  // responsible for remounting the layers above (their cached view of the
+  // disk is stale).
   void Reattach();
 
   struct Stats {

@@ -530,12 +530,11 @@ ciobase::Status ExtentFs::WriteFile(std::string_view name,
       AppendJournal(kJournalOpSet, static_cast<uint32_t>(index), updated));
   CIO_RETURN_IF_ERROR(client_->Flush());
 
-  // 4. In-place table update; a crash here is repaired by replay. The
-  //    trailing flush makes the table write (and, through an encrypted
-  //    client, its generation-table entry) durable too, so a clean
-  //    remount needs no replay and sees a self-consistent image.
-  CIO_RETURN_IF_ERROR(FlushInode(index));
-  return client_->Flush();
+  // 4. In-place table update, left unflushed: replay of the commit record
+  //    restores it after a crash, and the next commit, a Flush() or a
+  //    clean remount persists it, long before the record's slot is reused
+  //    kJournalBlocks commits later.
+  return FlushInode(index);
 }
 
 ciobase::Result<ciobase::Buffer> ExtentFs::ReadFile(std::string_view name) {
@@ -590,8 +589,7 @@ ciobase::Status ExtentFs::DeleteFile(std::string_view name) {
   // an extent overlap.
   CIO_RETURN_IF_ERROR(client_->Flush());
   ReleaseExtents(old);
-  CIO_RETURN_IF_ERROR(FlushInode(index));
-  return client_->Flush();
+  return FlushInode(index);  // unflushed, as in WriteFile's step 4
 }
 
 std::vector<std::string> ExtentFs::ListFiles() const {

@@ -16,14 +16,18 @@
 // Crash consistency: WriteFile/DeleteFile are atomic against host crashes.
 // The sequence is (1) write the new data extents, (2) append a checksummed,
 // sequence-stamped journal record carrying the new inode, (3) flush — the
-// commit point: once the flush is acknowledged the update is durable —
-// then (4) rewrite the inode-table block in place. A crash before (3)
-// leaves the old version; a crash after (3) is repaired by Mount(), which
-// replays surviving journal records in sequence order over the inode
-// table (idempotently: records are whole-inode images, and a slot is only
-// ever overwritten by a record kJournalBlocks sequence numbers later, so
-// the journal can never hold an older image of an inode while missing a
-// newer one). ScanAndRepair() is the fsck path: it additionally drops
+// commit point, and the operation's only flush: once it is acknowledged
+// the update is durable — then (4) rewrite the inode-table block in place,
+// unflushed. The next operation's commit flush, an explicit Flush(), or a
+// clean remount (ConfidentialStore::Remount) makes (4) durable. A crash
+// before (3) leaves the old version; a crash after (3) loses (4) with the
+// host's write-back cache and is repaired by Mount(), which replays
+// surviving journal records in sequence order over the inode table
+// (idempotently: records are whole-inode images, and a slot is only ever
+// overwritten by a record kJournalBlocks sequence numbers later, so the
+// journal can never hold an older image of an inode while missing a newer
+// one, and a record is dropped only after the next commit persisted its
+// step (4)). ScanAndRepair() is the fsck path: it additionally drops
 // corrupt inode-table blocks and inodes with out-of-range or overlapping
 // extents instead of refusing to mount.
 //

@@ -50,10 +50,22 @@ ciobase::Status ConfidentialStore::Flush() {
 
 ciobase::Status ConfidentialStore::Remount() {
   compartments_->SwitchTo(storage_);
+  ciobase::Status status = ciobase::OkStatus();
+  // A clean remount commits first, so the root it reloads covers every
+  // in-place write the live host still caches. A commit that meets a host
+  // restart finds that cache gone: reload and replay instead.
+  if (fs_->mounted() && !ring_client_->needs_remount()) {
+    status = fs_->Flush();
+    if (!status.ok() && ring_client_->needs_remount()) {
+      status = ciobase::OkStatus();
+    }
+  }
   // Order matters: a live ring first (the layers above talk through it),
   // then the freshness-checked generation table, then journal replay.
-  ring_client_->Reattach();
-  ciobase::Status status = crypt_client_->Remount();
+  if (status.ok()) {
+    ring_client_->Reattach();
+    status = crypt_client_->Remount();
+  }
   if (status.ok()) {
     status = fs_->Mount();
   }

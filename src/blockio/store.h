@@ -65,13 +65,23 @@ class ConfidentialStore {
   ciobase::Result<ciobase::Buffer> Get(std::string_view name);
   ciobase::Status Delete(std::string_view name);
   std::vector<std::string> List();
-  // Durability barrier: everything acknowledged before a successful Flush
-  // survives a host crash.
+  // Durability barrier: after a successful Flush the durable image needs
+  // no journal replay. An acknowledged Put or Delete is durable without
+  // it.
   ciobase::Status Flush();
-  // Recovery path after a host restart (ops returning kLinkReset with
-  // ring_client()->needs_remount()): reattaches the ring, reloads the
-  // generation table (kTampered on rollback of the image), and remounts
-  // the filesystem (journal replay).
+  // Reattaches the ring, reloads the generation table (kTampered on
+  // rollback of the image), and remounts the filesystem (journal replay).
+  //   * Clean remount (a filesystem is mounted and the ring has latched no
+  //     host restart): commits first, like Flush(). A Put or Delete leaves
+  //     its in-place inode-table write unflushed (extent_fs.h); the commit
+  //     makes the reloaded root cover it. A commit failure other than a
+  //     host restart is returned, and nothing is reloaded.
+  //   * After a host restart (ops returned kLinkReset with
+  //     ring_client()->needs_remount(), or the commit just met one): the
+  //     host's cache is gone, so it reloads the durable root and journal
+  //     replay restores what the cache held.
+  // Before Format() it commits nothing and fails kFailedPrecondition (no
+  // filesystem).
   ciobase::Status Remount();
 
   HostBlockDevice* host_device() { return device_.get(); }

@@ -4,15 +4,19 @@
 // device-write boundary), corrupt-image mounting (fsck never crashes and
 // never accepts an inconsistent image), durable anti-rollback across
 // remounts, generation-table commits (dirty chunks + root, crash points,
-// replayed table blocks, no nonce sealing two plaintexts), and single
-// cells of the storage campaign (so the whole machinery also runs under
-// ASan in the test suite).
+// replayed table blocks, no nonce sealing two plaintexts), full-store
+// remounts (a clean remount commits before it reloads; one after an
+// unseen host restart reloads and replays), and single cells of the
+// storage campaign (so the whole machinery also runs under ASan in the
+// test suite).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/bytes.h"
@@ -108,6 +112,24 @@ TEST(RingRecovery, HostCrashLatchesRemountUntilReattach) {
   auto lost = world.client->ReadBlock(2);
   ASSERT_TRUE(lost.ok());
   EXPECT_EQ((*lost)[0], 0);  // discarded with the write-back cache
+}
+
+// A restart no op has run into yet: Reattach's own ring reset is the first
+// to see the new boot count, and Reattach acknowledges it there and then
+// instead of leaving the ring latched.
+TEST(RingRecovery, ReattachAcknowledgesARestartNoOpHasSeen) {
+  RecoveryWorld world;
+  ASSERT_TRUE(world.client->WriteBlock(1, BufferFromString("durable")).ok());
+  ASSERT_TRUE(world.client->Flush().ok());
+
+  world.device->SimulateCrash();
+  world.client->Reattach();
+  EXPECT_FALSE(world.client->needs_remount());
+  EXPECT_EQ(world.client->stats().host_restarts, 1u);
+  auto read = world.client->ReadBlock(1);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  read->resize(7);
+  EXPECT_EQ(*read, BufferFromString("durable"));
 }
 
 // --- ExtentFs crash consistency -------------------------------------------------
@@ -726,6 +748,134 @@ TEST(ConfidentialStoreCrash, CrashRemountRecovers) {
   auto read2 = store.Get("k2");
   ASSERT_TRUE(read2.ok());
   EXPECT_EQ(*read2, BufferFromString("post-crash"));
+}
+
+// A formatted store with durable generations and ring recovery, the
+// configuration perfbench store-mixed runs. A Put or Delete flushes once,
+// at its journal commit, and leaves its in-place inode-table write in the
+// host's write-back cache.
+struct DurableStoreWorld {
+  static constexpr uint64_t kBlocks = 512;
+  ciobase::SimClock clock;
+  ciobase::CostModel costs{&clock};
+  ciotee::TeeMemory memory;
+  ciotee::CompartmentManager compartments{&costs};
+  ciohost::Adversary adversary{17};
+  ciohost::ObservabilityLog observability;
+  ciotee::MonotonicCounter counter;
+  std::unique_ptr<ConfidentialStore> store;
+
+  DurableStoreWorld() {
+    ConfidentialStore::Options options;
+    options.ring.block_count = kBlocks;
+    options.disk_key = BufferFromString("disk-key-aaaaaaaaaaaaaaaaaaaaaaa");
+    options.value_key = BufferFromString("value-key-bbbbbbbbbbbbbbbbbbbbbb");
+    options.recovery.enabled = true;
+    options.rollback_counter = &counter;
+    auto app = compartments.Create("app", 1 << 20);
+    auto storage = compartments.Create("storage", 1 << 20);
+    store = std::make_unique<ConfidentialStore>(
+        &memory, &compartments, app, storage, &costs, &adversary,
+        &observability, &clock, options);
+    EXPECT_TRUE(store->Format().ok());
+  }
+
+  void ExpectValue(const char* name, const char* value) {
+    auto read = store->Get(name);
+    ASSERT_TRUE(read.ok()) << name << ": " << read.status().ToString();
+    EXPECT_EQ(*read, BufferFromString(value)) << name;
+  }
+};
+
+// The clean remount commits before it reloads, so the root it reloads
+// covers the Put's in-place table write the host still caches: no replay.
+TEST(ConfidentialStoreCrash, CleanRemountRightAfterAPutServesIt) {
+  DurableStoreWorld world;
+  ConfidentialStore& store = *world.store;
+  ASSERT_TRUE(store.Put("k1", BufferFromString("acknowledged")).ok());
+  ASSERT_TRUE(store.Remount().ok());
+  EXPECT_EQ(store.fs()->stats().journal_replays, 0u);
+  world.ExpectValue("k1", "acknowledged");
+}
+
+// The second Put rides out a counter stall on ring resets; the host keeps
+// its cache across them, and the clean remount still commits it first.
+TEST(ConfidentialStoreCrash, CleanRemountAfterARingResetServesBothPuts) {
+  DurableStoreWorld world;
+  ConfidentialStore& store = *world.store;
+  ASSERT_TRUE(store.Put("k1", BufferFromString("before")).ok());
+  uint64_t resets = store.ring_client()->stats().ring_resets;
+  world.adversary.InjectFault({ciohost::FaultStrategy::kStallCounters,
+                               world.clock.now_ns(), 3'000'000});
+  ASSERT_TRUE(store.Put("k2", BufferFromString("through")).ok());
+  EXPECT_GT(store.ring_client()->stats().ring_resets, resets);
+  EXPECT_FALSE(store.ring_client()->needs_remount());
+  ASSERT_TRUE(store.Remount().ok());
+  world.ExpectValue("k1", "before");
+  world.ExpectValue("k2", "through");
+}
+
+// The host restarts and no op notices before Remount: the remount's commit
+// runs into the restart, so it reloads, and replay restores the second
+// Put's table write, which died with the host's cache.
+TEST(ConfidentialStoreCrash,
+     RemountAfterAnUnseenRestartServesEveryAcknowledgedPut) {
+  DurableStoreWorld world;
+  ConfidentialStore& store = *world.store;
+  ASSERT_TRUE(store.Put("k1", BufferFromString("first")).ok());
+  ASSERT_TRUE(store.Put("k2", BufferFromString("second")).ok());
+  store.host_device()->SimulateCrash();
+  ASSERT_TRUE(store.Remount().ok());
+  EXPECT_EQ(store.fs()->stats().journal_replays, 1u);
+  world.ExpectValue("k1", "first");
+  world.ExpectValue("k2", "second");
+}
+
+// A hostile host persists the last Put's in-place table write but not the
+// root the next commit would have written. The table block then fails its
+// generation check: denial of service at Remount, never a wrong value.
+TEST(ConfidentialStoreCrash, TableWritePersistedWithoutItsRootIsNeverBelieved) {
+  DurableStoreWorld world;
+  ConfidentialStore& store = *world.store;
+  HostBlockDevice& host = *store.host_device();
+  ASSERT_TRUE(store.Put("k1", BufferFromString("flushed")).ok());
+  ASSERT_TRUE(store.Flush().ok());
+  ASSERT_TRUE(store.Put("k2", BufferFromString("committed")).ok());
+
+  // All the host still caches is k2's in-place table write.
+  std::vector<std::pair<uint64_t, Buffer>> cached;
+  for (uint64_t lba = 0; lba < DurableStoreWorld::kBlocks; ++lba) {
+    ciobase::ByteSpan current = host.RawBlock(lba);
+    ciobase::ByteSpan durable = host.RawDurableBlock(lba);
+    if (!std::equal(current.begin(), current.end(), durable.begin(),
+                    durable.end())) {
+      cached.emplace_back(lba, Buffer(current.begin(), current.end()));
+    }
+  }
+  ASSERT_EQ(cached.size(), 1u);
+  const auto& [lba, bytes] = cached[0];
+  host.SimulateCrash();
+  // The restarted host writes it to the medium anyway.
+  Buffer durable(host.RawDurableBlock(lba).begin(),
+                 host.RawDurableBlock(lba).end());
+  ASSERT_EQ(durable.size(), bytes.size());
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    if (durable[i] != bytes[i]) {
+      ASSERT_TRUE(host.CorruptRawByte(lba, i, durable[i] ^ bytes[i]));
+    }
+  }
+
+  ciobase::Status remount = store.Remount();
+  EXPECT_TRUE(remount.ok() || remount.code() == StatusCode::kTampered)
+      << remount.ToString();
+  const std::pair<const char*, const char*> puts[] = {{"k1", "flushed"},
+                                                      {"k2", "committed"}};
+  for (const auto& [name, value] : puts) {
+    auto read = store.Get(name);
+    if (read.ok()) {
+      EXPECT_EQ(*read, BufferFromString(value)) << name;
+    }
+  }
 }
 
 // --- Campaign cells (also exercised under ASan via the test suite) --------------
