@@ -1,16 +1,20 @@
-// Wall-clock crypto throughput (MB/s) across payload sizes.
+// Wall-clock crypto throughput (MB/s) across payload sizes, and a gate on
+// the vector ChaCha20.
 //
 // Unlike the modeled-clock benches, this measures the real CPU cost of the
-// from-scratch primitives, because TLS record protection is the one part of
-// the simulated datapath whose cost is NOT modeled — it is paid for real on
-// every sealed byte. `chacha20-ref` is the seed-style scalar loop (one
-// ChaCha20Block + byte-wise XOR per 64-byte block); `chacha20` is the
-// shipping 4-block word-wise ChaCha20Xor. The last line prints their ratio
-// at 16 KiB (shipping over reference). It depends on the build and the
-// host and can read below 1: in Release (-O3) builds the 4-block path has
-// run slower than the reference (DESIGN.md, "Wall-clock costs"). A
-// vectorized ChaCha20 is an open ROADMAP item.
+// from-scratch primitives: sealing is the one computation the datapath
+// pays for real on every byte, and the modeled clock never reads it.
+// `chacha20-ref` is the seed-style scalar loop (one ChaCha20Block + byte-wise
+// XOR per 64-byte block); `chacha20` is the shipping ChaCha20Xor (4 blocks
+// per iteration in 16-byte vector lanes); `poly1305` is the 44-bit-limb MAC.
+//
+// The table prints one run per cell. The last line prints the 16 KiB ratio
+// of shipping over reference ChaCha20, taken as the best of 5 alternating
+// runs of each so that a burst of host load on one run cannot decide it.
+// The binary exits 1 unless that ratio is at least 1.5x (DESIGN.md,
+// "Wall-clock costs", has the measured ratios per build).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -64,6 +68,9 @@ double Throughput(size_t bytes, Op&& op) {
 
 int main() {
   const size_t kSizes[] = {64, 256, 1024, 4096, 16384, 65536};
+  constexpr size_t kGateSize = 16384;
+  constexpr int kGateRounds = 5;
+  constexpr double kMinSpeedup = 1.5;
 
   uint8_t key[ciocrypto::kAeadKeySize];
   uint8_t nonce[ciocrypto::kAeadNonceSize];
@@ -80,20 +87,24 @@ int main() {
               "chacha20", "poly1305", "aead-seal", "aead-open");
   std::printf("%s\n", std::string(78, '-').c_str());
 
-  double ref_16k = 0;
-  double fast_16k = 0;
-  for (size_t size : kSizes) {
+  // MB/s of the shipping (or the reference) ChaCha20 at one size.
+  auto chacha = [&](size_t size, bool shipping) {
     std::vector<uint8_t> plain(size, 0x5a);
     std::vector<uint8_t> work(size);
+    return Throughput(size, [&] {
+      if (shipping) {
+        ciocrypto::ChaCha20Xor(key, nonce, 1, plain, work.data());
+      } else {
+        ScalarChaCha20Xor(key, nonce, 1, plain, work.data());
+      }
+      g_sink += work[0];
+    });
+  };
 
-    double ref = Throughput(size, [&] {
-      ScalarChaCha20Xor(key, nonce, 1, plain, work.data());
-      g_sink += work[0];
-    });
-    double fast = Throughput(size, [&] {
-      ciocrypto::ChaCha20Xor(key, nonce, 1, plain, work.data());
-      g_sink += work[0];
-    });
+  for (size_t size : kSizes) {
+    std::vector<uint8_t> plain(size, 0x5a);
+    double ref = chacha(size, false);
+    double fast = chacha(size, true);
     double poly = Throughput(size, [&] {
       auto tag = ciocrypto::Poly1305::Mac(key, plain);
       g_sink += tag[0];
@@ -116,19 +127,27 @@ int main() {
       g_sink += got.ok() ? *got : 1;
     });
 
-    if (size == 16384) {
-      ref_16k = ref;
-      fast_16k = fast;
-    }
     std::printf("%-14zu %12.1f %12.1f %12.1f %12.1f %12.1f\n", size, ref,
                 fast, poly, seal, open);
   }
-  if (ref_16k > 0) {
-    std::printf("\nchacha20 16 KiB speedup vs scalar reference: %.2fx\n",
-                fast_16k / ref_16k);
+
+  double best_ref = 0;
+  double best_fast = 0;
+  for (int round = 0; round < kGateRounds; ++round) {
+    best_ref = std::max(best_ref, chacha(kGateSize, false));
+    best_fast = std::max(best_fast, chacha(kGateSize, true));
   }
+  double speedup = best_fast / best_ref;
+  std::printf("\nchacha20 16 KiB speedup vs scalar reference: %.2fx "
+              "(best of %d runs each; gate >= %.1fx)\n",
+              speedup, kGateRounds, kMinSpeedup);
   // Keep the sink observable.
   std::fprintf(stderr, "# sink=%llu\n",
                static_cast<unsigned long long>(g_sink));
+  if (speedup < kMinSpeedup) {
+    std::printf("FAIL: the shipping ChaCha20 is not %.1fx the reference\n",
+                kMinSpeedup);
+    return 1;
+  }
   return 0;
 }

@@ -82,6 +82,7 @@ ciobase::Status ExtentFs::WriteSuperblock() {
 }
 
 ciobase::Status ExtentFs::Format(uint32_t inode_count) {
+  mounted_ = false;  // until the fresh image is written
   CIO_RETURN_IF_ERROR(CheckGeometry());
   inode_count_ = inode_count;
   inode_blocks_ = static_cast<uint32_t>(
@@ -297,6 +298,7 @@ ciobase::Status ExtentFs::ValidateInodesAndRebuildBitmap(
 }
 
 ciobase::Status ExtentFs::Mount() {
+  mounted_ = false;  // until the whole image has loaded
   CIO_RETURN_IF_ERROR(LoadSuperblock());
   CIO_RETURN_IF_ERROR(ReadInodeTable(nullptr));
   uint32_t replayed = 0;
@@ -314,6 +316,7 @@ ciobase::Status ExtentFs::Mount() {
 
 ciobase::Result<ExtentFs::RepairReport> ExtentFs::ScanAndRepair() {
   RepairReport report;
+  mounted_ = false;  // until the whole image has loaded
   // No geometry, nothing to repair from.
   CIO_RETURN_IF_ERROR(LoadSuperblock());
   CIO_RETURN_IF_ERROR(ReadInodeTable(&report));

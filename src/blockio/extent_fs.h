@@ -60,6 +60,8 @@ class ExtentFs {
   // Loads the superblock and inode table, replays the journal, and
   // validates extents. Fails (without crashing) on inconsistent images:
   // kFailedPrecondition for "not a filesystem", kTampered for corruption.
+  // A failed Format, Mount or ScanAndRepair leaves the filesystem
+  // unmounted: file operations fail kFailedPrecondition until one succeeds.
   ciobase::Status Mount();
 
   // fsck: like Mount, but salvages what it can — corrupt inode-table

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/base/bits.h"
 #include "src/base/log.h"
 #include "src/prof/profiler.h"
 #include "src/tee/attestation.h"
@@ -9,6 +10,9 @@
 namespace cio {
 
 namespace {
+
+// A dual-boundary node's app compartment arena: app-private buffers only.
+constexpr size_t kAppHeapBytes = size_t{4} << 10;
 
 // Wraps the syscall profile's host-side port: the host kernel runs this TCP
 // stack itself, so on top of the syscall metadata it also sees every frame
@@ -303,8 +307,13 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
     return;
   }
   compartments_ = std::make_unique<ciotee::CompartmentManager>(&costs_);
-  app_compartment_ = compartments_->Create("app", 4 << 20);
-  io_compartment_ = compartments_->Create("io-stack", kIoHeapBytes);
+  // Create zero-fills each arena, so each is sized to what lands in it: the
+  // datapath allocates nothing in the app heap, and the I/O heap holds the
+  // L5 queue region alone (Valid() capped that at kIoHeapBytes).
+  app_compartment_ = compartments_->Create("app", kAppHeapBytes);
+  io_compartment_ = compartments_->Create(
+      "io-stack", ciobase::AlignUp(config_.l5_queue.TotalBytes(),
+                                   ciotee::kCompartmentAllocAlign));
   // Single distrust: the app may reach into the I/O heap; the I/O stack
   // gets NO grant into app memory (ternary model, §3.1).
   compartments_->GrantAccess(app_compartment_, io_compartment_);

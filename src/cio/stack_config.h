@@ -47,8 +47,9 @@ inline constexpr int kStackProfileCount = 6;
 std::string_view StackProfileName(StackProfile profile);
 std::vector<StackProfile> AllStackProfiles();
 
-// The I/O compartment heap of a dual-boundary node: the L5 channel registers
-// its one queue region (L5QueueConfig::TotalBytes) there.
+// The largest I/O compartment heap of a dual-boundary node. The L5 channel
+// registers its one queue region (L5QueueConfig::TotalBytes) there, and the
+// node sizes the heap to that region.
 inline constexpr size_t kIoHeapBytes = size_t{4} << 20;
 
 // The trust model each profile instantiates (§2.1/§3.1).

@@ -1,5 +1,7 @@
 #include "src/crypto/chacha20.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "src/base/bits.h"
@@ -63,78 +65,92 @@ inline void BlockFromState(const uint32_t state[16],
   }
 }
 
-inline constexpr int kLanes = 4;
+// Four 32-bit lanes in one 16-byte vector (GCC/Clang vector extensions):
+// baseline x86-64 runs them as SSE2 without intrinsics or -march.
+typedef uint32_t U32x4 __attribute__((vector_size(16)));
 
-// One quarter-round across 4 independent blocks (SIMD-within-registers: each
-// statement is a 4-wide lane loop the compiler can vectorize).
-inline void QuarterRound4(uint32_t a[kLanes], uint32_t b[kLanes],
-                          uint32_t c[kLanes], uint32_t d[kLanes]) {
-  for (int l = 0; l < kLanes; ++l) {
-    a[l] += b[l];
-    d[l] = RotL32(d[l] ^ a[l], 16);
-  }
-  for (int l = 0; l < kLanes; ++l) {
-    c[l] += d[l];
-    b[l] = RotL32(b[l] ^ c[l], 12);
-  }
-  for (int l = 0; l < kLanes; ++l) {
-    a[l] += b[l];
-    d[l] = RotL32(d[l] ^ a[l], 8);
-  }
-  for (int l = 0; l < kLanes; ++l) {
-    c[l] += d[l];
-    b[l] = RotL32(b[l] ^ c[l], 7);
-  }
+// The vector path XORs keystream words straight onto input bytes, which
+// matches RFC 8439's little-endian serialization on little-endian hosts.
+static_assert(std::endian::native == std::endian::little,
+              "ChaCha20Xor's vector path assumes a little-endian host");
+
+inline constexpr size_t kStride = 4 * kChaCha20BlockSize;  // 256
+
+inline U32x4 RotL(U32x4 v, int r) { return (v << r) | (v >> (32 - r)); }
+
+// One quarter-round on 4 blocks at once: lane l of every word is block l's.
+inline void QuarterRoundX4(U32x4& a, U32x4& b, U32x4& c, U32x4& d) {
+  a += b;
+  d = RotL(d ^ a, 16);
+  c += d;
+  b = RotL(b ^ c, 12);
+  a += b;
+  d = RotL(d ^ a, 8);
+  c += d;
+  b = RotL(b ^ c, 7);
 }
 
-// Generates 4 consecutive keystream blocks (counters counter..counter+3, each
-// wrapping mod 2^32 independently, per RFC 8439's 32-bit block counter) into
-// out[0..255]. Lane-major layout: v[word][lane].
-inline void Blocks4(const uint32_t state[16], uint32_t counter,
-                    uint8_t out[kLanes * kChaCha20BlockSize]) {
-  uint32_t v[16][kLanes];
+// Transposes the 4x4 word matrix whose rows are a..d.
+inline void Transpose(U32x4& a, U32x4& b, U32x4& c, U32x4& d) {
+  U32x4 ab_lo = __builtin_shufflevector(a, b, 0, 4, 1, 5);
+  U32x4 ab_hi = __builtin_shufflevector(a, b, 2, 6, 3, 7);
+  U32x4 cd_lo = __builtin_shufflevector(c, d, 0, 4, 1, 5);
+  U32x4 cd_hi = __builtin_shufflevector(c, d, 2, 6, 3, 7);
+  a = __builtin_shufflevector(ab_lo, cd_lo, 0, 1, 4, 5);
+  b = __builtin_shufflevector(ab_lo, cd_lo, 2, 3, 6, 7);
+  c = __builtin_shufflevector(ab_hi, cd_hi, 0, 1, 4, 5);
+  d = __builtin_shufflevector(ab_hi, cd_hi, 2, 3, 6, 7);
+}
+
+// Generates 4 consecutive keystream blocks (counters counter..counter+3,
+// each wrapping mod 2^32 independently, per RFC 8439's 32-bit block
+// counter) in output order: ks[i] holds keystream bytes 16i..16i+15.
+inline void KeystreamX4(const uint32_t state[16], uint32_t counter,
+                        U32x4 ks[16]) {
+  U32x4 x[16];
   for (int i = 0; i < 16; ++i) {
-    for (int l = 0; l < kLanes; ++l) {
-      v[i][l] = state[i];
-    }
+    x[i] = U32x4{} + state[i];
   }
-  for (int l = 0; l < kLanes; ++l) {
-    v[12][l] = counter + static_cast<uint32_t>(l);
-  }
+  const U32x4 counters = counter + U32x4{0, 1, 2, 3};
+  x[12] = counters;
   for (int round = 0; round < 10; ++round) {
-    QuarterRound4(v[0], v[4], v[8], v[12]);
-    QuarterRound4(v[1], v[5], v[9], v[13]);
-    QuarterRound4(v[2], v[6], v[10], v[14]);
-    QuarterRound4(v[3], v[7], v[11], v[15]);
-    QuarterRound4(v[0], v[5], v[10], v[15]);
-    QuarterRound4(v[1], v[6], v[11], v[12]);
-    QuarterRound4(v[2], v[7], v[8], v[13]);
-    QuarterRound4(v[3], v[4], v[9], v[14]);
+    QuarterRoundX4(x[0], x[4], x[8], x[12]);
+    QuarterRoundX4(x[1], x[5], x[9], x[13]);
+    QuarterRoundX4(x[2], x[6], x[10], x[14]);
+    QuarterRoundX4(x[3], x[7], x[11], x[15]);
+    QuarterRoundX4(x[0], x[5], x[10], x[15]);
+    QuarterRoundX4(x[1], x[6], x[11], x[12]);
+    QuarterRoundX4(x[2], x[7], x[8], x[13]);
+    QuarterRoundX4(x[3], x[4], x[9], x[14]);
   }
-  for (int l = 0; l < kLanes; ++l) {
-    uint8_t* block = out + static_cast<size_t>(l) * kChaCha20BlockSize;
-    for (int i = 0; i < 16; ++i) {
-      uint32_t init = i == 12 ? counter + static_cast<uint32_t>(l) : state[i];
-      ciobase::StoreLe32(block + i * 4, v[i][l] + init);
+  for (int i = 0; i < 16; ++i) {
+    x[i] += i == 12 ? counters : U32x4{} + state[i];
+  }
+  // x[w] holds word w of each block; a transposed group of 4 words is 16
+  // contiguous bytes of one block.
+  for (int w = 0; w < 16; w += 4) {
+    Transpose(x[w], x[w + 1], x[w + 2], x[w + 3]);
+    for (int l = 0; l < 4; ++l) {
+      ks[4 * l + w / 4] = x[w + l];
     }
   }
 }
 
-// XORs n bytes of keystream into out, 8 bytes at a time (memcpy keeps the
-// word loads/stores alignment-safe; in and out may alias exactly).
-inline void XorWords(const uint8_t* in, const uint8_t* keystream, uint8_t* out,
-                     size_t n) {
+// XORs the first n keystream bytes of ks onto in, 16 bytes at a time
+// (memcpy keeps the loads and stores alignment-safe; in and out may alias
+// exactly).
+inline void XorKeystream(const uint8_t* in, const U32x4* ks, uint8_t* out,
+                         size_t n) {
   size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    uint64_t word;
-    uint64_t ks;
-    std::memcpy(&word, in + i, 8);
-    std::memcpy(&ks, keystream + i, 8);
-    word ^= ks;
-    std::memcpy(out + i, &word, 8);
+  for (; i + 16 <= n; i += 16) {
+    U32x4 word;
+    std::memcpy(&word, in + i, 16);
+    word ^= ks[i / 16];
+    std::memcpy(out + i, &word, 16);
   }
+  const uint8_t* tail = reinterpret_cast<const uint8_t*>(ks);
   for (; i < n; ++i) {
-    out[i] = static_cast<uint8_t>(in[i] ^ keystream[i]);
+    out[i] = static_cast<uint8_t>(in[i] ^ tail[i]);
   }
 }
 
@@ -151,24 +167,25 @@ void ChaCha20Block(const uint8_t key[kChaCha20KeySize], uint32_t counter,
 void ChaCha20Xor(const uint8_t key[kChaCha20KeySize],
                  const uint8_t nonce[kChaCha20NonceSize],
                  uint32_t initial_counter, ciobase::ByteSpan in, uint8_t* out) {
-  constexpr size_t kStride = kLanes * kChaCha20BlockSize;  // 256
   uint32_t state[16];
   InitState(state, key, initial_counter, nonce);
   uint32_t counter = initial_counter;
-  uint8_t keystream[kStride];
   size_t i = 0;
-  while (in.size() - i >= kStride) {
-    Blocks4(state, counter, keystream);
-    XorWords(in.data() + i, keystream, out + i, kStride);
-    counter += kLanes;  // wraps mod 2^32 like the per-block counter
-    i += kStride;
-  }
-  while (i < in.size()) {
-    state[12] = counter++;
-    BlockFromState(state, keystream);
-    size_t n = std::min(in.size() - i, kChaCha20BlockSize);
-    XorWords(in.data() + i, keystream, out + i, n);
+  // A tail of 2-4 blocks costs no more as one more 4-block pass than as
+  // scalar blocks; a tail of one block runs the scalar block alone.
+  while (in.size() - i > kChaCha20BlockSize) {
+    U32x4 ks[16];
+    KeystreamX4(state, counter, ks);
+    size_t n = std::min(in.size() - i, kStride);
+    XorKeystream(in.data() + i, ks, out + i, n);
+    counter += 4;  // wraps mod 2^32 like the per-block counter
     i += n;
+  }
+  if (i < in.size()) {
+    state[12] = counter;
+    U32x4 ks[kChaCha20BlockSize / 16];
+    BlockFromState(state, reinterpret_cast<uint8_t*>(ks));
+    XorKeystream(in.data() + i, ks, out + i, in.size() - i);
   }
 }
 

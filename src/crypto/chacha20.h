@@ -15,16 +15,17 @@ inline constexpr size_t kChaCha20NonceSize = 12;
 inline constexpr size_t kChaCha20BlockSize = 64;
 
 // Produces one 64-byte keystream block for (key, counter, nonce). This is the
-// straightforward reference implementation; ChaCha20Xor uses a 4-block-wide
-// fast path that must stay bit-identical to a per-block loop over this.
+// straightforward scalar reference; ChaCha20Xor's 4-block vector path must
+// stay bit-identical to a per-block loop over this.
 void ChaCha20Block(const uint8_t key[kChaCha20KeySize], uint32_t counter,
                    const uint8_t nonce[kChaCha20NonceSize],
                    uint8_t out[kChaCha20BlockSize]);
 
 // XORs `in` with the keystream starting at block `initial_counter` into
 // `out`. in and out may alias (in-place encryption). The state is initialized
-// once per call; 4 keystream blocks are generated per inner-loop iteration
-// and XORed word-wise, so bulk records never touch a byte-at-a-time loop.
+// once per call; each inner-loop iteration generates 4 keystream blocks in
+// 16-byte vector lanes and XORs them 16 bytes at a time. A final tail of one
+// block or less runs the scalar block function instead of a 4-block pass.
 void ChaCha20Xor(const uint8_t key[kChaCha20KeySize],
                  const uint8_t nonce[kChaCha20NonceSize],
                  uint32_t initial_counter, ciobase::ByteSpan in, uint8_t* out);

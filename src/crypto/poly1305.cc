@@ -4,83 +4,69 @@
 
 namespace ciocrypto {
 
+namespace {
+
+// GCC and Clang provide 128-bit integers on 64-bit targets.
+__extension__ typedef unsigned __int128 Uint128;
+
+constexpr uint64_t kMask44 = (uint64_t{1} << 44) - 1;
+constexpr uint64_t kMask42 = (uint64_t{1} << 42) - 1;
+// The 2^128 pad bit of a whole block, in limb 2 (which starts at bit 88).
+constexpr uint64_t kPadBit = uint64_t{1} << 40;
+
+}  // namespace
+
 Poly1305::Poly1305(const uint8_t key[kPoly1305KeySize]) {
-  // r is clamped per the RFC.
-  uint32_t t0 = ciobase::LoadLe32(key + 0);
-  uint32_t t1 = ciobase::LoadLe32(key + 4);
-  uint32_t t2 = ciobase::LoadLe32(key + 8);
-  uint32_t t3 = ciobase::LoadLe32(key + 12);
-  r_[0] = t0 & 0x3ffffff;
-  r_[1] = ((t0 >> 26) | (t1 << 6)) & 0x3ffff03;
-  r_[2] = ((t1 >> 20) | (t2 << 12)) & 0x3ffc0ff;
-  r_[3] = ((t2 >> 14) | (t3 << 18)) & 0x3f03fff;
-  r_[4] = (t3 >> 8) & 0x00fffff;
-  std::memset(h_, 0, sizeof(h_));
-  for (int i = 0; i < 4; ++i) {
-    s_[i] = ciobase::LoadLe32(key + 16 + i * 4);
-  }
+  // r is clamped per the RFC while it is split into 44/44/42-bit limbs.
+  uint64_t t0 = ciobase::LoadLe64(key + 0);
+  uint64_t t1 = ciobase::LoadLe64(key + 8);
+  r_[0] = t0 & 0xffc0fffffff;
+  r_[1] = ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffff;
+  r_[2] = (t1 >> 24) & 0x00ffffffc0f;
+  s_[0] = ciobase::LoadLe64(key + 16);
+  s_[1] = ciobase::LoadLe64(key + 24);
 }
 
-void Poly1305::Block(const uint8_t* block, uint8_t pad_bit) {
-  uint32_t t0 = ciobase::LoadLe32(block + 0);
-  uint32_t t1 = ciobase::LoadLe32(block + 4);
-  uint32_t t2 = ciobase::LoadLe32(block + 8);
-  uint32_t t3 = ciobase::LoadLe32(block + 12);
+void Poly1305::Blocks(const uint8_t* data, size_t bytes, uint64_t pad_bit) {
+  const uint64_t r0 = r_[0];
+  const uint64_t r1 = r_[1];
+  const uint64_t r2 = r_[2];
+  // A product that reaches 2^132 wraps to 4 * 5 times itself mod 2^130 - 5.
+  const uint64_t s1 = r1 * (5 << 2);
+  const uint64_t s2 = r2 * (5 << 2);
+  uint64_t h0 = h_[0];
+  uint64_t h1 = h_[1];
+  uint64_t h2 = h_[2];
+  for (; bytes >= 16; data += 16, bytes -= 16) {
+    // h += message block (with the pad bit).
+    uint64_t t0 = ciobase::LoadLe64(data);
+    uint64_t t1 = ciobase::LoadLe64(data + 8);
+    h0 += t0 & kMask44;
+    h1 += ((t0 >> 44) | (t1 << 20)) & kMask44;
+    h2 += ((t1 >> 24) & kMask42) | pad_bit;
 
-  // h += message block (with the 2^128 pad bit).
-  h_[0] += t0 & 0x3ffffff;
-  h_[1] += ((t0 >> 26) | (t1 << 6)) & 0x3ffffff;
-  h_[2] += ((t1 >> 20) | (t2 << 12)) & 0x3ffffff;
-  h_[3] += ((t2 >> 14) | (t3 << 18)) & 0x3ffffff;
-  h_[4] += (t3 >> 8) | (static_cast<uint32_t>(pad_bit) << 24);
+    // h *= r mod 2^130 - 5.
+    Uint128 d0 = Uint128{h0} * r0 + Uint128{h1} * s2 + Uint128{h2} * s1;
+    Uint128 d1 = Uint128{h0} * r1 + Uint128{h1} * r0 + Uint128{h2} * s2;
+    Uint128 d2 = Uint128{h0} * r2 + Uint128{h1} * r1 + Uint128{h2} * r0;
 
-  // h *= r mod 2^130 - 5.
-  uint64_t d0 = static_cast<uint64_t>(h_[0]) * r_[0] +
-                static_cast<uint64_t>(h_[1]) * (5 * r_[4]) +
-                static_cast<uint64_t>(h_[2]) * (5 * r_[3]) +
-                static_cast<uint64_t>(h_[3]) * (5 * r_[2]) +
-                static_cast<uint64_t>(h_[4]) * (5 * r_[1]);
-  uint64_t d1 = static_cast<uint64_t>(h_[0]) * r_[1] +
-                static_cast<uint64_t>(h_[1]) * r_[0] +
-                static_cast<uint64_t>(h_[2]) * (5 * r_[4]) +
-                static_cast<uint64_t>(h_[3]) * (5 * r_[3]) +
-                static_cast<uint64_t>(h_[4]) * (5 * r_[2]);
-  uint64_t d2 = static_cast<uint64_t>(h_[0]) * r_[2] +
-                static_cast<uint64_t>(h_[1]) * r_[1] +
-                static_cast<uint64_t>(h_[2]) * r_[0] +
-                static_cast<uint64_t>(h_[3]) * (5 * r_[4]) +
-                static_cast<uint64_t>(h_[4]) * (5 * r_[3]);
-  uint64_t d3 = static_cast<uint64_t>(h_[0]) * r_[3] +
-                static_cast<uint64_t>(h_[1]) * r_[2] +
-                static_cast<uint64_t>(h_[2]) * r_[1] +
-                static_cast<uint64_t>(h_[3]) * r_[0] +
-                static_cast<uint64_t>(h_[4]) * (5 * r_[4]);
-  uint64_t d4 = static_cast<uint64_t>(h_[0]) * r_[4] +
-                static_cast<uint64_t>(h_[1]) * r_[3] +
-                static_cast<uint64_t>(h_[2]) * r_[2] +
-                static_cast<uint64_t>(h_[3]) * r_[1] +
-                static_cast<uint64_t>(h_[4]) * r_[0];
-
-  // Carry propagation.
-  uint64_t c;
-  c = d0 >> 26;
-  h_[0] = static_cast<uint32_t>(d0) & 0x3ffffff;
-  d1 += c;
-  c = d1 >> 26;
-  h_[1] = static_cast<uint32_t>(d1) & 0x3ffffff;
-  d2 += c;
-  c = d2 >> 26;
-  h_[2] = static_cast<uint32_t>(d2) & 0x3ffffff;
-  d3 += c;
-  c = d3 >> 26;
-  h_[3] = static_cast<uint32_t>(d3) & 0x3ffffff;
-  d4 += c;
-  c = d4 >> 26;
-  h_[4] = static_cast<uint32_t>(d4) & 0x3ffffff;
-  h_[0] += static_cast<uint32_t>(c * 5);
-  c = h_[0] >> 26;
-  h_[0] &= 0x3ffffff;
-  h_[1] += static_cast<uint32_t>(c);
+    // Carry propagation.
+    uint64_t c = static_cast<uint64_t>(d0 >> 44);
+    h0 = static_cast<uint64_t>(d0) & kMask44;
+    d1 += c;
+    c = static_cast<uint64_t>(d1 >> 44);
+    h1 = static_cast<uint64_t>(d1) & kMask44;
+    d2 += c;
+    c = static_cast<uint64_t>(d2 >> 42);
+    h2 = static_cast<uint64_t>(d2) & kMask42;
+    h0 += c * 5;
+    c = h0 >> 44;
+    h0 &= kMask44;
+    h1 += c;
+  }
+  h_[0] = h0;
+  h_[1] = h1;
+  h_[2] = h2;
 }
 
 void Poly1305::Update(ciobase::ByteSpan data) {
@@ -91,14 +77,13 @@ void Poly1305::Update(ciobase::ByteSpan data) {
     buffered_ += take;
     i += take;
     if (buffered_ == 16) {
-      Block(buffer_, 1);
+      Blocks(buffer_, 16, kPadBit);
       buffered_ = 0;
     }
   }
-  while (i + 16 <= data.size()) {
-    Block(data.data() + i, 1);
-    i += 16;
-  }
+  size_t whole = (data.size() - i) & ~static_cast<size_t>(15);
+  Blocks(data.data() + i, whole, kPadBit);
+  i += whole;
   if (i < data.size()) {
     std::memcpy(buffer_, data.data() + i, data.size() - i);
     buffered_ = data.size() - i;
@@ -111,66 +96,56 @@ Poly1305Tag Poly1305::Finish() {
     uint8_t final_block[16] = {0};
     std::memcpy(final_block, buffer_, buffered_);
     final_block[buffered_] = 1;
-    Block(final_block, 0);
+    Blocks(final_block, 16, 0);
     buffered_ = 0;
   }
 
-  // Full carry.
-  uint32_t c;
-  c = h_[1] >> 26;
-  h_[1] &= 0x3ffffff;
-  h_[2] += c;
-  c = h_[2] >> 26;
-  h_[2] &= 0x3ffffff;
-  h_[3] += c;
-  c = h_[3] >> 26;
-  h_[3] &= 0x3ffffff;
-  h_[4] += c;
-  c = h_[4] >> 26;
-  h_[4] &= 0x3ffffff;
-  h_[0] += c * 5;
-  c = h_[0] >> 26;
-  h_[0] &= 0x3ffffff;
-  h_[1] += c;
+  // Full carry, twice round: the first pass's wrap can carry once more.
+  uint64_t h0 = h_[0];
+  uint64_t h1 = h_[1];
+  uint64_t h2 = h_[2];
+  uint64_t c = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    h1 += c;
+    c = h1 >> 44;
+    h1 &= kMask44;
+    h2 += c;
+    c = h2 >> 42;
+    h2 &= kMask42;
+    h0 += c * 5;
+    c = h0 >> 44;
+    h0 &= kMask44;
+  }
+  h1 += c;
 
   // Compute h + -p and select it if h >= p (constant-time select).
-  uint32_t g0 = h_[0] + 5;
-  c = g0 >> 26;
-  g0 &= 0x3ffffff;
-  uint32_t g1 = h_[1] + c;
-  c = g1 >> 26;
-  g1 &= 0x3ffffff;
-  uint32_t g2 = h_[2] + c;
-  c = g2 >> 26;
-  g2 &= 0x3ffffff;
-  uint32_t g3 = h_[3] + c;
-  c = g3 >> 26;
-  g3 &= 0x3ffffff;
-  uint32_t g4 = h_[4] + c - (1u << 26);
+  uint64_t g0 = h0 + 5;
+  c = g0 >> 44;
+  g0 &= kMask44;
+  uint64_t g1 = h1 + c;
+  c = g1 >> 44;
+  g1 &= kMask44;
+  uint64_t g2 = h2 + c - (uint64_t{1} << 42);
 
-  uint32_t mask = (g4 >> 31) - 1;  // all-ones if g4 did not underflow
-  g0 = (g0 & mask) | (h_[0] & ~mask);
-  g1 = (g1 & mask) | (h_[1] & ~mask);
-  g2 = (g2 & mask) | (h_[2] & ~mask);
-  g3 = (g3 & mask) | (h_[3] & ~mask);
-  g4 = (g4 & mask) | (h_[4] & ~mask);
+  uint64_t mask = (g2 >> 63) - 1;  // all-ones if g2 did not underflow
+  h0 = (g0 & mask) | (h0 & ~mask);
+  h1 = (g1 & mask) | (h1 & ~mask);
+  h2 = (g2 & mask) | (h2 & ~mask);
 
-  // Serialize to 128 bits and add s.
-  uint32_t w0 = g0 | (g1 << 26);
-  uint32_t w1 = (g1 >> 6) | (g2 << 20);
-  uint32_t w2 = (g2 >> 12) | (g3 << 14);
-  uint32_t w3 = (g3 >> 18) | (g4 << 8);
+  // Add s mod 2^128, then serialize the low 128 bits.
+  uint64_t t0 = s_[0];
+  uint64_t t1 = s_[1];
+  h0 += t0 & kMask44;
+  c = h0 >> 44;
+  h0 &= kMask44;
+  h1 += (((t0 >> 44) | (t1 << 20)) & kMask44) + c;
+  c = h1 >> 44;
+  h1 &= kMask44;
+  h2 += (t1 >> 24) + c;
 
-  uint64_t f;
   Poly1305Tag tag;
-  f = static_cast<uint64_t>(w0) + s_[0];
-  ciobase::StoreLe32(tag.data() + 0, static_cast<uint32_t>(f));
-  f = static_cast<uint64_t>(w1) + s_[1] + (f >> 32);
-  ciobase::StoreLe32(tag.data() + 4, static_cast<uint32_t>(f));
-  f = static_cast<uint64_t>(w2) + s_[2] + (f >> 32);
-  ciobase::StoreLe32(tag.data() + 8, static_cast<uint32_t>(f));
-  f = static_cast<uint64_t>(w3) + s_[3] + (f >> 32);
-  ciobase::StoreLe32(tag.data() + 12, static_cast<uint32_t>(f));
+  ciobase::StoreLe64(tag.data(), h0 | (h1 << 44));
+  ciobase::StoreLe64(tag.data() + 8, (h1 >> 20) | (h2 << 24));
   return tag;
 }
 

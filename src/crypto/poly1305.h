@@ -1,5 +1,6 @@
 // Poly1305 one-time authenticator (RFC 8439 §2.5), from scratch.
-// Implemented with 26-bit limbs over 64-bit accumulators.
+// Implemented with three 44/44/42-bit limbs and 128-bit products (the
+// poly1305-donna-64 layout).
 
 #ifndef SRC_CRYPTO_POLY1305_H_
 #define SRC_CRYPTO_POLY1305_H_
@@ -27,11 +28,13 @@ class Poly1305 {
                          ciobase::ByteSpan data);
 
  private:
-  void Block(const uint8_t* block, uint8_t pad_bit);
+  // Absorbs bytes / 16 whole blocks; pad_bit is the 2^128 bit as it sits
+  // in limb 2, or 0 for the padded final block.
+  void Blocks(const uint8_t* data, size_t bytes, uint64_t pad_bit);
 
-  uint32_t r_[5];
-  uint32_t h_[5];
-  uint32_t s_[4];  // the "s" half of the key, added at the end
+  uint64_t r_[3];
+  uint64_t h_[3] = {};
+  uint64_t s_[2];  // the "s" half of the key, added at the end
   uint8_t buffer_[16];
   size_t buffered_ = 0;
 };

@@ -47,7 +47,8 @@ ciobase::Result<BufferHandle> CompartmentManager::Allocate(
     return ciobase::PermissionDenied("allocate without grant");
   }
   Compartment& c = compartments_[owner.value];
-  uint64_t aligned = ciobase::AlignUp(bytes == 0 ? 1 : bytes, 16);
+  uint64_t aligned =
+      ciobase::AlignUp(bytes == 0 ? 1 : bytes, kCompartmentAllocAlign);
   if (c.bump + aligned > c.heap.size()) {
     return ciobase::ResourceExhausted("compartment heap exhausted: " + c.name);
   }

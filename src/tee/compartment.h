@@ -22,6 +22,9 @@
 
 namespace ciotee {
 
+// Allocate rounds every request up to a multiple of this.
+inline constexpr size_t kCompartmentAllocAlign = 16;
+
 struct CompartmentId {
   uint32_t value = 0;
   bool operator==(const CompartmentId&) const = default;

@@ -1,6 +1,7 @@
 #include "src/tee/memory.h"
 
 #include <cassert>
+#include <cstring>
 
 #include "src/base/log.h"
 
@@ -116,12 +117,14 @@ ciobase::Status TeeMemory::Read(Domain actor, RegionId id, uint64_t offset,
       offset >= region_size ? 0
                             : std::min<uint64_t>(out.size(),
                                                  region_size - offset);
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (i < in_bounds && plaintext) {
-      out[i] = region.data[offset + i];
-    } else {
-      out[i] = ScrambleByte(id.value, offset + i);
-    }
+  // One copy for the bytes the actor may see; memmove, so even a span that
+  // aliases the region reads what it held before the call.
+  size_t visible = plaintext ? in_bounds : 0;
+  if (visible > 0) {
+    std::memmove(out.data(), region.data.data() + offset, visible);
+  }
+  for (size_t i = visible; i < out.size(); ++i) {
+    out[i] = ScrambleByte(id.value, offset + i);
   }
   if (in_bounds < out.size()) {
     RecordViolation(ViolationKind::kOobRead, actor, id.value, offset,
@@ -154,8 +157,8 @@ ciobase::Status TeeMemory::Write(Domain actor, RegionId id, uint64_t offset,
       offset >= region_size ? 0
                             : std::min<uint64_t>(data.size(),
                                                  region_size - offset);
-  for (size_t i = 0; i < in_bounds; ++i) {
-    region.data[offset + i] = data[i];  // the rest is dropped
+  if (in_bounds > 0) {  // the rest is dropped
+    std::memmove(region.data.data() + offset, data.data(), in_bounds);
   }
   if (in_bounds < data.size()) {
     RecordViolation(ViolationKind::kOobWrite, actor, id.value, offset,

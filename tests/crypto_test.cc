@@ -1,7 +1,8 @@
 // Crypto tests against published test vectors: SHA-256 (FIPS 180-4 / NIST),
 // HMAC-SHA256 (RFC 4231), HKDF (RFC 5869), ChaCha20 (RFC 8439 §2.4.2),
-// Poly1305 (RFC 8439 §2.5.2), ChaCha20-Poly1305 AEAD (RFC 8439 §2.8.2),
-// plus property tests (incremental == one-shot, tamper detection).
+// Poly1305 (RFC 8439 §2.5.2 and Appendix A.3), ChaCha20-Poly1305 AEAD
+// (RFC 8439 §2.8.2), plus property tests (the fast paths against per-block
+// and 26-bit-limb references, incremental == one-shot, tamper detection).
 
 #include <gtest/gtest.h>
 
@@ -234,10 +235,17 @@ TEST(ChaCha20, MultiBlockMatchesPerBlockReference) {
   // 0xfffffffe/0xffffffff make the 32-bit counter wrap inside a 4-block
   // stride — each lane must wrap independently, like the reference loop.
   const uint32_t kCounters[] = {0, 1, 7, 0x7fffffff, 0xfffffffe, 0xffffffff};
-  const size_t kSizes[] = {0,   1,   63,  64,   65,   255,  256,
-                           257, 511, 960, 1024, 4097, 16384};
+  // Every length through 300 covers each tail shape on both sides of the
+  // 256-byte stride; the larger ones run several strides.
+  std::vector<size_t> sizes;
+  for (size_t size = 0; size <= 300; ++size) {
+    sizes.push_back(size);
+  }
+  for (size_t size : {511, 960, 1024, 4097, 16384}) {
+    sizes.push_back(size);
+  }
   for (uint32_t counter : kCounters) {
-    for (size_t size : kSizes) {
+    for (size_t size : sizes) {
       Buffer in = rng.Bytes(size);
       Buffer expected(size);
       Buffer actual(size);
@@ -270,6 +278,194 @@ TEST(Poly1305, Rfc8439Vector) {
   Buffer msg = BufferFromString("Cryptographic Forum Research Group");
   Poly1305Tag tag = Poly1305::Mac(key.data(), msg);
   EXPECT_EQ(HexEncode(tag), "a8061dc1305136c6c22b8baf0c0127a9");
+}
+
+TEST(Poly1305, Rfc8439AppendixA3Vectors) {
+  const std::string ietf =
+      "Any submission to the IETF intended by the Contributor for "
+      "publication as all or part of an IETF Internet-Draft or RFC and any "
+      "statement made within the context of an IETF activity is considered "
+      "an \"IETF Contribution\". Such statements include oral statements in "
+      "IETF sessions, as well as written and electronic communications made "
+      "at any time or place, which are addressed to";
+  const std::string jabberwocky =
+      "'Twas brillig, and the slithy toves\nDid gyre and gimble in the "
+      "wabe:\nAll mimsy were the borogoves,\nAnd the mome raths outgrabe.";
+  const std::string zero16(32, '0');
+  const std::string r2 = "02" + std::string(30, '0');
+  const std::string r1 = "01" + std::string(30, '0');
+  const std::string r1_4 = "0100000000000000" "0400000000000000";
+  const std::string x131 =
+      "e33594d7505e43b90000000000000000"
+      "3394d7505e4379cd0100000000000000"
+      "00000000000000000000000000000000";
+  struct Vector {
+    std::string key_hex;
+    Buffer message;
+    const char* tag_hex;
+  };
+  const Vector kVectors[] = {
+      {std::string(64, '0'), Buffer(64, 0),
+       "00000000000000000000000000000000"},
+      {zero16 + "36e5f6b5c5e06070f0efca96227a863e", BufferFromString(ietf),
+       "36e5f6b5c5e06070f0efca96227a863e"},
+      {"36e5f6b5c5e06070f0efca96227a863e" + zero16, BufferFromString(ietf),
+       "f3477e7cd95417af89a6b8794c310cf0"},
+      {"1c9240a5eb55d38af333888604f6b5f0"
+       "473917c1402b80099dca5cbc207075c0",
+       BufferFromString(jabberwocky), "4541669a7eaaee61e708dc7cbcc5eb62"},
+      // #5-#11 probe the reduction's edges: h just past or exactly at
+      // 2^130 - 5, s overflowing 2^128, carries out of a full limb.
+      {r2 + zero16, Buffer(16, 0xff), "03000000000000000000000000000000"},
+      {r2 + std::string(32, 'f'), HexDecode(r2),
+       "03000000000000000000000000000000"},
+      {r1 + zero16,
+       HexDecode(std::string(32, 'f') + "f0" + std::string(30, 'f') + "11" +
+                 std::string(30, '0')),
+       "05000000000000000000000000000000"},
+      {r1 + zero16,
+       HexDecode(std::string(32, 'f') + "fbfefefefefefefefefefefefefefefe" +
+                 "01010101010101010101010101010101"),
+       "00000000000000000000000000000000"},
+      {r2 + zero16, HexDecode("fd" + std::string(30, 'f')),
+       "faffffffffffffffffffffffffffffff"},
+      {r1_4 + zero16, HexDecode(x131 + "01" + std::string(30, '0')),
+       "14000000000000005500000000000000"},
+      {r1_4 + zero16, HexDecode(x131), "13000000000000000000000000000000"},
+  };
+  int number = 1;
+  for (const Vector& vector : kVectors) {
+    Buffer key = HexDecode(vector.key_hex);
+    ASSERT_EQ(key.size(), kPoly1305KeySize) << "vector #" << number;
+    EXPECT_EQ(HexEncode(Poly1305::Mac(key.data(), vector.message)),
+              vector.tag_hex)
+        << "vector #" << number;
+    ++number;
+  }
+}
+
+// Test-local reference: the 26-bit-limb Poly1305 (the poly1305-donna-32
+// layout) the shipping 44-bit-limb code replaced. Poly1305 must stay
+// bit-identical to it.
+Poly1305Tag ReferencePoly1305(const uint8_t key[kPoly1305KeySize],
+                              ByteSpan message) {
+  using ciobase::LoadLe32;
+  constexpr uint32_t kMask = 0x3ffffff;
+  uint32_t t0 = LoadLe32(key);
+  uint32_t t1 = LoadLe32(key + 4);
+  uint32_t t2 = LoadLe32(key + 8);
+  uint32_t t3 = LoadLe32(key + 12);
+  const uint32_t r[5] = {t0 & 0x3ffffff, ((t0 >> 26) | (t1 << 6)) & 0x3ffff03,
+                         ((t1 >> 20) | (t2 << 12)) & 0x3ffc0ff,
+                         ((t2 >> 14) | (t3 << 18)) & 0x3f03fff,
+                         (t3 >> 8) & 0x00fffff};
+  uint32_t h[5] = {};
+  for (size_t offset = 0; offset < message.size(); offset += 16) {
+    // A final partial block gets 0x01 appended and no 2^128 bit.
+    uint8_t block[17] = {};
+    size_t n = std::min<size_t>(16, message.size() - offset);
+    std::memcpy(block, message.data() + offset, n);
+    block[n] = 1;
+    t0 = LoadLe32(block);
+    t1 = LoadLe32(block + 4);
+    t2 = LoadLe32(block + 8);
+    t3 = LoadLe32(block + 12);
+    h[0] += t0 & kMask;
+    h[1] += ((t0 >> 26) | (t1 << 6)) & kMask;
+    h[2] += ((t1 >> 20) | (t2 << 12)) & kMask;
+    h[3] += ((t2 >> 14) | (t3 << 18)) & kMask;
+    h[4] += (t3 >> 8) | (static_cast<uint32_t>(block[16]) << 24);
+    // h *= r mod 2^130 - 5: limbs that wrap past 2^130 come back times 5.
+    uint64_t d[5];
+    for (int i = 0; i < 5; ++i) {
+      d[i] = 0;
+      for (int j = 0; j < 5; ++j) {
+        uint64_t rj = j <= i ? r[i - j] : 5 * r[i - j + 5];
+        d[i] += static_cast<uint64_t>(h[j]) * rj;
+      }
+    }
+    uint64_t c = 0;
+    for (int i = 0; i < 5; ++i) {
+      d[i] += c;
+      c = d[i] >> 26;
+      h[i] = static_cast<uint32_t>(d[i]) & kMask;
+    }
+    h[0] += static_cast<uint32_t>(c * 5);
+    h[1] += h[0] >> 26;
+    h[0] &= kMask;
+  }
+  // Full carry, then select h - p when h >= p (mask, no branch).
+  uint32_t c = 0;
+  for (int i = 1; i < 5; ++i) {
+    h[i] += c;
+    c = h[i] >> 26;
+    h[i] &= kMask;
+  }
+  h[0] += c * 5;  // the carry out of h[4] wraps around times 5
+  h[1] += h[0] >> 26;
+  h[0] &= kMask;
+  uint32_t g[5];
+  c = 5;
+  for (int i = 0; i < 4; ++i) {
+    g[i] = h[i] + c;
+    c = g[i] >> 26;
+    g[i] &= kMask;
+  }
+  g[4] = h[4] + c - (1u << 26);
+  uint32_t mask = (g[4] >> 31) - 1;
+  for (int i = 0; i < 5; ++i) {
+    h[i] = (g[i] & mask) | (h[i] & ~mask);
+  }
+  const uint32_t w[4] = {h[0] | (h[1] << 26), (h[1] >> 6) | (h[2] << 20),
+                         (h[2] >> 12) | (h[3] << 14), (h[3] >> 18) | (h[4] << 8)};
+  Poly1305Tag tag;
+  uint64_t f = 0;
+  for (int i = 0; i < 4; ++i) {
+    f = static_cast<uint64_t>(w[i]) + LoadLe32(key + 16 + i * 4) + (f >> 32);
+    ciobase::StoreLe32(tag.data() + i * 4, static_cast<uint32_t>(f));
+  }
+  return tag;
+}
+
+TEST(Poly1305, MatchesThe26BitReference) {
+  ciobase::Rng rng(11);
+  std::vector<Buffer> keys;
+  for (int i = 0; i < 4; ++i) {
+    keys.push_back(rng.Bytes(kPoly1305KeySize));
+  }
+  // r at its clamp limits: every bit the clamp keeps (with s all ones, so
+  // the final addition overflows 2^128), and r = 0.
+  keys.push_back(Buffer(kPoly1305KeySize, 0xff));
+  Buffer r_zero = rng.Bytes(kPoly1305KeySize);
+  std::fill(r_zero.begin(), r_zero.begin() + 16, 0);
+  keys.push_back(r_zero);
+  // r = 2: one all-0xff block leaves h = 2^130 - 2, so Finish must take
+  // its subtract-p select (as in Appendix A.3 vector #5).
+  Buffer r_two = r_zero;
+  r_two[0] = 2;
+  keys.push_back(r_two);
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const uint8_t* key = keys[k].data();
+    for (size_t size = 0; size <= 300; ++size) {
+      // All-0xff messages drive h past 2^130 - 5 on most keys.
+      for (bool all_ones : {false, true}) {
+        Buffer message = all_ones ? Buffer(size, 0xff) : rng.Bytes(size);
+        Poly1305Tag expected = ReferencePoly1305(key, message);
+        ASSERT_EQ(Poly1305::Mac(key, message), expected)
+            << "key " << k << " size " << size << " ones " << all_ones;
+        // The same message fed through Update at random chunk boundaries.
+        Poly1305 mac(key);
+        for (size_t i = 0; i < size;) {
+          size_t n = std::min<size_t>(size - i, rng.NextInRange(0, 40));
+          mac.Update(ByteSpan(message.data() + i, n));
+          i += n;
+        }
+        ASSERT_EQ(mac.Finish(), expected)
+            << "chunked: key " << k << " size " << size << " ones "
+            << all_ones;
+      }
+    }
+  }
 }
 
 TEST(Aead, Rfc8439SealVector) {

@@ -320,6 +320,20 @@ TEST(DualBoundary, QueueRegionBeyondTheIoHeapFailsAtConstruction) {
   EXPECT_FALSE(pair.Establish());
 }
 
+// The node sizes its I/O heap to the queue region it registers there, so
+// the heap has no byte to spare once the channel is up.
+TEST(DualBoundary, IoHeapHoldsTheQueueRegionAndNothingMore) {
+  LinkedPair pair(Options(StackProfile::kDualBoundary, 1),
+                  Options(StackProfile::kDualBoundary, 2));
+  ASSERT_TRUE(pair.Establish());
+  auto* compartments = pair.client->compartments();
+  ASSERT_NE(compartments, nullptr);
+  ciotee::CompartmentId app{0};
+  ciotee::CompartmentId io{1};
+  EXPECT_EQ(compartments->Allocate(app, io, 1).status().code(),
+            ciobase::StatusCode::kResourceExhausted);
+}
+
 // --- Figure-level orderings ----------------------------------------------------
 
 TEST(Observability, SyscallLeaksMoreThanL2Designs) {

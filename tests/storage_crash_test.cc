@@ -6,9 +6,9 @@
 // remounts, generation-table commits (dirty chunks + root, crash points,
 // replayed table blocks, no nonce sealing two plaintexts), full-store
 // remounts (a clean remount commits before it reloads; one after an
-// unseen host restart reloads and replays), and single cells of the
-// storage campaign (so the whole machinery also runs under ASan in the
-// test suite).
+// unseen host restart reloads and replays; a failed one leaves the store
+// unmounted), and single cells of the storage campaign (so the whole
+// machinery also runs under ASan in the test suite).
 
 #include <gtest/gtest.h>
 
@@ -831,12 +831,10 @@ TEST(ConfidentialStoreCrash,
   world.ExpectValue("k2", "second");
 }
 
-// A hostile host persists the last Put's in-place table write but not the
-// root the next commit would have written. The table block then fails its
-// generation check: denial of service at Remount, never a wrong value.
-TEST(ConfidentialStoreCrash, TableWritePersistedWithoutItsRootIsNeverBelieved) {
-  DurableStoreWorld world;
-  ConfidentialStore& store = *world.store;
+// Puts k1 (flushed) and k2 (committed), then plays a hostile host that
+// persists k2's in-place table write across a crash but not the root the
+// next commit would have written.
+void PersistTableWriteWithoutItsRoot(ConfidentialStore& store) {
   HostBlockDevice& host = *store.host_device();
   ASSERT_TRUE(store.Put("k1", BufferFromString("flushed")).ok());
   ASSERT_TRUE(store.Flush().ok());
@@ -864,6 +862,14 @@ TEST(ConfidentialStoreCrash, TableWritePersistedWithoutItsRootIsNeverBelieved) {
       ASSERT_TRUE(host.CorruptRawByte(lba, i, durable[i] ^ bytes[i]));
     }
   }
+}
+
+// The table block then fails its generation check: denial of service at
+// Remount, never a wrong value.
+TEST(ConfidentialStoreCrash, TableWritePersistedWithoutItsRootIsNeverBelieved) {
+  DurableStoreWorld world;
+  ConfidentialStore& store = *world.store;
+  ASSERT_NO_FATAL_FAILURE(PersistTableWriteWithoutItsRoot(store));
 
   ciobase::Status remount = store.Remount();
   EXPECT_TRUE(remount.ok() || remount.code() == StatusCode::kTampered)
@@ -874,6 +880,32 @@ TEST(ConfidentialStoreCrash, TableWritePersistedWithoutItsRootIsNeverBelieved) {
     auto read = store.Get(name);
     if (read.ok()) {
       EXPECT_EQ(*read, BufferFromString(value)) << name;
+    }
+  }
+}
+
+// A remount that fails leaves the store unmounted: no operation runs on the
+// half-loaded inode table, so no write can paper over the corrupt block and
+// make a later remount succeed without the flushed k1.
+TEST(ConfidentialStoreCrash, FailedRemountLeavesTheStoreUnmounted) {
+  DurableStoreWorld world;
+  ConfidentialStore& store = *world.store;
+  ASSERT_NO_FATAL_FAILURE(PersistTableWriteWithoutItsRoot(store));
+
+  ciobase::Status remount = store.Remount();
+  ASSERT_EQ(remount.code(), StatusCode::kTampered) << remount.ToString();
+  EXPECT_FALSE(store.fs()->mounted());
+  EXPECT_EQ(store.Put("k3", BufferFromString("after")).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(store.Get("k1").status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(store.Delete("k2").code(), StatusCode::kFailedPrecondition);
+
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    ciobase::Status again = store.Remount();
+    if (again.ok()) {
+      world.ExpectValue("k1", "flushed");
+    } else {
+      EXPECT_EQ(again.code(), StatusCode::kTampered) << again.ToString();
     }
   }
 }

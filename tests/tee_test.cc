@@ -18,6 +18,24 @@ using ciobase::ByteSpan;
 using ciobase::MutableByteSpan;
 using namespace ciotee;  // NOLINT: test file
 
+// What a denied actor sees at [offset, offset + n) of region 0: the same
+// scrambled filler an out-of-bounds read returns there.
+Buffer ScrambledFiller(uint64_t offset, size_t n) {
+  TeeMemory memory;
+  RegionId region = memory.AddRegion(RegionKind::kGuestPrivate, 0, "probe");
+  Buffer out(n);
+  EXPECT_FALSE(memory.Read(Domain::kHost, region, offset, out).ok());
+  return out;
+}
+
+Buffer Pattern(size_t n, uint8_t first) {
+  Buffer out(n);
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<uint8_t>(first + i);
+  }
+  return out;
+}
+
 TEST(TeeMemory, GuestReadsOwnPrivatePlaintext) {
   TeeMemory memory;
   RegionId region = memory.AddRegion(RegionKind::kGuestPrivate, 64, "priv");
@@ -39,6 +57,13 @@ TEST(TeeMemory, HostReadOfPrivateSeesCiphertext) {
   EXPECT_FALSE(status.ok());
   EXPECT_NE(leaked, secret);  // scrambled, not plaintext
   EXPECT_EQ(memory.ViolationCount(ViolationKind::kPrivateRead), 1u);
+  // Every byte is filler that depends on the offset, never the plaintext.
+  ASSERT_TRUE(memory.Write(Domain::kGuest, region, 0, Pattern(64, 7)).ok());
+  Buffer seen(48);
+  EXPECT_EQ(memory.Read(Domain::kHost, region, 16, seen).code(),
+            ciobase::StatusCode::kPermissionDenied);
+  EXPECT_EQ(seen, ScrambledFiller(16, 48));
+  EXPECT_EQ(memory.violations().size(), 2u);
 }
 
 TEST(TeeMemory, HostWriteToPrivateBlocked) {
@@ -60,18 +85,53 @@ TEST(TeeMemory, SharedIsReadWriteBothSides) {
   Buffer out(2);
   ASSERT_TRUE(memory.Read(Domain::kGuest, region, 0, out).ok());
   EXPECT_EQ(out, data);
+  // A whole in-bounds access moves exactly its bytes.
+  ASSERT_TRUE(memory.Write(Domain::kHost, region, 10, Pattern(40, 1)).ok());
+  Buffer window(40);
+  ASSERT_TRUE(memory.Read(Domain::kGuest, region, 10, window).ok());
+  EXPECT_EQ(window, Pattern(40, 1));
+  Buffer all(64);
+  ASSERT_TRUE(memory.Read(Domain::kHost, region, 0, all).ok());
+  Buffer expected = data;
+  expected.resize(10, 0);
+  ciobase::Append(expected, window);
+  expected.resize(64, 0);
+  EXPECT_EQ(all, expected);
+  EXPECT_TRUE(memory.violations().empty());
 }
 
 TEST(TeeMemory, OobAccessClampedAndRecorded) {
   TeeMemory memory;
   RegionId region = memory.AddRegion(RegionKind::kShared, 16, "shared");
+  ASSERT_TRUE(memory.Write(Domain::kGuest, region, 0, Pattern(16, 100)).ok());
   Buffer out(32);
   auto status = memory.Read(Domain::kGuest, region, 8, out);
   EXPECT_EQ(status.code(), ciobase::StatusCode::kOutOfRange);
   EXPECT_EQ(memory.ViolationCount(ViolationKind::kOobRead), 1u);
+  // The real in-bounds prefix, then scrambled filler.
+  EXPECT_EQ(Buffer(out.begin(), out.begin() + 8), Pattern(8, 108));
+  EXPECT_EQ(Buffer(out.begin() + 8, out.end()), ScrambledFiller(16, 24));
   Buffer big(32, 1);
   EXPECT_FALSE(memory.Write(Domain::kGuest, region, 8, big).ok());
   EXPECT_EQ(memory.ViolationCount(ViolationKind::kOobWrite), 1u);
+  // Only the in-bounds prefix of the write landed.
+  Buffer all(16);
+  ASSERT_TRUE(memory.Read(Domain::kGuest, region, 0, all).ok());
+  Buffer expected = Pattern(8, 100);
+  expected.resize(16, 1);
+  EXPECT_EQ(all, expected);
+  EXPECT_EQ(memory.violations().size(), 2u);
+}
+
+TEST(TeeMemory, ZeroLengthAccessIsCleanAtAnyOffset) {
+  TeeMemory memory;
+  RegionId region = memory.AddRegion(RegionKind::kShared, 16, "shared");
+  for (uint64_t offset : {uint64_t{0}, uint64_t{16}, uint64_t{1000},
+                          ~uint64_t{0}}) {
+    EXPECT_TRUE(memory.Read(Domain::kGuest, region, offset, {}).ok());
+    EXPECT_TRUE(memory.Write(Domain::kHost, region, offset, {}).ok());
+  }
+  EXPECT_TRUE(memory.violations().empty());
 }
 
 TEST(TeeMemory, RawWindowRespectsBounds) {
