@@ -101,7 +101,7 @@ void BatchedL5Table() {
           l5.Doorbell();
           auto got = l5.Accept(*listener);
           if (got.ok()) {
-            server = *got;
+            server = got->socket;
             accepted = true;
             (void)l5.Doorbell();  // arm the new socket
           }

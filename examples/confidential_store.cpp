@@ -53,7 +53,12 @@ int main() {
       return 1;
     }
   }
-  std::printf("store: stored %zu objects\n", store.List().size());
+  auto stored = store.List();
+  if (!stored.ok()) {
+    std::printf("store: list failed: %s\n", stored.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("store: stored %zu objects\n", stored->size());
 
   // Remount: reload the generation table, check it for rollback, remount
   // the filesystem, and read every record back.

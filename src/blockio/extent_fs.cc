@@ -595,7 +595,10 @@ ciobase::Status ExtentFs::DeleteFile(std::string_view name) {
   return FlushInode(index);  // unflushed, as in WriteFile's step 4
 }
 
-std::vector<std::string> ExtentFs::ListFiles() const {
+ciobase::Result<std::vector<std::string>> ExtentFs::ListFiles() const {
+  if (!mounted_) {
+    return ciobase::FailedPrecondition("not mounted");
+  }
   std::vector<std::string> names;
   for (const Inode& inode : inodes_) {
     if (inode.used) {
@@ -606,6 +609,9 @@ std::vector<std::string> ExtentFs::ListFiles() const {
 }
 
 ciobase::Result<size_t> ExtentFs::FileSize(std::string_view name) const {
+  if (!mounted_) {
+    return ciobase::FailedPrecondition("not mounted");
+  }
   int index = FindInode(name);
   if (index < 0) {
     return ciobase::NotFound("no such file");

@@ -83,7 +83,9 @@ class ExtentFs {
   ciobase::Status WriteFile(std::string_view name, ciobase::ByteSpan data);
   ciobase::Result<ciobase::Buffer> ReadFile(std::string_view name);
   ciobase::Status DeleteFile(std::string_view name);
-  std::vector<std::string> ListFiles() const;
+  // Like every file call, kFailedPrecondition while unmounted: an
+  // unmounted table is not an empty one.
+  ciobase::Result<std::vector<std::string>> ListFiles() const;
   ciobase::Result<size_t> FileSize(std::string_view name) const;
   // Durability barrier for everything written so far.
   ciobase::Status Flush();

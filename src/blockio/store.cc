@@ -132,9 +132,9 @@ ciobase::Status ConfidentialStore::Delete(std::string_view name) {
   return status;
 }
 
-std::vector<std::string> ConfidentialStore::List() {
+ciobase::Result<std::vector<std::string>> ConfidentialStore::List() {
   compartments_->SwitchTo(storage_);
-  std::vector<std::string> names = fs_->ListFiles();
+  auto names = fs_->ListFiles();
   compartments_->SwitchTo(app_);
   return names;
 }

@@ -64,7 +64,8 @@ class ConfidentialStore {
   // kTampered if the FS/host returned a forged or stale value.
   ciobase::Result<ciobase::Buffer> Get(std::string_view name);
   ciobase::Status Delete(std::string_view name);
-  std::vector<std::string> List();
+  // kFailedPrecondition while the filesystem is unmounted.
+  ciobase::Result<std::vector<std::string>> List();
   // Durability barrier: after a successful Flush the durable image needs
   // no journal replay. An acknowledged Put or Delete is durable without
   // it.

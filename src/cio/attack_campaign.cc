@@ -23,21 +23,6 @@ std::string_view AttackOutcomeName(AttackOutcome outcome) {
   return "?";
 }
 
-namespace {
-
-// Campaign cells shrink the TCP timers so retransmit-driven catch-up (and,
-// for the recovery dimension, retry exhaustion on a killed link) fits in a
-// simulated fault window instead of wall-clock-scale RTOs.
-void TuneTcpForCampaign(StackConfig& config) {
-  config.tcp_tuning.initial_rto_ns = 1'000'000;  // 1 ms
-  config.tcp_tuning.min_rto_ns = 500'000;
-  config.tcp_tuning.max_rto_ns = 4'000'000;
-  config.tcp_tuning.max_retries = 4;
-}
-
-// Every delivered message must be some sent message, in sent order
-// (TCP+TLS guarantee ordering; the engine's sequence numbers drop
-// duplicates). Counts received messages that match no remaining sent one.
 size_t CorruptedCount(const std::vector<ciobase::Buffer>& sent,
                       const std::vector<ciobase::Buffer>& received) {
   size_t bad = 0;
@@ -56,8 +41,6 @@ size_t CorruptedCount(const std::vector<ciobase::Buffer>& sent,
   return bad;
 }
 
-}  // namespace
-
 CampaignCell RunAttackCell(StackProfile profile,
                            ciohost::AttackStrategy strategy,
                            const CampaignOptions& options) {
@@ -69,6 +52,9 @@ CampaignCell RunAttackCell(StackProfile profile,
   StackConfig victim_config = StackConfig::DefaultsFor(profile, 1);
   victim_config.seed = options.seed * 101 + static_cast<uint64_t>(strategy);
   victim_config.use_tls = options.use_tls;
+  // Link recovery needs the handshake (StackConfig::Valid).
+  victim_config.recovery.enabled =
+      victim_config.recovery.enabled && options.use_tls;
   StackConfig peer_config = victim_config;
   peer_config.node_id = 2;
   peer_config.seed += 7;
@@ -232,7 +218,7 @@ RecoveryCell RunRecoveryCell(StackProfile profile,
 
   StackConfig victim_config = StackConfig::DefaultsFor(profile, 1);
   victim_config.seed = options.seed * 131 + static_cast<uint64_t>(fault);
-  TuneTcpForCampaign(victim_config);
+  TuneTcpForFaultWindows(victim_config);
   StackConfig peer_config = victim_config;
   peer_config.node_id = 2;
   peer_config.seed += 7;

@@ -125,7 +125,7 @@ struct RecoveryOptions {
   size_t message_size = 256;
   uint64_t seed = 1;
   // The hostile window outlives the campaign's TCP retry budget (~7.5 ms
-  // under TuneTcpForCampaign), so faults that starve the link kill the TCP
+  // under TuneTcpForFaultWindows), so faults that starve the link kill the TCP
   // connection: profiles without recovery wedge, the dual-boundary profile
   // reconnects, re-runs TLS, and replays from its resend window.
   uint64_t fault_duration_ns = 12'000'000;  // 12 ms
@@ -142,6 +142,13 @@ struct RecoveryOptions {
       StackProfile::kDualBoundary, StackProfile::kTunneledL2};
   std::vector<ciohost::FaultStrategy> faults = ciohost::AllFaultStrategies();
 };
+
+// Delivered messages that match no sent one in sent order: every delivered
+// message must be some sent message, in sent order (TCP+TLS keep order, the
+// sequence numbers drop duplicates). The campaigns and the fuzz oracle
+// share this count.
+size_t CorruptedCount(const std::vector<ciobase::Buffer>& sent,
+                      const std::vector<ciobase::Buffer>& received);
 
 // Runs one (profile, transient-fault) recovery cell.
 RecoveryCell RunRecoveryCell(StackProfile profile,

@@ -2,16 +2,24 @@
 
 #include <algorithm>
 
-#include "src/cio/l5_channel.h"
 #include "src/tee/attestation.h"
 
 namespace cio {
 
-void Connection::Open(cionet::SocketId id, bool up, ciotls::TlsRole role,
+ciobase::Result<Accepted> SocketLayer::AcceptOn(cionet::NetStack& stack,
+                                                cionet::SocketId listener) {
+  auto socket = stack.TcpAccept(listener);
+  if (!socket.ok()) {
+    return socket.status();
+  }
+  CIO_ASSIGN_OR_RETURN(cionet::Ipv4Address peer, stack.GetTcpPeer(*socket));
+  return Accepted{*socket, peer};
+}
+
+void Connection::Open(cionet::SocketId id, ciotls::TlsRole role,
                       uint64_t seed) {
   socket = id;
   state = ConnState::kHandshaking;
-  transport_up = up;
   session->Start(role, seed);
 }
 
@@ -61,26 +69,17 @@ ciobase::Result<size_t> Connection::Flush(SocketLayer& sockets,
   return queued;
 }
 
-void Connection::Close(SocketLayer& sockets, L5Channel* l5) {
-  (void)sockets.Close(socket);
-  if (l5 != nullptr) {
-    // The FIN is queued below the SQ/CQ layer, so this releases only what
-    // the socket still pins up here; without it every orderly close would
-    // leak its receive slots until pool exhaustion.
-    l5->CancelSocket(socket);
-  }
-  state = ConnState::kClosed;
-}
-
-bool Connection::CloseIfDrained(SocketLayer& sockets, L5Channel* l5) {
-  // On the L5 channel "no session backlog" is not yet "flushed": the SQ may
-  // still hold entries for this socket, and the FIN must not outrun them.
+bool Connection::CloseIfDrained(SocketLayer& sockets) {
   if ((state != ConnState::kDraining && state != ConnState::kMigrating) ||
-      session->HasOutbound() ||
-      (l5 != nullptr && l5->HasInFlightSends(socket))) {
+      session->HasOutbound()) {
     return false;
   }
-  Close(sockets, l5);
+  // kUnavailable: sends queued below are still in flight, and the FIN must
+  // not outrun them; the next round retries.
+  if (sockets.Close(socket).code() == ciobase::StatusCode::kUnavailable) {
+    return false;
+  }
+  state = ConnState::kClosed;
   return true;
 }
 

@@ -6,19 +6,22 @@
 // Connection, and the multi-tenant ConfidentialServer (src/serve/) holds a
 // table of them. What differs is role policy, which stays with the owner:
 // the client dials and redials with backoff, the server accepts, admits,
-// parks and reattaches; the client resets its whole L5 ring on a fault, the
-// server cancels one socket's queue state.
+// parks and reattaches; the client also resets its whole L5 ring on a
+// fault. Every profile implements the one SocketLayer contract below, so
+// neither owner polls socket state or branches on the profile to tear a
+// socket down.
 //
 // The steps:
 //   Drain  — harvested bytes into the session, with one outcome
 //            classification (data, orderly EOF, recoverable fault, hostile
-//            framing).
+//            framing). A transport that dies before it is established
+//            surfaces here too, as a fault.
 //   Flush  — outbound() into the socket under a byte budget. On every
-//            profile SendBytes only queues (on the L5 channel it is
-//            L5Channel::SubmitStream, no crossing); the owner rings the
-//            doorbell once after its flush.
-//   Close  — orderly: the FIN, once nothing is queued or in flight
-//            (CloseIfDrained), then release of the socket's L5 resources.
+//            profile SendBytes only queues (on the L5 channel, in the SQ
+//            with no crossing); the owner rings the doorbell once after its
+//            flush.
+//   CloseIfDrained — orderly: the FIN once nothing is queued or in flight;
+//            the socket's Close releases everything it pinned.
 //   Abort  — abortive: RST now, and the channel bytes die with it; the
 //            session keeps its sequence numbers and resend window.
 //   ReplayIfDue — once the channel is re-established after a fault.
@@ -36,7 +39,12 @@
 
 namespace cio {
 
-class L5Channel;
+// One accepted connection: its socket and the remote address (the server's
+// reattach key).
+struct Accepted {
+  cionet::SocketId socket;
+  cionet::Ipv4Address peer;
+};
 
 // The profile-specific socket plumbing a stack assembly exposes: every
 // profile provides the same byte-stream interface over its own machinery
@@ -45,16 +53,23 @@ class SocketLayer {
  public:
   virtual ~SocketLayer() = default;
 
+  // The dial's outcome arrives on the receive stream: a refused or
+  // timed-out dial reads as kLinkReset, never as a state to poll.
   virtual ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
                                                     uint16_t port) = 0;
   virtual ciobase::Result<cionet::SocketId> Listen(uint16_t port) = 0;
-  virtual ciobase::Result<cionet::SocketId> Accept(
-      cionet::SocketId listener) = 0;
-  virtual ciobase::Result<cionet::TcpState> State(cionet::SocketId id) = 0;
-  // Orderly close (FIN after buffered data).
+  // The next pending connection with its peer, or kUnavailable. On the L5
+  // channel an empty backlog costs no crossing: the last doorbell returned
+  // the listener's pending count.
+  virtual ciobase::Result<Accepted> Accept(cionet::SocketId listener) = 0;
+  // Orderly close (FIN after buffered data) that releases everything the
+  // socket pins. kUnavailable while bytes SendBytes queued have not reached
+  // the stack (the L5 channel's in-flight sends), so the FIN never
+  // overtakes them: retry after the next doorbell.
   virtual ciobase::Status Close(cionet::SocketId id) = 0;
-  // Abortive close (RST now); the recovery path uses it to kill a dead
-  // connection before re-establishing.
+  // Abortive close (RST now) that releases everything the socket pins; the
+  // recovery path uses it to kill a dead connection before
+  // re-establishing.
   virtual ciobase::Status Abort(cionet::SocketId id) = 0;
   // Queues bytes for the socket; returns bytes accepted (possibly 0 under
   // backpressure). On the L5 channel this makes no crossing: the owner's
@@ -68,12 +83,16 @@ class SocketLayer {
   // what the last doorbell harvested, with no crossing.
   virtual ciobase::Result<size_t> ReceiveBytes(cionet::SocketId id, size_t max,
                                                ciobase::Buffer& out) = 0;
-  // Remote address of an established connection (the server's reattach key).
-  virtual ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) = 0;
   // Drives the stack; surfaces the link status (kTimedOut = transport
   // watchdog exhausted its reset budget, kLinkReset = ring reset this round,
   // kTampered = the L5 reaper rejected a completion).
   virtual ciobase::Status Poll() = 0;
+
+ protected:
+  // TcpAccept plus the new connection's peer: the body of every profile's
+  // Accept.
+  static ciobase::Result<Accepted> AcceptOn(cionet::NetStack& stack,
+                                            cionet::SocketId listener);
 };
 
 // Connection lifecycle. kHandshaking covers TCP establishment + the TLS
@@ -107,8 +126,6 @@ struct Connection {
   cionet::Ipv4Address peer{};  // the client's dial target, the server's key
   uint16_t port = 0;           // the client's dial target
   ConnState state = ConnState::kClosed;
-  // TCP established (accepted sockets start up); set by Open().
-  bool transport_up = false;
   bool replay_due = false;  // replay the resend window once back up
   // The secure channel; a unique_ptr so the server can park it across a
   // transport fault and reattach it on reconnect.
@@ -119,14 +136,15 @@ struct Connection {
   uint64_t next_reconnect_ns = 0;
 
   bool open() const { return state != ConnState::kClosed; }
-  // Transport and secure channel both up.
+  // The secure channel is up. TLS cannot finish over a transport that is
+  // not; the plaintext ablation is up at once, and its bytes wait in the
+  // socket's send buffer until TCP is.
   bool ChannelUp() const {
-    return transport_up && session != nullptr && session->Established();
+    return session != nullptr && session->Established();
   }
 
   // Starts the session over a fresh socket; kHandshaking until ChannelUp().
-  void Open(cionet::SocketId id, bool up, ciotls::TlsRole role,
-            uint64_t seed);
+  void Open(cionet::SocketId id, ciotls::TlsRole role, uint64_t seed);
   // Moves up to `max_chunks` harvested chunks into the session.
   DrainOutcome Drain(SocketLayer& sockets, ciobase::Buffer& scratch,
                      size_t max_chunks);
@@ -134,13 +152,10 @@ struct Connection {
   // went; returns the bytes queued, or the socket's error.
   ciobase::Result<size_t> Flush(SocketLayer& sockets,
                                 size_t budget = SIZE_MAX);
-  // Orderly close: the FIN, then release of every L5 resource the socket
-  // still pins (armed receives, held completions, pool slots).
-  void Close(SocketLayer& sockets, L5Channel* l5);
   // A draining (or migrating) connection closes once nothing is left to
-  // send: the session's queue is empty and, on the L5 channel, the I/O side
-  // has taken every submitted entry. Returns true when it closed.
-  bool CloseIfDrained(SocketLayer& sockets, L5Channel* l5);
+  // send: the session's queue is empty and the socket's Close no longer
+  // waits for in-flight sends. Returns true when it closed.
+  bool CloseIfDrained(SocketLayer& sockets);
   // Abortive teardown: RST now; the channel's bytes die, the session's
   // sequence numbers and resend window survive.
   void Abort(SocketLayer& sockets);

@@ -108,15 +108,12 @@ struct ConfidentialNode::StackOps final : SocketLayer {
     Call(port);
     return stack->TcpListen(port);
   }
-  ciobase::Result<cionet::SocketId> Accept(cionet::SocketId id) override {
-    auto result = stack->TcpAccept(id);
+  ciobase::Result<Accepted> Accept(cionet::SocketId id) override {
+    auto result = AcceptOn(*stack, id);
     if (result.ok()) {
       Call(node->clock_->now_ns());  // the accept timing is host-visible [3]
     }
     return result;
-  }
-  ciobase::Result<cionet::TcpState> State(cionet::SocketId id) override {
-    return stack->GetTcpState(id);
   }
   ciobase::Status Close(cionet::SocketId id) override {
     Call(id.value);
@@ -144,9 +141,6 @@ struct ConfidentialNode::StackOps final : SocketLayer {
     }
     out.resize(*got);
     return *got;
-  }
-  ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId id) override {
-    return stack->GetTcpPeer(id);
   }
   void PollDevice() {
     if (node->virtio_device_ != nullptr) {
@@ -362,7 +356,7 @@ ciobase::Status ConfidentialNode::Connect(cionet::Ipv4Address peer,
   }
   conn_.peer = peer;
   conn_.port = port;
-  conn_.Open(*socket, /*up=*/false, ciotls::TlsRole::kClient, config_.seed);
+  conn_.Open(*socket, ciotls::TlsRole::kClient, config_.seed);
   return ciobase::OkStatus();
 }
 
@@ -381,10 +375,10 @@ ciobase::Status ConfidentialNode::Disconnect() {
 }
 
 void ConfidentialNode::PollDrain() {
-  // Orderly FIN, then release every pool slot / held CQE / armed counter
-  // the socket still pins: the churn loop must return the node to exact
-  // pool-accounting zero.
-  if (conn_.CloseIfDrained(*ops_, l5_)) {
+  // The orderly FIN; the socket's Close releases every pool slot / held
+  // CQE / armed counter it still pins, so the churn loop returns the node
+  // to exact pool-accounting zero.
+  if (conn_.CloseIfDrained(*ops_)) {
     Retire();
   }
 }
@@ -478,8 +472,7 @@ void ConfidentialNode::PollRecovery() {
     ++recovery_stats_.reconnects;
     auto socket = ops_->Connect(conn_.peer, conn_.port);
     if (socket.ok()) {
-      conn_.Open(*socket, /*up=*/false, ciotls::TlsRole::kClient,
-                 config_.seed);
+      conn_.Open(*socket, ciotls::TlsRole::kClient, config_.seed);
     }
     // If this attempt dies too, the next one waits twice as long (capped).
     conn_.backoff_ns =
@@ -582,20 +575,12 @@ void ConfidentialNode::Poll() {
   if (listener_.has_value() && !conn_.open()) {
     auto accepted = ops_->Accept(*listener_);
     if (accepted.ok()) {
-      conn_.Open(*accepted, /*up=*/true, ciotls::TlsRole::kServer,
+      conn_.Open(accepted->socket, ciotls::TlsRole::kServer,
                  config_.seed + 1);
     }
   }
-  // Client role: detect transport establishment (or its death mid-handshake).
-  if (conn_.open() && !conn_.transport_up) {
-    auto state = ops_->State(conn_.socket);
-    if (state.ok() && *state == cionet::TcpState::kEstablished) {
-      conn_.transport_up = true;
-    }
-    if (state.ok() && *state == cionet::TcpState::kClosed) {
-      BeginRecovery("transport closed before establishment");
-    }
-  }
+  // (A dial that dies before establishment reads as a reset in Pump's
+  // drain and begins recovery there.)
   Pump();
   if (conn_.state == ConnState::kHandshaking && conn_.ChannelUp()) {
     conn_.state = ConnState::kEstablished;

@@ -122,7 +122,7 @@ class ConfidentialNode {
   ciotee::TeeMemory& memory() { return memory_; }
   ciotee::CompartmentManager* compartments() { return compartments_.get(); }
   // The dual-boundary async datapath (null on other profiles): the server
-  // drives batched egress + per-connection teardown through this.
+  // rings its one egress doorbell through this.
   L5Channel* l5() { return l5_; }
   L2Transport* l2_transport() { return l2_transport_.get(); }
   ciovirtio::VirtioNetDriver* virtio_driver() { return virtio_driver_.get(); }

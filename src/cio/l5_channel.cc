@@ -80,54 +80,77 @@ ciobase::Result<cionet::SocketId> L5Channel::Connect(cionet::Ipv4Address ip,
 
 ciobase::Result<cionet::SocketId> L5Channel::Listen(uint16_t port) {
   Crossing crossing(this);
-  return stack_->TcpListen(port);
+  auto listener = stack_->TcpListen(port);
+  if (listener.ok()) {
+    accept_pending_[listener->value] = 0;
+  }
+  return listener;
 }
 
-ciobase::Result<cionet::SocketId> L5Channel::Accept(
-    cionet::SocketId listener) {
+ciobase::Result<Accepted> L5Channel::Accept(cionet::SocketId listener) {
+  auto pending = accept_pending_.find(listener.value);
+  if (pending == accept_pending_.end() || pending->second == 0) {
+    return ciobase::Unavailable("no pending connection");
+  }
   Crossing crossing(this);
-  auto socket = stack_->TcpAccept(listener);
-  if (socket.ok()) {
-    receivers_[socket->value] = Receiver{};
+  auto accepted = AcceptOn(*stack_, listener);
+  IoCountAccepts();  // what is left returns through the gate too
+  if (accepted.ok()) {
+    receivers_[accepted->socket.value] = Receiver{};
     CountReceivers();
   }
-  return socket;
-}
-
-ciobase::Result<cionet::TcpState> L5Channel::State(cionet::SocketId socket) {
-  Crossing crossing(this);
-  return stack_->GetTcpState(socket);
+  return accepted;
 }
 
 ciobase::Status L5Channel::Close(cionet::SocketId socket) {
-  // Owners close only once HasInFlightSends() is false (cio::Connection::
-  // CloseIfDrained), so the FIN never outruns data still sitting in the SQ.
-  Crossing crossing(this);
-  return stack_->TcpClose(socket);
-}
-
-bool L5Channel::HasInFlightSends(cionet::SocketId socket) const {
-  return std::any_of(in_flight_.begin(), in_flight_.end(),
-                     [&](const auto& item) {
-                       return item.second.op == kSqOpSend &&
-                              item.second.socket == socket.value;
-                     });
+  // The FIN must never overtake sealed bytes still in the SQ: the owner
+  // retries once a doorbell has reaped their completions.
+  if (std::any_of(in_flight_.begin(), in_flight_.end(), [&](const auto& item) {
+        return item.second.op == kSqOpSend &&
+               item.second.socket == socket.value;
+      })) {
+    return ciobase::Unavailable("sends still in flight");
+  }
+  return Retire(socket, &cionet::NetStack::TcpClose);
 }
 
 ciobase::Status L5Channel::Abort(cionet::SocketId socket) {
-  // Stop arming the dead socket. Entries still in flight complete as resets
-  // at a later doorbell and return their slots; nobody reads their events.
-  receivers_.erase(socket.value);
-  CountReceivers();
-  events_.erase(socket.value);
-  Crossing crossing(this);
-  return stack_->TcpAbort(socket);
+  return Retire(socket, &cionet::NetStack::TcpAbort);
 }
 
-ciobase::Result<cionet::Ipv4Address> L5Channel::Peer(
-    cionet::SocketId socket) {
-  Crossing crossing(this);
-  return stack_->GetTcpPeer(socket);
+ciobase::Status L5Channel::Retire(cionet::SocketId socket,
+                                  StackTeardown teardown) {
+  // Sweep already-posted completions to their owners first, so another
+  // socket's data is never thrown away with this one's.
+  if (queues_ready_) {
+    (void)Harvest();
+  }
+  events_.erase(socket.value);
+  ciobase::Status status;
+  {
+    Crossing crossing(this);
+    if (queues_ready_) {
+      IoConsumeSq();  // pull published-but-unconsumed entries so they purge
+      sq_consumed_ = io_sq_head_;
+      io_queues_.erase(socket.value);
+      std::erase_if(held_cqes_, [&](const HeldCqe& held) {
+        return held.socket == socket.value;
+      });
+    }
+    status = (stack_->*teardown)(socket);
+  }
+  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
+    if (it->second.socket == socket.value) {
+      ReleaseEntrySlots(it->second);
+      it = in_flight_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  receivers_.erase(socket.value);
+  accept_pending_.erase(socket.value);
+  CountReceivers();
+  return status;
 }
 
 // --- Layout helpers ---------------------------------------------------------
@@ -302,9 +325,11 @@ ciobase::Status L5Channel::Doorbell() {
       CIO_PROF_SCOPE(costs_->profiler(), "l5.io_service");
       IoService(share);
     }
-    // Consumed count returns through the call gate (a syscall-style return
-    // value), so SQ-full detection never trusts host-writable memory.
+    // Consumed count and accept counts return through the call gate (a
+    // syscall-style return value): SQ-full detection and accept readiness
+    // never read host-writable memory.
     sq_consumed_ = io_sq_head_;
+    IoCountAccepts();
   }
   ++stats_.doorbells;
   ciobase::Status harvested = Harvest();
@@ -473,6 +498,15 @@ void L5Channel::IoServiceRecvs(uint32_t socket, IoSocketQueues& queues,
   }
 }
 
+void L5Channel::IoCountAccepts() {
+  // Counting never accepts: the TCP backlog cap and the owner's adoption
+  // policy stay where they are.
+  for (auto& [listener, pending] : accept_pending_) {
+    auto count = stack_->TcpAcceptPending(cionet::SocketId{listener});
+    pending = count.ok() ? *count : 0;
+  }
+}
+
 bool L5Channel::IoCqFull() {
   const uint32_t used =
       io_cq_tail_ - ciobase::LoadLe32(ctrl() + kCtrlCqHead);
@@ -582,8 +616,8 @@ ciobase::Status L5Channel::ConsumeCqe(const CqEntry& cqe) {
     }
     return ciobase::OkStatus();
   }
-  // Receive completion. A socket no longer open (aborted or cancelled) has
-  // no reader: its late completions only return their slots.
+  // Receive completion. A socket with no receiver has no reader: the
+  // completion only returns its slots.
   auto receiver = receivers_.find(entry.socket);
   if (receiver == receivers_.end()) {
     ReleaseEntrySlots(entry);
@@ -657,36 +691,6 @@ uint64_t L5Channel::in_flight_user_data_for_test(cionet::SocketId socket,
 }
 
 // --- Teardown paths ---------------------------------------------------------
-
-void L5Channel::CancelSocket(cionet::SocketId socket) {
-  if (!queues_ready_) {
-    return;
-  }
-  // Sweep already-posted completions to their owners first, so another
-  // socket's data is never thrown away with this one's. Tampering found
-  // here resurfaces on the next doorbell.
-  (void)Harvest();
-  events_.erase(socket.value);
-  {
-    Crossing crossing(this);
-    IoConsumeSq();  // pull published-but-unconsumed entries so they purge
-    sq_consumed_ = io_sq_head_;
-    io_queues_.erase(socket.value);
-    std::erase_if(held_cqes_, [&](const HeldCqe& held) {
-      return held.socket == socket.value;
-    });
-  }
-  for (auto it = in_flight_.begin(); it != in_flight_.end();) {
-    if (it->second.socket == socket.value) {
-      ReleaseEntrySlots(it->second);
-      it = in_flight_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  receivers_.erase(socket.value);
-  CountReceivers();
-}
 
 void L5Channel::AbandonInFlight() {
   if (!queues_ready_) {

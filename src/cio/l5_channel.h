@@ -20,7 +20,9 @@
 //  * Completion-driven receive: every socket the channel connected or
 //    accepted stays armed with receive entries, re-armed app-side before
 //    each doorbell, so one doorbell harvests inbound bytes for every
-//    socket and a receive is a drain of already-harvested events.
+//    socket and a receive is a drain of already-harvested events. The same
+//    doorbell returns each listener's pending-accept count through the call
+//    gate, so an idle round crosses once, for the doorbell alone.
 //  * Receive trust: everything the I/O side writes back — CQ indices,
 //    completion codes, lengths — is hostile-host-writable, so the reaper
 //    validates each entry against its private in-flight shadow (typed
@@ -67,18 +69,22 @@ class L5Channel final : public SocketLayer {
             std::function<void()> host_poll = {});
 
   // Connection management: thin crossings into the I/O compartment. A
-  // socket from Connect or Accept is kept armed for receive until Abort or
-  // CancelSocket retires it.
+  // socket from Connect or Accept is kept armed for receive until Close or
+  // Abort retires it.
   ciobase::Result<cionet::SocketId> Connect(cionet::Ipv4Address ip,
                                             uint16_t port) override;
+  // Records the listener: every doorbell reads its pending-accept count.
   ciobase::Result<cionet::SocketId> Listen(uint16_t port) override;
-  ciobase::Result<cionet::SocketId> Accept(cionet::SocketId listener) override;
-  ciobase::Result<cionet::TcpState> State(cionet::SocketId socket) override;
+  // kUnavailable with no crossing when the last doorbell counted nothing
+  // pending. The count is the I/O side's hint: too low only delays a
+  // connection, too high costs one failing crossing.
+  ciobase::Result<Accepted> Accept(cionet::SocketId listener) override;
+  // Close and Abort retire the socket in the crossing that runs TcpClose /
+  // TcpAbort: its queued entries, held completions, harvested events, pool
+  // slots and receiver all go. Close returns kUnavailable, with no
+  // crossing, while the socket still has sends in flight.
   ciobase::Status Close(cionet::SocketId socket) override;
-  // Abortive close (RST now): the engine's recovery path kills dead
-  // connections through this before re-establishing.
   ciobase::Status Abort(cionet::SocketId socket) override;
-  ciobase::Result<cionet::Ipv4Address> Peer(cionet::SocketId socket) override;
   // Queues sealed bytes with no crossing (SubmitStream); the owner rings
   // the doorbell once after its flush.
   ciobase::Result<size_t> SendBytes(cionet::SocketId socket,
@@ -125,16 +131,6 @@ class L5Channel final : public SocketLayer {
   // reaps + validates completions app-side. Returns the link status
   // (kLinkReset / kTimedOut) or kTampered when a CQ entry fails validation.
   ciobase::Status Doorbell();
-
-  // Tears down one socket's queue state (armed receives, queued sends,
-  // undelivered events) without disturbing other sockets — the server's
-  // park path. Slots return to the pool; delivery is owned by the session
-  // resend window.
-  void CancelSocket(cionet::SocketId socket);
-
-  // True while this socket still has submitted-but-unreaped send entries —
-  // an orderly close must wait for (or flush) them first.
-  bool HasInFlightSends(cionet::SocketId socket) const;
 
   // Full ring reset for recovery: bumps the epoch (completions from the old
   // generation reap as stale, not as tampering), drops every in-flight
@@ -220,6 +216,13 @@ class L5Channel final : public SocketLayer {
 
   void ChargeCrossing();
   void InitQueues();
+  // Close and Abort: retires one socket's queue state without disturbing
+  // the other sockets, in the crossing that runs `teardown` on the stack.
+  // Slots return to the pool; delivery is owned by the session resend
+  // window.
+  using StackTeardown =
+      ciobase::Status (cionet::NetStack::*)(cionet::SocketId);
+  ciobase::Status Retire(cionet::SocketId socket, StackTeardown teardown);
 
   uint8_t* ctrl() { return region_.data(); }
   ciobase::MutableByteSpan SqeSpan(uint32_t index);
@@ -255,6 +258,7 @@ class L5Channel final : public SocketLayer {
   // `recv_share` arrives through the call gate, never from shared memory.
   void IoConsumeSq();
   void IoService(size_t recv_share);
+  void IoCountAccepts();
   void IoServiceSends(uint32_t socket, IoSocketQueues& queues);
   void IoServiceRecvs(uint32_t socket, IoSocketQueues& queues, size_t share);
   bool IoCqFull();
@@ -287,6 +291,9 @@ class L5Channel final : public SocketLayer {
   size_t open_receivers_ = 0;     // not ended
   size_t unarmed_receivers_ = 0;  // open, nothing armed
   std::map<uint32_t, std::deque<RecvEvent>> events_;
+  // Pending-accept count per listener: gate-returned, never read from the
+  // region.
+  std::map<uint32_t, size_t> accept_pending_;
 
   // I/O-compartment-private state.
   uint32_t io_sq_head_ = 0;

@@ -61,11 +61,24 @@ StackConfig StackConfig::DefaultsFor(StackProfile profile, uint32_t node_id) {
   return config;
 }
 
+void TuneTcpForFaultWindows(StackConfig& config) {
+  config.tcp_tuning.initial_rto_ns = 1'000'000;
+  config.tcp_tuning.min_rto_ns = 500'000;
+  config.tcp_tuning.max_rto_ns = 4'000'000;
+  config.tcp_tuning.max_retries = 4;
+}
+
 bool StackConfig::Valid() const {
   if (node_id == 0 || node_id > 254) {
     return false;  // must fit the 10.0.0.x host octet
   }
   if (!recovery.Valid()) {
+    return false;
+  }
+  if (recovery.enabled && !use_tls) {
+    // A plaintext channel is up at once, so a redial the host refused or
+    // dropped could not be told from one that reached the peer, and the
+    // reconnect budget would never run out: recovery needs the handshake.
     return false;
   }
   if (!l5_queue.Valid() || l5_queue.TotalBytes() > kIoHeapBytes) {

@@ -60,7 +60,9 @@ struct StackConfig {
   uint32_t node_id = 1;  // derives MAC 02:00:…:id and IP 10.0.0.id
   uint64_t seed = 1;
   ciobase::Buffer psk;   // attestation-bound pre-shared key
-  bool use_tls = true;   // the design mandates TLS; ablations may disable
+  // The design mandates TLS; ablations may disable it, but only with
+  // recovery off (Valid(): link recovery needs the handshake).
+  bool use_tls = true;
 
   // Dual-boundary knobs.
   L5ReceiveMode l5_receive = L5ReceiveMode::kCopy;
@@ -113,6 +115,12 @@ struct StackConfig {
 
   bool Valid() const;
 };
+
+// Shrinks the TCP timers (RTO 1 ms initial, 0.5-4 ms, 4 retries) so a host
+// fault window of a few simulated milliseconds kills the connection and
+// the recovery path reconnects, instead of a silent multi-second
+// retransmit stall. Every world that injects faults runs under it.
+void TuneTcpForFaultWindows(StackConfig& config);
 
 }  // namespace cio
 

@@ -5,6 +5,7 @@
 #include "src/base/coverage.h"
 #include "src/blockio/block_ring.h"
 #include "src/blockio/crypt_client.h"
+#include "src/cio/attack_campaign.h"
 #include "src/cio/engine.h"
 
 namespace ciofuzz {
@@ -12,15 +13,6 @@ namespace {
 
 using cio::StackConfig;
 using cio::StackProfile;
-
-// Same fast timers as the attack campaign: retransmit-driven reactions must
-// fit inside the bounded pump budget instead of wall-clock-scale RTOs.
-void TuneTcpFast(StackConfig& config) {
-  config.tcp_tuning.initial_rto_ns = 1'000'000;  // 1 ms
-  config.tcp_tuning.min_rto_ns = 500'000;
-  config.tcp_tuning.max_rto_ns = 4'000'000;
-  config.tcp_tuning.max_retries = 4;
-}
 
 size_t GuestViolations(const ciotee::TeeMemory& memory) {
   size_t count = 0;
@@ -41,26 +33,6 @@ size_t NonOkEdges() {
     }
   }
   return count;
-}
-
-// Every delivered message must be some sent message, in sent order (TLS
-// guarantees both); anything else is a delivered corruption.
-size_t CorruptedCount(const std::vector<ciobase::Buffer>& sent,
-                      const std::vector<ciobase::Buffer>& received) {
-  size_t bad = 0;
-  size_t next = 0;
-  for (const ciobase::Buffer& message : received) {
-    size_t match = next;
-    while (match < sent.size() && !(sent[match] == message)) {
-      ++match;
-    }
-    if (match == sent.size()) {
-      ++bad;
-    } else {
-      next = match + 1;
-    }
-  }
-  return bad;
 }
 
 TargetWindow Spec(const char* name, uint64_t length, uint32_t weight) {
@@ -118,10 +90,10 @@ class NetTarget final : public FuzzTarget {
 
     StackConfig client_config = StackConfig::DefaultsFor(profile_, 1);
     client_config.seed = options.seed * 1000003 + 17;
-    TuneTcpFast(client_config);
+    cio::TuneTcpForFaultWindows(client_config);
     StackConfig server_config = StackConfig::DefaultsFor(profile_, 2);
     server_config.seed = client_config.seed + 7;
-    TuneTcpFast(server_config);
+    cio::TuneTcpForFaultWindows(server_config);
 
     cio::LinkedPair pair(client_config, server_config);
     cio::ConfidentialNode& client = *pair.client;
@@ -196,8 +168,8 @@ class NetTarget final : public FuzzTarget {
     if (client.compartments() != nullptr) {
       compartment_after = client.compartments()->violations().size();
     }
-    size_t corrupted = CorruptedCount(to_send, server_received) +
-                       CorruptedCount(to_send, client_received);
+    size_t corrupted = cio::CorruptedCount(to_send, server_received) +
+                       cio::CorruptedCount(to_send, client_received);
 
     if (violations_after > violations_before) {
       result.gated = true;

@@ -6,13 +6,6 @@ namespace cioserve {
 
 namespace {
 
-void TuneTcpFast(cio::StackConfig& config) {
-  config.tcp_tuning.initial_rto_ns = 1'000'000;
-  config.tcp_tuning.min_rto_ns = 500'000;
-  config.tcp_tuning.max_rto_ns = 4'000'000;
-  config.tcp_tuning.max_retries = 4;
-}
-
 bool Contains(const std::vector<size_t>& indices, size_t i) {
   return std::find(indices.begin(), indices.end(), i) != indices.end();
 }
@@ -44,9 +37,7 @@ MultiClientWorld::MultiClientWorld(const Options& options) {
   server_config.accept_backlog =
       std::max<size_t>(64, options.num_clients + 8);
   server_config.profiler = options.server_profiler;
-  if (options.fast_tcp) {
-    TuneTcpFast(server_config);
-  }
+  cio::TuneTcpForFaultWindows(server_config);
   server_node = std::make_unique<cio::ConfidentialNode>(fabric.get(), &clock,
                                                         server_config);
   server = std::make_unique<ConfidentialServer>(server_node.get(), &clock,
@@ -62,9 +53,7 @@ MultiClientWorld::MultiClientWorld(const Options& options) {
     config2.accept_backlog = server_config.accept_backlog;
     config2.rekey_after_records = options.rekey_after_records;
     config2.rekey_after_bytes = options.rekey_after_bytes;
-    if (options.fast_tcp) {
-      TuneTcpFast(config2);
-    }
+    cio::TuneTcpForFaultWindows(config2);
     server2_node = std::make_unique<cio::ConfidentialNode>(fabric.get(),
                                                            &clock, config2);
     server2 = std::make_unique<ConfidentialServer>(server2_node.get(), &clock,
@@ -86,9 +75,7 @@ MultiClientWorld::MultiClientWorld(const Options& options) {
               : options.attestation_key;
       client_config.attest_stale_probe = Contains(options.stale_clients, i);
     }
-    if (options.fast_tcp) {
-      TuneTcpFast(client_config);
-    }
+    cio::TuneTcpForFaultWindows(client_config);
     clients.push_back(std::make_unique<cio::ConfidentialNode>(
         fabric.get(), &clock, client_config));
   }

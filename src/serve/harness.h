@@ -6,7 +6,9 @@
 // a load point exercises the full profile-specific datapath on both sides
 // (e.g. 64 dual-boundary clients all crossing their own L5 boundaries into
 // one dual-boundary server). All nodes share one attestation-bound PSK;
-// seeds are derived per node so TLS nonces never collide.
+// seeds are derived per node so TLS nonces never collide. Every node runs
+// under cio::TuneTcpForFaultWindows, so an injected fault window ends in
+// connection death and reconnect.
 
 #ifndef SRC_SERVE_HARNESS_H_
 #define SRC_SERVE_HARNESS_H_
@@ -26,10 +28,6 @@ struct MultiClientWorld {
     size_t num_clients = 8;
     ServerConfig server_config;
     uint64_t seed = 4242;
-    // Shrinks TCP RTOs (and keeps the profile's default recovery config)
-    // so fault windows of a few simulated milliseconds produce connection
-    // death + reconnect instead of a silent multi-second retransmit stall.
-    bool fast_tcp = true;
     cionet::Fabric::Options fabric_options{};
 
     // Attestation-gated admission: when non-empty, every server requires a

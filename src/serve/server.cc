@@ -44,18 +44,13 @@ ciobase::Status ConfidentialServer::Start() {
 void ConfidentialServer::AcceptPending() {
   CIO_PROF_SCOPE(node_->costs().profiler(), "server.accept");
   for (;;) {
-    // Accept until the backlog is empty: the failing call costs what a
-    // pending-count query would, so no separate readiness query is needed.
+    // Accept until the backlog is empty. The peer comes with the socket,
+    // and on the L5 channel an empty backlog costs no crossing.
     auto accepted = sockets_->Accept(*listener_);
     if (!accepted.ok()) {
       break;
     }
-    cionet::SocketId socket = *accepted;
-    auto peer = sockets_->Peer(socket);
-    if (!peer.ok()) {
-      (void)sockets_->Abort(socket);
-      continue;
-    }
+    const auto [socket, peer] = *accepted;
 
     // A fresh connection from an address we already serve is the client's
     // recovery path reconnecting: the server may not have noticed the fault
@@ -64,7 +59,7 @@ void ConfidentialServer::AcceptPending() {
     // then let the reattach branch below pick it up. Erase the stale table
     // entry now — the reattached connection reuses its id.
     for (auto it = connections_.begin(); it != connections_.end(); ++it) {
-      if (it->second.peer == *peer && it->second.open()) {
+      if (it->second.peer == peer && it->second.open()) {
         Park(it->second);
         ++stats_.closed;
         connections_.erase(it);
@@ -82,9 +77,9 @@ void ConfidentialServer::AcceptPending() {
     }
 
     Entry entry;
-    entry.peer = *peer;
-    entry.opened_ns = clock_->now_ns();
-    auto parked = parked_.find(peer->value);
+    entry.peer = peer;
+    entry.deadline_ns = clock_->now_ns() + kHandshakeTimeoutNs;
+    auto parked = parked_.find(peer.value);
     if (parked != parked_.end()) {
       // Reattach: the parked Session keeps the sequence numbers and the
       // resend window, so after the TLS restart both sides replay and the
@@ -99,7 +94,7 @@ void ConfidentialServer::AcceptPending() {
       entry.id = next_conn_id_++;
       entry.session = node_->NewSession();
     }
-    entry.Open(socket, /*up=*/true, ciotls::TlsRole::kServer,
+    entry.Open(socket, ciotls::TlsRole::kServer,
                node_->config().seed + 1 + entry.id);
     ++stats_.accepted;
     connections_.emplace(entry.id, std::move(entry));
@@ -113,11 +108,6 @@ ConfidentialServer::Entry* ConfidentialServer::Find(ConnId id) {
 }
 
 void ConfidentialServer::Park(Entry& entry) {
-  if (cio::L5Channel* l5 = node_->l5(); l5 != nullptr) {
-    // Retire this socket's SQ/CQ state (queued entries, undelivered events,
-    // registered slots) without disturbing the other connections' rings.
-    l5->CancelSocket(entry.socket);
-  }
   // A kMigrating session is never parked: its authoritative copy already
   // left for the other instance — parking the stale local copy would hand
   // the client two diverging continuations.
@@ -136,9 +126,12 @@ void ConfidentialServer::Step(Entry& entry) {
     case cio::DrainOutcome::kLive:
       break;
     case cio::DrainOutcome::kEof:
-      // The client closed on purpose. Finish our side too.
-      entry.Close(*sockets_, node_->l5());
-      return;
+      // The client closed on purpose: flush what is queued, then FIN
+      // (CloseIfDrained, in FlushOutbound). What arrived with the FIN is
+      // still delivered below. A migrating connection already closes that
+      // way and delivers nothing.
+      BeginClose(entry, ConnState::kDraining);
+      break;
     case cio::DrainOutcome::kFault:
       Park(entry);  // transport fault: park for the client's reconnect
       return;
@@ -173,9 +166,10 @@ void ConfidentialServer::Step(Entry& entry) {
   }
   // Application delivery is held until admission: frames a client replays
   // ahead of its report sit in the session inbox (dedup already counted
-  // them) and surface the moment the connection is admitted.
-  while ((entry.state == ConnState::kEstablished ||
-          entry.state == ConnState::kDraining) &&
+  // them) and surface the moment the connection is admitted. A connection
+  // that drains without ever being admitted (denied, or closed by the
+  // client first) delivers nothing.
+  while (entry.admitted && entry.state != ConnState::kMigrating &&
          entry.session->HasInbound()) {
     auto message = entry.session->Receive();
     if (!message.ok()) {
@@ -187,8 +181,18 @@ void ConfidentialServer::Step(Entry& entry) {
 
 void ConfidentialServer::Admit(Entry& entry) {
   entry.state = ConnState::kEstablished;
+  entry.admitted = true;
   entry.challenge.clear();
   entry.ReplayIfDue();  // a reattached session replays its window
+}
+
+void ConfidentialServer::BeginClose(Entry& entry, ConnState closing) {
+  if (entry.state == ConnState::kDraining ||
+      entry.state == ConnState::kMigrating) {
+    return;  // already closing, against its first deadline
+  }
+  entry.state = closing;
+  entry.deadline_ns = clock_->now_ns() + kDrainTimeoutNs;
 }
 
 ciobase::Status ConfidentialServer::VerifyReport(
@@ -231,7 +235,7 @@ void ConfidentialServer::PumpAdmission(Entry& entry) {
       (void)entry.session->SendControl(
           cio::CtrlType::kDenied,
           ciobase::BufferFromString(verdict.message()));
-      entry.state = ConnState::kDraining;
+      BeginClose(entry, ConnState::kDraining);
     }
     return;
   }
@@ -249,7 +253,6 @@ void ConfidentialServer::FlushOutbound() {
   // and ONE doorbell after the loop carries the whole round's batch.
   // Draining connections flush here too, then FIN.
   const size_t deficit_cap = kDrrQuantumBytes * 8;
-  cio::L5Channel* l5 = node_->l5();
   bool submitted = false;
   for (bool progressed = true; progressed;) {
     progressed = false;
@@ -272,11 +275,11 @@ void ConfidentialServer::FlushOutbound() {
       entry.drr_deficit -= *sent;
       // kMigrating rides the draining machinery: once the redirect is out,
       // nothing local remains authoritative and the socket closes.
-      (void)entry.CloseIfDrained(*sockets_, l5);
+      (void)entry.CloseIfDrained(*sockets_);
     }
     submitted = submitted || progressed;
   }
-  if (l5 != nullptr && submitted) {
+  if (cio::L5Channel* l5 = node_->l5(); l5 != nullptr && submitted) {
     // The reaper drops a forged completion (a typed edge) and keeps every
     // genuine entry in flight, so this doorbell only needs to push the
     // batch.
@@ -327,11 +330,10 @@ void ConfidentialServer::Poll() {
       if (!entry.open()) {
         continue;
       }
-      if ((entry.state == ConnState::kHandshaking ||
-           entry.state == ConnState::kAttesting) &&
-          now - entry.opened_ns > kHandshakeTimeoutNs) {
-        // A slow handshake squats a table slot; bound the squat. Parked
-        // reattach state (if any) stays parked for a genuine retry.
+      if (entry.state != ConnState::kEstablished && now > entry.deadline_ns) {
+        // A slow handshake or a stalled close squats a table slot; bound
+        // the squat. Parked reattach state (if any) stays parked for a
+        // genuine retry; a closing connection is never parked.
         Park(entry);
         continue;
       }
@@ -378,11 +380,8 @@ ciobase::Status ConfidentialServer::Drain(ConnId id) {
   if (entry == nullptr) {
     return ciobase::NotFound("no such connection");
   }
-  if (entry->state == ConnState::kEstablished ||
-      entry->state == ConnState::kHandshaking) {
-    entry->state = ConnState::kDraining;  // flush, then FIN (FlushOutbound)
-  }
-  return ciobase::OkStatus();  // (already draining or closed: nothing to do)
+  BeginClose(*entry, ConnState::kDraining);  // flush, then FIN
+  return ciobase::OkStatus();
 }
 
 bool ConfidentialServer::ServesPeer(cionet::Ipv4Address peer) const {
@@ -452,7 +451,7 @@ ciobase::Result<ciobase::Buffer> ConfidentialServer::MigrateSession(
   // new application sends, no inbox delivery, just the redirect flushing
   // and the socket closing (FlushOutbound). The session is never parked —
   // the sealed export is the only continuation.
-  entry->state = ConnState::kMigrating;
+  BeginClose(*entry, ConnState::kMigrating);
   ++stats_.migrated_out;
   return sealed;
 }

@@ -131,7 +131,8 @@ class ConfidentialServer {
   ciobase::Status Send(ConnId conn, ciobase::ByteSpan message);
 
   // Orderly shutdown: flush what is queued, then FIN. The connection
-  // refuses new Sends immediately (kDraining).
+  // refuses new Sends immediately (kDraining); a drain the peer stalls by
+  // not reading is aborted after kDrainTimeoutNs.
   ciobase::Status Drain(ConnId conn);
 
   // --- Live migration --------------------------------------------------------
@@ -202,14 +203,20 @@ class ConfidentialServer {
   // A connection stuck in kHandshaking (or kAttesting) longer than this is
   // aborted: slow handshakes hold a table slot, and this bounds the squat.
   static constexpr uint64_t kHandshakeTimeoutNs = 2'000'000'000;
+  // A closing connection (kDraining or kMigrating) whose flush and FIN have
+  // not finished this long after the close began is aborted: a peer that
+  // stopped reading would otherwise pin its table slot, and on the L5
+  // channel the pool slots of its stalled sends, for good.
+  static constexpr uint64_t kDrainTimeoutNs = 2'000'000'000;
 
   // One table entry: the shared connection state machine plus this
   // server's scheduling and admission state.
   struct Entry : cio::Connection {
     ConnId id = 0;
     size_t drr_deficit = 0;     // unused transport credit (DRR)
-    uint64_t opened_ns = 0;
+    uint64_t deadline_ns = 0;   // handshake or close deadline (Poll aborts)
     ciobase::Buffer challenge;  // admission nonce (kAttesting only)
+    bool admitted = false;      // inbox delivery allowed (Admit ran)
   };
 
   struct ParkedSession {
@@ -223,14 +230,18 @@ class ConfidentialServer {
   void AcceptPending();
   // The open entry `id`, or null.
   Entry* Find(ConnId id);
-  // The transport under `entry` died: cancel its L5 queue state, abort,
-  // and park its Session for reattach unless it was draining or migrating.
+  // The transport under `entry` died: abort it (which releases its socket
+  // state) and park its Session for reattach unless it was draining or
+  // migrating.
   void Park(Entry& entry);
   // Drains inbound bytes into the Session within this round's budget, then
   // runs admission and delivers to the inbox.
   void Step(Entry& entry);
   // Channel up (and, when gated, attested): established + reattach replay.
   void Admit(Entry& entry);
+  // Enters `closing` (kDraining or kMigrating) unless already closing:
+  // queued output flushes, then the FIN, within kDrainTimeoutNs.
+  void BeginClose(Entry& entry, ConnState closing);
   // Checks a client's attestation report against the expected measurement
   // and this connection's {challenge, transcript}-bound nonce.
   ciobase::Status VerifyReport(const Entry& entry,

@@ -321,9 +321,10 @@ TEST(ExtentFs, ListsFiles) {
   ASSERT_TRUE(world.fs.WriteFile("a", BufferFromString("1")).ok());
   ASSERT_TRUE(world.fs.WriteFile("b", BufferFromString("2")).ok());
   auto names = world.fs.ListFiles();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_NE(std::find(names.begin(), names.end(), "a"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "b"), names.end());
+  ASSERT_TRUE(names.ok());
+  ASSERT_EQ(names->size(), 2u);
+  EXPECT_NE(std::find(names->begin(), names->end(), "a"), names->end());
+  EXPECT_NE(std::find(names->begin(), names->end(), "b"), names->end());
 }
 
 TEST(ExtentFs, RemountRecoversState) {
@@ -387,7 +388,9 @@ TEST(ConfidentialStore, PutGetDeleteList) {
   auto read = world.store->Get("record-1");
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(*read, value);
-  EXPECT_EQ(world.store->List().size(), 1u);
+  auto names = world.store->List();
+  ASSERT_TRUE(names.ok());
+  EXPECT_EQ(names->size(), 1u);
   ASSERT_TRUE(world.store->Delete("record-1").ok());
   EXPECT_FALSE(world.store->Get("record-1").ok());
 }
@@ -458,7 +461,9 @@ TEST(ConfidentialStore, ManyObjects) {
     ASSERT_TRUE(read.ok()) << name;
     EXPECT_EQ(*read, value) << name;
   }
-  EXPECT_EQ(world.store->List().size(), 20u);
+  auto names = world.store->List();
+  ASSERT_TRUE(names.ok());
+  EXPECT_EQ(names->size(), 20u);
 }
 
 }  // namespace

@@ -88,6 +88,28 @@ TEST_P(ProfileTest, SendBeforeReadyRefused) {
   EXPECT_FALSE(pair.client->SendMessage(BufferFromString("early")).ok());
 }
 
+// A dial to a port with no listener is refused with an RST. No profile
+// polls socket state for it: the reset arrives on the receive stream, the
+// drain reads it as a fault, and recovery begins. The dual-boundary node
+// counts one link error and redials; the profiles without recovery fail.
+TEST_P(ProfileTest, RefusedConnectSurfacesOnTheReceiveStream) {
+  LinkedPair pair(Options(GetParam(), 1), Options(GetParam(), 2));
+  ASSERT_TRUE(pair.client->Connect(pair.server->ip(), 443).ok());
+  ASSERT_TRUE(pair.PumpUntil(
+      [&] {
+        return pair.client->Failed() ||
+               pair.client->recovery_stats().link_errors > 0;
+      },
+      2000));
+  EXPECT_FALSE(pair.client->Ready());
+  if (GetParam() == StackProfile::kDualBoundary) {
+    EXPECT_EQ(pair.client->recovery_stats().link_errors, 1u);
+    EXPECT_FALSE(pair.client->Failed());
+  } else {
+    EXPECT_TRUE(pair.client->Failed());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllProfiles, ProfileTest,
     ::testing::Values(StackProfile::kSyscallL5, StackProfile::kPassthroughL2,
@@ -493,6 +515,28 @@ TEST(TlsMandatory, WithoutTlsTheSyscallHostSeesPlaintext) {
   EXPECT_GT(
       pair.client->observability().CountOf(ciohost::ObsCategory::kPayload),
       0u);
+}
+
+// Link recovery needs the handshake: a plaintext channel is up at once, so
+// a redial the host refused could not be told from one that reached the
+// peer, and the reconnect budget would never run out. A plaintext config
+// with recovery on is refused; with recovery off, a refused plaintext dial
+// on dual-boundary fails like any profile without recovery.
+TEST(TlsMandatory, RecoveryNeedsTls) {
+  StackConfig client = Options(StackProfile::kDualBoundary, 1);
+  client.use_tls = false;
+  StackConfig server = client;
+  server.node_id = 2;
+  EXPECT_FALSE(client.Valid());
+  EXPECT_TRUE(LinkedPair(client, server).client->Failed());
+
+  client.recovery.enabled = false;
+  server.recovery.enabled = false;
+  ASSERT_TRUE(client.Valid());
+  LinkedPair pair(client, server);
+  ASSERT_TRUE(pair.client->Connect(pair.server->ip(), 443).ok());
+  EXPECT_TRUE(pair.PumpUntil([&] { return pair.client->Failed(); }, 2000));
+  EXPECT_EQ(pair.client->recovery_stats().reconnects, 0u);
 }
 
 TEST(TlsMandatory, WithTlsNoPayloadIsEverObserved) {

@@ -67,7 +67,8 @@ struct L5World {
       clock.Advance(5'000);
       auto accepted = l5->Accept(*listener);
       if (accepted.ok()) {
-        server = *accepted;
+        EXPECT_EQ(accepted->peer, cionet::Ipv4Address::FromOctets(10, 0, 0, 2));
+        server = accepted->socket;
         break;
       }
     }
@@ -214,6 +215,71 @@ TEST(L5Channel, CrossingsAreCountedAndCharged) {
   EXPECT_EQ(world.l5->stats().crossings, before + 2);
   EXPECT_GT(world.costs.counter("compartment_switches"), 0u);
   EXPECT_EQ(world.costs.counter("tee_switches"), 0u);
+}
+
+TEST(L5Channel, AcceptCrossesOnlyWhenTheDoorbellCountedAPendingConnection) {
+  L5World world;
+  auto listener = world.l5->Listen(80);
+  ASSERT_TRUE(listener.ok());
+  // Nothing pending: the refusal costs no crossing.
+  uint64_t before = world.l5->stats().crossings;
+  EXPECT_EQ(world.l5->Accept(*listener).status().code(),
+            ciobase::StatusCode::kUnavailable);
+  EXPECT_EQ(world.l5->stats().crossings, before);
+
+  ASSERT_TRUE(world.peer_stack
+                  ->TcpConnect(cionet::Ipv4Address::FromOctets(10, 0, 0, 1), 80)
+                  .ok());
+  // A doorbell after the handshake counts the connection, so the accept
+  // after it crosses once and carries the peer; the backlog is then empty
+  // again, and the next accept is free.
+  world.Pump();
+  before = world.l5->stats().crossings;
+  auto accepted = world.l5->Accept(*listener);
+  ASSERT_TRUE(accepted.ok());
+  EXPECT_EQ(accepted->peer, cionet::Ipv4Address::FromOctets(10, 0, 0, 2));
+  EXPECT_EQ(world.l5->stats().crossings, before + 1);
+  EXPECT_EQ(world.l5->Accept(*listener).status().code(),
+            ciobase::StatusCode::kUnavailable);
+  EXPECT_EQ(world.l5->stats().crossings, before + 1);
+}
+
+TEST(L5Channel, CloseWaitsForInFlightSends) {
+  // An orderly close must not let the FIN overtake bytes still in the SQ:
+  // Close refuses, with no crossing, until a doorbell has carried them.
+  L5World world;
+  auto [server, client] = world.Establish();
+  ciobase::Rng rng(41);
+  const Buffer payload = rng.Bytes(6000);
+  auto queued = world.l5->SubmitStream(server, payload);
+  ASSERT_TRUE(queued.ok());
+  ASSERT_EQ(*queued, payload.size());
+  const uint64_t before = world.l5->stats().crossings;
+  EXPECT_EQ(world.l5->Close(server).code(), ciobase::StatusCode::kUnavailable);
+  EXPECT_EQ(world.l5->stats().crossings, before);
+
+  ASSERT_TRUE(world.l5->Doorbell().ok());
+  ASSERT_TRUE(world.l5->Close(server).ok());
+  // The close released everything the socket pinned.
+  EXPECT_EQ(world.l5->in_flight_entries(), 0u);
+  EXPECT_EQ(world.l5->free_slots(), world.l5->queue_config().pool_slots);
+
+  // The peer reads every byte, then the orderly EOF.
+  Buffer received;
+  bool eof = false;
+  uint8_t buf[2048];
+  for (int i = 0; i < 1000 && !eof; ++i) {
+    world.Pump(1);
+    auto got = world.peer_stack->TcpReceive(client, buf);
+    if (!got.ok()) {
+      ASSERT_EQ(got.status().code(), ciobase::StatusCode::kFailedPrecondition);
+      eof = true;
+    } else {
+      received.insert(received.end(), buf, buf + *got);
+    }
+  }
+  EXPECT_TRUE(eof);
+  EXPECT_EQ(received, payload);
 }
 
 TEST(L5Channel, BatchedSubmissionSharesOneDoorbell) {

@@ -363,15 +363,6 @@ TEST(VirtioRecovery, StalledDeviceTripsWatchdogAndComesBack) {
 
 // --- Engine, end to end ------------------------------------------------------
 
-// The campaign's TCP tuning: retransmission timers small enough that retry
-// exhaustion (connection death) happens inside a simulated fault window.
-void TuneTcp(StackConfig& config) {
-  config.tcp_tuning.initial_rto_ns = 1'000'000;
-  config.tcp_tuning.min_rto_ns = 500'000;
-  config.tcp_tuning.max_rto_ns = 4'000'000;
-  config.tcp_tuning.max_retries = 4;
-}
-
 // Deterministic e2e: the host kills the victim's link mid-transfer for
 // longer than the TCP retry budget. The dual-boundary node must notice
 // (watchdog), reset, reconnect, re-run TLS, replay its resend window — and
@@ -380,7 +371,7 @@ void TuneTcp(StackConfig& config) {
 TEST(EngineRecovery, KillLinkMidTransferStreamIntactExactlyOnce) {
   StackConfig client = StackConfig::DefaultsFor(StackProfile::kDualBoundary, 1);
   client.seed = 2024;
-  TuneTcp(client);
+  TuneTcpForFaultWindows(client);
   StackConfig server = client;
   server.node_id = 2;
   server.seed = 2031;
@@ -463,7 +454,7 @@ TEST(EngineRecovery, KillLinkMidTransferStreamIntactExactlyOnce) {
 TEST(EngineRecovery, DuplicateFramesDoNotDuplicateMessages) {
   StackConfig client = StackConfig::DefaultsFor(StackProfile::kDualBoundary, 1);
   client.seed = 77;
-  TuneTcp(client);
+  TuneTcpForFaultWindows(client);
   StackConfig server = client;
   server.node_id = 2;
   server.seed = 78;

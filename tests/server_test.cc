@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/rng.h"
 #include "src/serve/harness.h"
 
 namespace {
@@ -219,6 +220,80 @@ TEST(Server, DrainFlushesThenCloses) {
   }));
 }
 
+TEST(Server, MessageSentRightBeforeDisconnectIsDelivered) {
+  // A client's last message can arrive in the same drain as its FIN. The
+  // server must deliver it, then finish its own side (flush, then FIN).
+  for (StackProfile profile : cio::AllStackProfiles()) {
+    for (size_t size : {size_t{100}, size_t{5000}, size_t{40000}}) {
+      MultiClientWorld::Options options;
+      options.profile = profile;
+      options.num_clients = 1;
+      options.seed = 700 + size + static_cast<uint64_t>(profile);
+      MultiClientWorld world(options);
+      const std::string arm = std::string(cio::StackProfileName(profile)) +
+                              ", " + std::to_string(size) + " B";
+      ASSERT_TRUE(world.EstablishAll()) << arm;
+      const Buffer message = ciobase::Rng(size).Bytes(size);
+      ASSERT_TRUE(world.clients[0]->SendMessage(message).ok()) << arm;
+      ASSERT_TRUE(world.clients[0]->Disconnect().ok()) << arm;
+      std::vector<Buffer> delivered;
+      auto collect = [&] {
+        for (auto incoming = world.server->Receive(); incoming.ok();
+             incoming = world.server->Receive()) {
+          delivered.push_back(incoming->message);
+        }
+      };
+      EXPECT_TRUE(world.PumpUntil([&] {
+        collect();
+        return world.server->active_connections() == 0;
+      }))
+          << arm << ": the server never closed its side";
+      collect();
+      ASSERT_EQ(delivered.size(), 1u) << arm;
+      EXPECT_EQ(delivered[0], message) << arm;
+      EXPECT_EQ(world.clients[0]->sessions_retired(), 1u) << arm;
+    }
+  }
+}
+
+TEST(Server, ClientThatStopsReadingCannotPinADrainingConnection) {
+  // The client disconnects with more queued to it than TCP can still push
+  // into its receive buffer (64 KiB) and the server's send buffer
+  // (256 KiB), and never reads its closed socket again. The server's flush
+  // stalls, and on the L5 channel its sends stay in flight, so the FIN
+  // can never go out; the drain deadline aborts the entry instead, which
+  // frees its table slot and every pool slot it pinned.
+  for (StackProfile profile : ServedProfiles()) {
+    MultiClientWorld::Options options;
+    options.profile = profile;
+    options.num_clients = 1;
+    options.server_config.max_send_queue_bytes = 1 << 20;
+    options.seed = 820 + static_cast<uint64_t>(profile);
+    MultiClientWorld world(options);
+    const std::string arm(cio::StackProfileName(profile));
+    ASSERT_TRUE(world.EstablishAll()) << arm;
+    const ConnId conn = world.server->EstablishedConnections()[0];
+    const Buffer chunk = ciobase::Rng(8).Bytes(16 << 10);
+    for (int i = 0; i < 24; ++i) {  // 384 KiB
+      ASSERT_TRUE(world.server->Send(conn, chunk).ok()) << arm;
+    }
+    ASSERT_TRUE(world.clients[0]->Disconnect().ok()) << arm;
+    ASSERT_EQ(world.clients[0]->sessions_retired(), 1u) << arm;
+    world.PumpUntil([] { return false; }, 100, 100'000);
+    ASSERT_EQ(world.server->active_connections(), 1u)
+        << arm << ": the backlog should still be draining";
+    EXPECT_TRUE(world.PumpUntil(
+        [&] { return world.server->active_connections() == 0; }, 40000,
+        100'000))
+        << arm << ": a stalled drain held its connection for good";
+    EXPECT_EQ(world.server->parked_sessions(), 0u) << arm;
+    if (cio::L5Channel* l5 = world.server_node->l5(); l5 != nullptr) {
+      EXPECT_EQ(l5->free_slots(),
+                world.server_node->config().l5_queue.pool_slots);
+    }
+  }
+}
+
 // --- Admission control + backpressure ---------------------------------------
 
 TEST(Server, AdmissionRefusesBeyondCapWithTypedFailure) {
@@ -392,8 +467,9 @@ TEST(Server, EarlyIdleClientsDoNotStarveLaterConnections) {
 
 TEST(Server, IdleRoundCostDoesNotGrowWithClientCount) {
   // One server Poll() over an idle, attested fleet: the round's L5 cost is
-  // one receive doorbell plus the accept query, however many connections
-  // the table holds — no per-connection readiness crossing.
+  // one receive doorbell, however many connections the table holds — no
+  // per-connection readiness crossing, and no accept crossing either (the
+  // doorbell returned the empty backlog's count).
   auto round_cost = [](size_t clients) {
     MultiClientWorld::Options options;
     options.profile = StackProfile::kDualBoundary;
@@ -413,6 +489,7 @@ TEST(Server, IdleRoundCostDoesNotGrowWithClientCount) {
   const auto small = round_cost(16);
   const auto large = round_cost(64);
   EXPECT_EQ(small.second, 1u);  // one receive doorbell for the whole table
+  EXPECT_EQ(small.first, 1u);   // and it is the round's only crossing
   EXPECT_EQ(small, large);
 }
 

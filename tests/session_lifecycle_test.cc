@@ -155,6 +155,31 @@ TEST(Admission, ForgedStaleAndMissingReportsRejectedTyped) {
   EXPECT_TRUE(echo.Run(4));
 }
 
+TEST(Admission, DeniedClientsEarlyMessageIsNeverDelivered) {
+  // A client may send as soon as its TLS channel is up, before it answers
+  // the attestation challenge; the message waits in the server's session
+  // inbox. A keyless client is denied, and its connection drains shut
+  // without ever surfacing that message to the application.
+  MultiClientWorld::Options options;
+  options.num_clients = 1;
+  options.attestation_key = BufferFromString("fleet-attestation-root");
+  options.keyless_clients = {0};
+  MultiClientWorld world(options);
+  ASSERT_TRUE(world.server->Start().ok());
+  cio::ConfidentialNode& client = *world.clients[0];
+  ASSERT_TRUE(
+      client.Connect(world.server_node->ip(), world.server->config().port)
+          .ok());
+  ASSERT_TRUE(world.PumpUntil([&] { return client.Ready(); }));
+  ASSERT_FALSE(client.denied());
+  ASSERT_TRUE(client.SendMessage(BufferFromString("smuggled")).ok());
+  ASSERT_TRUE(world.PumpUntil([&] {
+    return client.denied() && world.server->active_connections() == 0;
+  }));
+  EXPECT_EQ(world.server->stats().rejected_unauthenticated, 1u);
+  EXPECT_EQ(world.server->Receive().status().code(), StatusCode::kUnavailable);
+}
+
 TEST(Admission, ReattachAfterFaultReAttests) {
   MultiClientWorld::Options options;
   options.num_clients = 2;

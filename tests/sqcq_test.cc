@@ -164,7 +164,8 @@ struct SqcqWorld {
       clock.Advance(5'000);
       auto accepted = l5->Accept(listener);
       if (accepted.ok()) {
-        server = *accepted;
+        EXPECT_EQ(accepted->peer, cionet::Ipv4Address::FromOctets(10, 0, 0, 2));
+        server = accepted->socket;
         break;
       }
     }
@@ -379,10 +380,10 @@ TEST(Sqcq, ReceiveFloorKeepsEverySocketReceivingUnderEgressBacklog) {
   EXPECT_GT(world.l5->in_flight_entries(kSqOpSend), 0u);
   EXPECT_GT(world.l5->stats().sq_backpressure, 0u);
 
-  // Closing returns every slot: stalled sends and armed receives alike.
+  // Aborting returns every slot: stalled sends and armed receives alike.
+  // (An orderly Close would wait for the stalled sends.)
   for (const auto& [socket, peer] : links) {
-    ASSERT_TRUE(world.l5->Close(socket).ok());
-    world.l5->CancelSocket(socket);
+    ASSERT_TRUE(world.l5->Abort(socket).ok());
   }
   world.Pump();
   EXPECT_EQ(world.l5->in_flight_entries(), 0u);
@@ -797,10 +798,7 @@ TEST(SqcqMutation, SeededControlCellStormNeverWedgesSilently) {
 TEST(Sqcq, KillLinkMidBatchDeliversExactlyOnce) {
   StackConfig client = StackConfig::DefaultsFor(StackProfile::kDualBoundary, 1);
   client.seed = 6101;
-  client.tcp_tuning.initial_rto_ns = 1'000'000;
-  client.tcp_tuning.min_rto_ns = 500'000;
-  client.tcp_tuning.max_rto_ns = 4'000'000;
-  client.tcp_tuning.max_retries = 4;
+  TuneTcpForFaultWindows(client);
   StackConfig server = client;
   server.node_id = 2;
   server.seed = 6102;

@@ -899,6 +899,10 @@ TEST(ConfidentialStoreCrash, FailedRemountLeavesTheStoreUnmounted) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(store.Get("k1").status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(store.Delete("k2").code(), StatusCode::kFailedPrecondition);
+  // Listing and sizing refuse too: an unmounted table is not an empty one.
+  EXPECT_EQ(store.List().status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(store.fs()->FileSize("k1").status().code(),
+            StatusCode::kFailedPrecondition);
 
   for (int attempt = 0; attempt < 2; ++attempt) {
     ciobase::Status again = store.Remount();

@@ -1,0 +1,271 @@
+#!/usr/bin/env python3
+"""Compares two revisions on the repository benchmark (perfbench).
+
+Usage, from the repository root:
+
+    python3 tools/ab_perfbench.py --parent HEAD~1 --change . \\
+        [--workloads echo-small,store-mixed] [--seeds 1-10,11] \\
+        [--workdir .bench_build/ab]
+
+`--parent` and `--change` each name a git revision, exported with
+`git archive` (no checkout, no worktree) into a directory named after its
+commit, or a directory holding a source tree, used as it is. Each side is
+built once, with its own CARGO_TARGET_DIR under the work directory, keyed
+like its source. Every run lasts BENCHMARK.json's run_seconds. The runs
+are interleaved pairs: for every workload and seed, both sides run the
+same seed back to back, the parent first on odd seeds and the change first
+on even ones.
+
+For each workload and end-to-end metric of BENCHMARK.json the report gives
+the parent's median [Q1-Q3], the change's median, the pairs the change
+wins, loses and ties, and a verdict. Medians come from the runs that
+passed their correctness check; a pair in which either side failed it
+counts as a loss.
+
+  better      the change wins at least nine tenths of all pairs (ties count
+              for neither), the medians differ by more than the parent's
+              interquartile range, and the change fails no larger share of
+              its operations than the parent;
+  worse       the change's median is worse than the parent's by more than
+              the metric's bound;
+  unresolved  either side's interquartile range, relative to its median, is
+              wider than the bound, unless every change run reads better
+              than every parent run;
+  same        otherwise.
+
+It also reports failed and attempted operations per side, and the runs that
+failed a correctness check. The script only reads and reports: it never
+edits perfbench/ or BENCHMARK.json.
+"""
+
+import argparse
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+
+
+def log(message):
+    print(message, file=sys.stderr, flush=True)
+
+
+def parse_seeds(text):
+    seeds = []
+    for part in text.split(","):
+        if "-" in part:
+            first, last = part.split("-")
+            seeds.extend(range(int(first), int(last) + 1))
+        elif part:
+            seeds.append(int(part))
+    return seeds
+
+
+def export_side(spec, workdir):
+    """Returns (source tree, key) for `spec`: a directory, or a revision
+    exported into <workdir>/<commit>/src. The key names the side's build
+    directory, so a different revision or directory never reuses it."""
+    if os.path.isdir(spec):
+        tree = os.path.abspath(spec)
+        return tree, "dir-" + hashlib.sha1(tree.encode()).hexdigest()[:12]
+    commit = subprocess.run(
+        ["git", "-C", ROOT, "rev-parse", "--verify", spec + "^{commit}"],
+        stdout=subprocess.PIPE, check=True, text=True).stdout.strip()
+    tree = os.path.join(workdir, commit, "src")
+    if os.path.isdir(tree):
+        return tree, commit  # exported on an earlier invocation
+    archive = subprocess.run(["git", "-C", ROOT, "archive", commit],
+                             stdout=subprocess.PIPE, check=True).stdout
+    partial = tree + ".partial"
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(partial)
+    os.rename(partial, tree)
+    return tree, commit
+
+
+def build_side(name, tree, key, workdir):
+    """Builds the side's perfbench once, through its own run.py."""
+    target_dir = os.path.join(workdir, key, "target")
+    env_before = os.environ.get("CARGO_TARGET_DIR")
+    os.environ["CARGO_TARGET_DIR"] = target_dir
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"perfbench_run_{name}", os.path.join(tree, "perfbench", "run.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        module.build()
+    finally:
+        if env_before is None:
+            del os.environ["CARGO_TARGET_DIR"]
+        else:
+            os.environ["CARGO_TARGET_DIR"] = env_before
+    return target_dir
+
+
+def run_once(tree, target_dir, workload, seed, seconds):
+    """One perfbench run; its result line, or None when it printed none."""
+    env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(tree, "perfbench", "run.py"),
+         "--workload", workload, "--seed", str(seed),
+         "--seconds", repr(seconds), "--trace", "0"],
+        cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True)
+    for line in reversed(proc.stdout.splitlines()):
+        try:
+            result = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(result, dict) and "correct" in result:
+            return result
+    return None
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def verdict(parent, change, pairs, better, bound, fails_more):
+    """The verdict rules of the module docstring. `pairs` holds (p, c) per
+    seed, or None where either side failed its check."""
+    sign = -1.0 if better == "lower" else 1.0
+    wins = sum(1 for pair in pairs if pair and sign * (pair[1] - pair[0]) > 0)
+    ties = sum(1 for pair in pairs if pair and pair[1] == pair[0])
+    losses = len(pairs) - wins - ties
+    if not parent or not change:
+        return wins, losses, ties, "unresolved"
+    p1, pm, p3 = quartiles(parent)
+    c1, cm, c3 = quartiles(change)
+    all_better = all(sign * (c - p) > 0 for c in change for p in parent)
+    spread = max((p3 - p1) / abs(pm) if pm else 0.0,
+                 (c3 - c1) / abs(cm) if cm else 0.0)
+    if spread > bound and not all_better:
+        return wins, losses, ties, "unresolved"
+    if pm and sign * (cm - pm) / abs(pm) < -bound:
+        return wins, losses, ties, "worse"
+    if (wins >= 0.9 * len(pairs) and sign * (cm - pm) > 0 and
+            abs(cm - pm) > p3 - p1 and not fails_more):
+        return wins, losses, ties, "better"
+    return wins, losses, ties, "same"
+
+
+def fmt(value):
+    if abs(value) < 1:
+        return f"{value:.4f}"
+    return f"{value:,.2f}" if abs(value) < 1000 else f"{value:,.0f}"
+
+
+def main():
+    parser = argparse.ArgumentParser(
+        description="A/B pairs of the repository benchmark.")
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    parser.add_argument("--workloads", default="")
+    parser.add_argument("--seeds", default="1-10")
+    parser.add_argument("--workdir",
+                        default=os.path.join(ROOT, ".bench_build", "ab"))
+    args = parser.parse_args()
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    metrics = spec["end_to_end"]
+    workloads = ([w for w in args.workloads.split(",") if w] or
+                 [w["name"] for w in spec["workloads"]])
+    seconds = spec["run_seconds"]
+    seeds = parse_seeds(args.seeds)
+    workdir = os.path.abspath(args.workdir)
+    os.makedirs(workdir, exist_ok=True)
+
+    sides = {}
+    for name, side_spec in (("parent", args.parent), ("change", args.change)):
+        tree, key = export_side(side_spec, workdir)
+        log(f"building {name} ({side_spec}) in {tree}")
+        sides[name] = (tree, build_side(name, tree, key, workdir))
+
+    runs = []
+    for workload in workloads:
+        for seed in seeds:
+            order = ("parent", "change") if seed % 2 else ("change", "parent")
+            for name in order:
+                tree, target_dir = sides[name]
+                result = run_once(tree, target_dir, workload, seed, seconds)
+                runs.append({"workload": workload, "seed": seed, "side": name,
+                             "result": result})
+                status = ("no result" if result is None else
+                          "ok" if result["correct"] else "FAILED check")
+                log(f"{workload} seed {seed} {name}: {status}")
+
+    def side_runs(workload, side):
+        return [r for r in runs
+                if r["workload"] == workload and r["side"] == side]
+
+    def operations(workload, side):
+        """(failed, attempted) operations over the side's runs."""
+        results = [r["result"] for r in side_runs(workload, side)
+                   if r["result"]]
+        return (sum(r.get("failed", 0) for r in results),
+                sum(r.get("attempted", 0) for r in results))
+
+    def failed_share(workload, side):
+        failed, attempted = operations(workload, side)
+        return failed / attempted if attempted else 0.0
+
+    print(f"| workload | metric | parent median [Q1-Q3] | change median | "
+          f"wins/losses/ties | verdict |")
+    print("|---|---|---|---|---|---|")
+    for workload in workloads:
+        by_seed = {}
+        for r in runs:
+            if r["workload"] == workload:
+                by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]
+        fails_more = (failed_share(workload, "change") >
+                      failed_share(workload, "parent"))
+        for metric in metrics:
+            name = metric["name"]
+            values = {"parent": [], "change": []}
+            pairs = []
+            for seed in seeds:
+                got = {}
+                for side in ("parent", "change"):
+                    result = by_seed.get(seed, {}).get(side)
+                    if result and result.get("correct"):
+                        got[side] = result["metrics"][name]["value"]
+                        values[side].append(got[side])
+                pairs.append((got["parent"], got["change"])
+                             if len(got) == 2 else None)
+            wins, losses, ties, decision = verdict(
+                values["parent"], values["change"], pairs, metric["better"],
+                metric["bound"], fails_more)
+            if values["parent"] and values["change"]:
+                p1, pm, p3 = quartiles(values["parent"])
+                cm = statistics.median(values["change"])
+                cells = f"{fmt(pm)} [{fmt(p1)}-{fmt(p3)}] | {fmt(cm)}"
+            else:
+                cells = "- | -"
+            print(f"| {workload} | {name} | {cells} | "
+                  f"{wins}/{losses}/{ties} | {decision} |")
+
+    print()
+    print("| workload | side | failed / attempted operations | "
+          "runs failing a check |")
+    print("|---|---|---|---|")
+    for workload in workloads:
+        for side in ("parent", "change"):
+            failed, attempted = operations(workload, side)
+            bad = [str(r["seed"]) for r in side_runs(workload, side)
+                   if r["result"] is None or not r["result"]["correct"]]
+            print(f"| {workload} | {side} | {failed:,} / {attempted:,} | "
+                  f"{', '.join(bad) or '-'} |")
+
+if __name__ == "__main__":
+    main()
