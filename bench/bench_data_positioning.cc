@@ -2,7 +2,9 @@
 // (guest send -> host consume -> host produce -> guest receive) for each
 // positioning mode and payload size. Prints the modeled boundary cost per
 // echoed frame and the bytes the datapath copied for it; both are exact
-// per-frame figures, so the table is identical at any frame count.
+// per-frame figures, so the table is identical at any frame count. The
+// last column is the shared region the mode lays out (L2Layout::total);
+// the binary exits 1 unless inline < shared-pool <= indirect.
 
 #include <cstdio>
 #include <memory>
@@ -78,6 +80,13 @@ EchoCost RunEcho(cio::DataPositioning positioning,
   return cost;
 }
 
+// The shared region the L2World of a positioning lays out.
+uint64_t SharedRegionBytes(cio::DataPositioning positioning) {
+  cio::L2Config config;
+  config.positioning = positioning;
+  return cio::L2Layout(config).total;
+}
+
 }  // namespace
 
 int main() {
@@ -100,15 +109,26 @@ int main() {
   std::printf("== data positioning through the hardened L2 ring "
               "(per echoed frame, %d frames per cell) ==\n",
               kFrames);
-  std::printf("%-12s %8s %18s %24s\n", "mode", "payload", "sim_ns_per_frame",
-              "bytes_copied_per_frame");
+  std::printf("%-12s %8s %18s %24s %20s\n", "mode", "payload",
+              "sim_ns_per_frame", "bytes_copied_per_frame",
+              "shared_region_bytes");
   for (const Mode& mode : kModes) {
     for (size_t payload : {64, 256, 1024, 1500}) {
       EchoCost cost =
           RunEcho(mode.positioning, mode.ownership, payload, kFrames);
-      std::printf("%-12s %8zu %18.0f %24.0f\n", mode.name, payload,
-                  cost.sim_ns_per_frame, cost.bytes_copied_per_frame);
+      std::printf("%-12s %8zu %18.0f %24.0f %20llu\n", mode.name, payload,
+                  cost.sim_ns_per_frame, cost.bytes_copied_per_frame,
+                  static_cast<unsigned long long>(
+                      SharedRegionBytes(mode.positioning)));
     }
   }
-  return 0;
+  // A mode lays out only the areas it reads: pools add to the rings, and
+  // indirect tables add to the pools.
+  uint64_t pool = SharedRegionBytes(cio::DataPositioning::kSharedPool);
+  bool ordered =
+      SharedRegionBytes(cio::DataPositioning::kInline) < pool &&
+      pool <= SharedRegionBytes(cio::DataPositioning::kIndirect);
+  std::printf("shared region: inline < shared-pool <= indirect: %s\n",
+              ordered ? "yes" : "NO");
+  return ordered ? 0 : 1;
 }

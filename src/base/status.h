@@ -130,13 +130,19 @@ class Result {
     }                                          \
   } while (0)
 
-// Assigns the value of a Result expression or propagates its status.
-#define CIO_ASSIGN_OR_RETURN(lhs, expr)        \
-  auto cio_result_##__LINE__ = (expr);         \
-  if (!cio_result_##__LINE__.ok()) {           \
-    return cio_result_##__LINE__.status();     \
-  }                                            \
-  lhs = cio_result_##__LINE__.take()
+// Assigns the value of a Result expression or propagates its status. The
+// temporary is named after the line, so uses on different lines of one
+// scope do not collide; the two-level paste expands __LINE__ first.
+#define CIO_CONCAT_INNER_(a, b) a##b
+#define CIO_CONCAT_(a, b) CIO_CONCAT_INNER_(a, b)
+#define CIO_ASSIGN_OR_RETURN(lhs, expr) \
+  CIO_ASSIGN_OR_RETURN_IMPL_(CIO_CONCAT_(cio_result_, __LINE__), lhs, expr)
+#define CIO_ASSIGN_OR_RETURN_IMPL_(result, lhs, expr) \
+  auto result = (expr);                               \
+  if (!result.ok()) {                                 \
+    return result.status();                           \
+  }                                                   \
+  lhs = result.take()
 
 }  // namespace ciobase
 

@@ -8,12 +8,9 @@ namespace cio {
 
 ciobase::Result<Accepted> SocketLayer::AcceptOn(cionet::NetStack& stack,
                                                 cionet::SocketId listener) {
-  auto socket = stack.TcpAccept(listener);
-  if (!socket.ok()) {
-    return socket.status();
-  }
-  CIO_ASSIGN_OR_RETURN(cionet::Ipv4Address peer, stack.GetTcpPeer(*socket));
-  return Accepted{*socket, peer};
+  CIO_ASSIGN_OR_RETURN(cionet::SocketId socket, stack.TcpAccept(listener));
+  CIO_ASSIGN_OR_RETURN(cionet::Ipv4Address peer, stack.GetTcpPeer(socket));
+  return Accepted{socket, peer};
 }
 
 void Connection::Open(cionet::SocketId id, ciotls::TlsRole role,

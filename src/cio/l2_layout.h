@@ -10,10 +10,15 @@
 //     [counters]        4 cache-line-separated monotonic u64 counters
 //     [tx ring]         ring_slots * slot_size
 //     [rx ring]         ring_slots * slot_size
-//     [tx pool]         ring_slots * slot_size   (pool/indirect modes)
-//     [rx pool]         ring_slots * slot_size
-//     [tx indirect]     ring_slots * 64
-//     [rx indirect]     ring_slots * 64
+//     [tx pool]         ring_slots * slot_size   (shared-pool, indirect)
+//     [rx pool]         ring_slots * slot_size   (shared-pool, indirect)
+//     [tx indirect]     ring_slots * 64          (indirect only)
+//     [rx indirect]     ring_slots * 64          (indirect only)
+//
+// An area the positioning never reads is not laid out: it is empty, and its
+// offset is the end of the last area present (for an inline ring, every pool
+// and table offset equals `total`). Each area that is present sits at the
+// same offset in every mode that has it.
 //
 // Slot headers (8 bytes):
 //   inline:    [len u32][reserved u32][payload ...]
@@ -42,13 +47,19 @@ inline constexpr uint64_t kL2IndirectTableStride = 64;
 struct L2Layout {
   explicit L2Layout(const L2Config& config)
       : slots(config.ring_slots), slot_size(config.slot_size) {
+    uint64_t ring_bytes = slots * slot_size;
+    uint64_t pool_bytes =
+        config.positioning == DataPositioning::kInline ? 0 : ring_bytes;
+    uint64_t table_bytes = config.positioning == DataPositioning::kIndirect
+                               ? slots * kL2IndirectTableStride
+                               : 0;
     tx_ring = 256;  // counters occupy [0, 256)
-    rx_ring = tx_ring + slots * slot_size;
-    tx_pool = rx_ring + slots * slot_size;
-    rx_pool = tx_pool + slots * slot_size;
-    tx_indirect = rx_pool + slots * slot_size;
-    rx_indirect = tx_indirect + slots * kL2IndirectTableStride;
-    total = rx_indirect + slots * kL2IndirectTableStride;
+    rx_ring = tx_ring + ring_bytes;
+    tx_pool = rx_ring + ring_bytes;
+    rx_pool = tx_pool + pool_bytes;
+    tx_indirect = rx_pool + pool_bytes;
+    rx_indirect = tx_indirect + table_bytes;
+    total = rx_indirect + table_bytes;
   }
 
   // Counter cells (separated to avoid any pretense of shared cache lines).
@@ -70,7 +81,9 @@ struct L2Layout {
   uint64_t RxSlot(uint64_t index) const {
     return rx_ring + ciobase::MaskIndex(index, slots) * slot_size;
   }
-  // Pool chunk statically paired with a slot index.
+  // Pool chunk statically paired with a slot index. The pool and table
+  // helpers below address areas a positioning may not lay out; only the
+  // receive and transmit paths of a mode that has the area call them.
   uint64_t TxChunk(uint64_t index) const {
     return tx_pool + ciobase::MaskIndex(index, slots) * slot_size;
   }

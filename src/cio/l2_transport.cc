@@ -429,8 +429,13 @@ std::vector<ciohost::SurfaceField> L2Transport::AttackSurface() const {
     surface.push_back({FieldKind::kLength, layout_.RxSlot(i), 4});
     surface.push_back({FieldKind::kOffset, layout_.RxSlot(i) + 4, 4});
   }
+  // Payload bytes where this positioning's receive path reads them: the RX
+  // slots themselves when frames ride inline, the RX pool otherwise.
+  uint64_t payload = config_.positioning == DataPositioning::kInline
+                         ? layout_.rx_ring
+                         : layout_.rx_pool;
   surface.push_back(
-      {FieldKind::kPayload, layout_.rx_pool,
+      {FieldKind::kPayload, payload,
        static_cast<uint32_t>(std::min<uint64_t>(layout_.slots * layout_.slot_size,
                                                 0xffffffffu))});
   return surface;

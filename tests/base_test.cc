@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "src/base/arena.h"
 #include "src/base/bits.h"
@@ -40,6 +41,26 @@ TEST(Result, HoldsError) {
   Result<int> result = OutOfRange("nope");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+}
+
+// Two CIO_ASSIGN_OR_RETURN in one scope: each names its own temporary, and
+// the first error is the one returned.
+Result<int> SumOfBoth(Result<int> a, Result<int> b) {
+  CIO_ASSIGN_OR_RETURN(int x, std::move(a));
+  CIO_ASSIGN_OR_RETURN(int y, std::move(b));
+  return x + y;
+}
+
+TEST(Result, AssignOrReturnTwiceInOneScope) {
+  Result<int> sum = SumOfBoth(2, 3);
+  ASSERT_TRUE(sum.ok());
+  EXPECT_EQ(*sum, 5);
+  EXPECT_EQ(SumOfBoth(OutOfRange("first"), 3).status().ToString(),
+            "OUT_OF_RANGE: first");
+  EXPECT_EQ(SumOfBoth(2, NotFound("second")).status().ToString(),
+            "NOT_FOUND: second");
+  EXPECT_EQ(SumOfBoth(OutOfRange("first"), NotFound("second")).status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(Bytes, EndianRoundTrips) {

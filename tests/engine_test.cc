@@ -356,6 +356,17 @@ TEST(DualBoundary, IoHeapHoldsTheQueueRegionAndNothingMore) {
             ciobase::StatusCode::kResourceExhausted);
 }
 
+// The node lays out only what its inline ring reads: counters and the two
+// rings, 1,048,832 B, with no shared pool or indirect table behind them.
+TEST(DualBoundary, SharedRegionHoldsTheInlineRingAndNothingMore) {
+  LinkedPair pair(Options(StackProfile::kDualBoundary, 1),
+                  Options(StackProfile::kDualBoundary, 2));
+  ASSERT_TRUE(pair.Establish());
+  const L2Layout& layout = pair.client->l2_transport()->layout();
+  EXPECT_EQ(layout.total, 256 + 2 * layout.slots * layout.slot_size);
+  EXPECT_EQ(pair.client->shared_region()->size(), layout.total);
+}
+
 // --- Figure-level orderings ----------------------------------------------------
 
 TEST(Observability, SyscallLeaksMoreThanL2Designs) {

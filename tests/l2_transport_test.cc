@@ -115,7 +115,143 @@ TEST(L2Config, MeasurementBindsEveryParameter) {
   EXPECT_EQ(base.Measure(), m0);  // deterministic
 }
 
+// --- Layout: the shared region holds what the positioning reads ------------
+
+TEST(L2Layout, TotalFollowsThePositioning) {
+  for (uint16_t slots : {8, 16, 256}) {
+    for (uint32_t slot_size : {256u, 2048u}) {
+      L2Config config;
+      config.mtu = 68;
+      config.ring_slots = slots;
+      config.slot_size = slot_size;
+      ASSERT_TRUE(config.Valid());
+      uint64_t ring_bytes = uint64_t{slots} * slot_size;
+      config.positioning = DataPositioning::kInline;
+      L2Layout in(config);
+      config.positioning = DataPositioning::kSharedPool;
+      L2Layout pool(config);
+      config.positioning = DataPositioning::kIndirect;
+      L2Layout indirect(config);
+      EXPECT_EQ(in.total, 256 + 2 * ring_bytes);
+      EXPECT_EQ(pool.total, in.total + 2 * ring_bytes);
+      EXPECT_EQ(indirect.total, pool.total + 2 * uint64_t{slots} * 64);
+      // An area keeps its offset in every mode that lays it out.
+      for (const L2Layout* layout : {&pool, &indirect}) {
+        EXPECT_EQ(layout->tx_ring, in.tx_ring);
+        EXPECT_EQ(layout->rx_ring, in.rx_ring);
+      }
+      EXPECT_EQ(indirect.tx_pool, pool.tx_pool);
+      EXPECT_EQ(indirect.rx_pool, pool.rx_pool);
+    }
+  }
+  // The default ring, which every dual-boundary node uses.
+  L2Config config;
+  EXPECT_EQ(L2Layout(config).total, 1'048'832u);
+  config.positioning = DataPositioning::kIndirect;
+  EXPECT_EQ(L2Layout(config).total, 2'130'176u);
+}
+
 class L2PositioningTest : public ::testing::TestWithParam<DataPositioning> {};
+
+TEST_P(L2PositioningTest, AreasAreDisjointAndMaskedHelpersStayInside) {
+  L2Config config;
+  config.positioning = GetParam();
+  config.ring_slots = 16;
+  const L2Layout layout(config);
+  const uint64_t ring_bytes = layout.slots * layout.slot_size;
+  const uint64_t table_bytes = layout.slots * kL2IndirectTableStride;
+  struct Area {
+    uint64_t begin;
+    uint64_t size;
+  };
+  std::vector<Area> areas = {{0, 256},
+                             {layout.tx_ring, ring_bytes},
+                             {layout.rx_ring, ring_bytes}};
+  const bool pooled = GetParam() != DataPositioning::kInline;
+  const bool indirect = GetParam() == DataPositioning::kIndirect;
+  if (pooled) {
+    areas.push_back({layout.tx_pool, ring_bytes});
+    areas.push_back({layout.rx_pool, ring_bytes});
+  }
+  if (indirect) {
+    areas.push_back({layout.tx_indirect, table_bytes});
+    areas.push_back({layout.rx_indirect, table_bytes});
+  }
+  uint64_t covered = 0;
+  for (size_t i = 0; i < areas.size(); ++i) {
+    EXPECT_LE(areas[i].begin + areas[i].size, layout.total) << i;
+    covered += areas[i].size;
+    for (size_t j = i + 1; j < areas.size(); ++j) {
+      bool disjoint = areas[i].begin + areas[i].size <= areas[j].begin ||
+                      areas[j].begin + areas[j].size <= areas[i].begin;
+      EXPECT_TRUE(disjoint) << i << " overlaps " << j;
+    }
+  }
+  EXPECT_EQ(covered, layout.total);  // no gap: nothing laid out unread
+
+  // Every masked helper of a present area lands a whole element inside it,
+  // whatever index or offset the host wrote.
+  auto inside = [](uint64_t offset, uint64_t width, Area area) {
+    return offset >= area.begin && offset + width <= area.begin + area.size;
+  };
+  ciobase::Rng rng(7);
+  std::vector<uint64_t> untrusted = {0, 1, 15, 16, 17, 0xffffffffu, ~0ull};
+  for (int i = 0; i < 64; ++i) {
+    untrusted.push_back(rng.NextU64());
+  }
+  for (uint64_t u : untrusted) {
+    for (uint64_t counter : {layout.TxProduced(), layout.TxConsumed(),
+                             layout.RxProduced(), layout.RxConsumed(),
+                             layout.GuestEpoch(), layout.HostEpoch()}) {
+      EXPECT_TRUE(inside(counter, 8, areas[0]));
+    }
+    EXPECT_TRUE(inside(layout.TxSlot(u), layout.slot_size, areas[1])) << u;
+    EXPECT_TRUE(inside(layout.RxSlot(u), layout.slot_size, areas[2])) << u;
+    if (pooled) {
+      EXPECT_TRUE(inside(layout.TxChunk(u), layout.slot_size, areas[3])) << u;
+      EXPECT_TRUE(inside(layout.RxChunk(u), layout.slot_size, areas[4])) << u;
+      EXPECT_TRUE(inside(layout.MaskRxPoolOffset(u), layout.slot_size,
+                         areas[4]))
+          << u;
+    }
+    if (indirect) {
+      EXPECT_TRUE(inside(layout.TxIndirectTable(u), kL2IndirectTableStride,
+                         areas[5]))
+          << u;
+      EXPECT_TRUE(inside(layout.RxIndirectTable(u), kL2IndirectTableStride,
+                         areas[6]))
+          << u;
+      EXPECT_TRUE(inside(layout.MaskRxIndirectOffset(u),
+                         kL2IndirectTableStride, areas[6]))
+          << u;
+    }
+  }
+}
+
+// The hostile host's payload target is memory the guest's receive path
+// actually reads: the RX slots inline, the RX pool in the pool modes.
+TEST_P(L2PositioningTest, AttackSurfaceLiesWhereTheReceivePathReads) {
+  L2Config config;
+  config.positioning = GetParam();
+  World world(config);
+  const L2Layout& layout = world.transport->layout();
+  uint64_t payload_area = GetParam() == DataPositioning::kInline
+                              ? layout.rx_ring
+                              : layout.rx_pool;
+  uint64_t payload_end = payload_area + layout.slots * layout.slot_size;
+  size_t payload_fields = 0;
+  for (const ciohost::SurfaceField& field :
+       world.transport->AttackSurface()) {
+    EXPECT_LE(field.offset + field.width, world.shared->size());
+    if (field.kind == ciohost::FieldKind::kPayload) {
+      ++payload_fields;
+      EXPECT_GE(field.offset, payload_area);
+      EXPECT_LE(field.offset + field.width, payload_end);
+    }
+  }
+  EXPECT_EQ(payload_fields, 1u);
+}
+
 
 TEST_P(L2PositioningTest, EchoRoundTrip) {
   L2Config config;
