@@ -301,9 +301,10 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
     return;
   }
   compartments_ = std::make_unique<ciotee::CompartmentManager>(&costs_);
-  // Create zero-fills each arena, so each is sized to what lands in it: the
-  // datapath allocates nothing in the app heap, and the I/O heap holds the
-  // L5 queue region alone (Valid() capped that at kIoHeapBytes).
+  // Each arena is sized to what lands in it, so anything more fails as heap
+  // exhaustion: the datapath allocates nothing in the app heap, and the I/O
+  // heap holds the L5 queue region alone (Valid() capped that at
+  // kIoHeapBytes). Pages the run never writes cost no host memory.
   app_compartment_ = compartments_->Create("app", kAppHeapBytes);
   io_compartment_ = compartments_->Create(
       "io-stack", ciobase::AlignUp(config_.l5_queue.TotalBytes(),

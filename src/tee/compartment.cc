@@ -9,7 +9,7 @@ namespace ciotee {
 CompartmentId CompartmentManager::Create(std::string name, size_t heap_bytes) {
   Compartment c;
   c.name = std::move(name);
-  c.heap.resize(heap_bytes);
+  c.heap = ZeroPages(heap_bytes);
   compartments_.push_back(std::move(c));
   return CompartmentId{static_cast<uint32_t>(compartments_.size() - 1)};
 }
@@ -47,9 +47,15 @@ ciobase::Result<BufferHandle> CompartmentManager::Allocate(
     return ciobase::PermissionDenied("allocate without grant");
   }
   Compartment& c = compartments_[owner.value];
-  uint64_t aligned =
+  // The unrounded size is compared first: rounding SIZE_MAX - 7 up to a
+  // multiple of 16 wraps to 0.
+  const uint64_t room = c.heap.size() - c.bump;
+  if (bytes > room) {
+    return ciobase::ResourceExhausted("compartment heap exhausted: " + c.name);
+  }
+  const uint64_t aligned =
       ciobase::AlignUp(bytes == 0 ? 1 : bytes, kCompartmentAllocAlign);
-  if (c.bump + aligned > c.heap.size()) {
+  if (aligned > room) {
     return ciobase::ResourceExhausted("compartment heap exhausted: " + c.name);
   }
   uint32_t slot;

@@ -19,6 +19,7 @@
 #include "src/base/bytes.h"
 #include "src/base/clock.h"
 #include "src/base/status.h"
+#include "src/tee/zero_pages.h"
 
 namespace ciotee {
 
@@ -100,7 +101,7 @@ class CompartmentManager {
   };
   struct Compartment {
     std::string name;
-    ciobase::Buffer heap;
+    ZeroPages heap;
     // Bump allocator with whole-heap reclamation: I/O boundary buffers are
     // transient (allocate, cross, free), so the bump pointer rewinds to 0
     // whenever no allocation is live. Slot records are recycled via

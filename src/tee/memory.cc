@@ -36,7 +36,7 @@ std::string_view ViolationKindName(ViolationKind kind) {
 }
 
 RegionId TeeMemory::AddRegion(RegionKind kind, size_t size, std::string name) {
-  regions_.push_back(Region{kind, std::move(name), ciobase::Buffer(size, 0)});
+  regions_.push_back(Region{kind, std::move(name), ZeroPages(size)});
   return RegionId{static_cast<uint32_t>(regions_.size() - 1)};
 }
 

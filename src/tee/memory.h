@@ -19,6 +19,10 @@
 // bytes (reads) or dropped (writes), and recorded in the ViolationLog. The
 // attack-campaign harness uses the ViolationLog as its ground truth for
 // "this design performed an unsafe access under attack".
+//
+// Each region's bytes are a ZeroPages mapping: a page costs host memory only
+// once it is written, and a raw-window overrun past the region's size
+// rounded up to 16 B faults on the guard page behind it.
 
 #ifndef SRC_TEE_MEMORY_H_
 #define SRC_TEE_MEMORY_H_
@@ -29,6 +33,7 @@
 
 #include "src/base/bytes.h"
 #include "src/base/status.h"
+#include "src/tee/zero_pages.h"
 
 namespace ciotee {
 
@@ -107,7 +112,7 @@ class TeeMemory {
   struct Region {
     RegionKind kind;
     std::string name;
-    ciobase::Buffer data;
+    ZeroPages data;
   };
 
   bool AllowPlaintext(Domain actor, RegionKind kind) const;

@@ -27,6 +27,7 @@
 
 #include "src/base/rng.h"
 #include "src/serve/harness.h"
+#include "tests/residency.h"
 
 namespace {
 
@@ -461,6 +462,38 @@ TEST(Server, EarlyIdleClientsDoNotStarveLaterConnections) {
   for (size_t i = 0; i < 8; ++i) {
     EXPECT_TRUE(world.clients[i]->Ready()) << "idle client " << i;
   }
+}
+
+// --- Host memory ------------------------------------------------------------
+
+// The L5 queue region (SQ, CQ and the 160-slot pool) sits on demand-zero
+// pages, and the pool hands out its most recently freed slot first: after
+// establishment and a few echoes a client has made under a quarter of its
+// region resident.
+TEST(Server, ClientQueueRegionIsMostlyNeverTouched) {
+  MultiClientWorld::Options options;
+  options.num_clients = 1;
+  MultiClientWorld world(options);
+  ASSERT_TRUE(world.EstablishAll());
+  cio::ConfidentialNode& client = *world.clients[0];
+  constexpr size_t kMessages = 8;
+  for (size_t m = 0; m < kMessages; ++m) {
+    ASSERT_TRUE(client.SendMessage(Buffer(512, static_cast<uint8_t>(m))).ok());
+  }
+  size_t echoes = 0;
+  ASSERT_TRUE(world.PumpUntil([&] {
+    world.EchoRound();
+    while (client.ReceiveMessage().ok()) {
+      ++echoes;
+    }
+    return echoes == kMessages;
+  }));
+  const ciobase::ByteSpan region = client.l5()->queue_region_for_test();
+  ASSERT_GT(region.size(), 0u);
+  const size_t resident =
+      ciotest::ResidentPages(region).size() * ciotest::PageBytes();
+  EXPECT_LT(resident * 4, region.size())
+      << resident << " of " << region.size() << " B resident";
 }
 
 // --- Round cost -------------------------------------------------------------

@@ -1,8 +1,12 @@
 // Tests for the simulated TEE: memory-domain policing, TOCTOU tamper hooks,
-// compartment isolation (grants, stale handles), attestation, and the
-// ternary trust model.
+// compartment isolation (grants, stale handles), the demand-zero pages behind
+// regions and heaps, attestation, and the ternary trust model.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "src/base/clock.h"
 #include "src/tee/attestation.h"
@@ -10,6 +14,15 @@
 #include "src/tee/memory.h"
 #include "src/tee/shared_region.h"
 #include "src/tee/trust.h"
+#include "tests/residency.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define CIO_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define CIO_TEST_ASAN 1
+#endif
+#endif
 
 namespace {
 
@@ -17,6 +30,8 @@ using ciobase::Buffer;
 using ciobase::ByteSpan;
 using ciobase::MutableByteSpan;
 using namespace ciotee;  // NOLINT: test file
+using ciotest::PageOf;
+using ciotest::ResidentPages;
 
 // What a denied actor sees at [offset, offset + n) of region 0: the same
 // scrambled filler an out-of-bounds read returns there.
@@ -32,6 +47,30 @@ Buffer Pattern(size_t n, uint8_t first) {
   Buffer out(n);
   for (size_t i = 0; i < n; ++i) {
     out[i] = static_cast<uint8_t>(first + i);
+  }
+  return out;
+}
+
+// Every page of `bytes` that mincore reports resident holds one of the
+// `written` offsets.
+void ExpectResidentOnlyWhereWritten(ByteSpan bytes,
+                                    const std::vector<uint64_t>& written) {
+  std::vector<uintptr_t> allowed;
+  for (uint64_t offset : written) {
+    allowed.push_back(PageOf(bytes.data() + offset));
+  }
+  for (uintptr_t page : ResidentPages(bytes)) {
+    EXPECT_NE(std::find(allowed.begin(), allowed.end(), page), allowed.end())
+        << "page " << (page - PageOf(bytes.data())) / ciotest::PageBytes()
+        << " is resident but was never written";
+  }
+}
+
+// `size` zero bytes with 7 at each of the `written` offsets.
+Buffer ZerosExcept(size_t size, const std::vector<uint64_t>& written) {
+  Buffer out(size, 0);
+  for (uint64_t offset : written) {
+    out[offset] = 7;
   }
   return out;
 }
@@ -143,6 +182,94 @@ TEST(TeeMemory, RawWindowRespectsBounds) {
       memory.RawWindow(Domain::kHost, region, ~0ULL - 3, 8).empty());
 }
 
+// A region costs host memory only for the pages the simulation writes: none
+// is resident when it is added, a write makes only its own page resident,
+// and every byte never written reads as zero.
+TEST(TeeMemory, RegionPagesBecomeResidentOnlyWhenWritten) {
+  TeeMemory memory;
+  const size_t size = (size_t{1} << 20) + 100;
+  RegionId region = memory.AddRegion(RegionKind::kShared, size, "lazy");
+  ByteSpan bytes = memory.RawWindow(Domain::kGuest, region, 0, size);
+  ASSERT_EQ(bytes.size(), size);
+  EXPECT_TRUE(ResidentPages(bytes).empty());
+  const std::vector<uint64_t> written = {0, size / 2, size - 1};
+  for (uint64_t offset : written) {
+    ASSERT_TRUE(memory.Write(Domain::kHost, region, offset, Buffer{7}).ok());
+  }
+  ExpectResidentOnlyWhereWritten(bytes, written);
+  Buffer all(size);
+  ASSERT_TRUE(memory.Read(Domain::kGuest, region, 0, all).ok());
+  EXPECT_TRUE(all == ZerosExcept(size, written));
+}
+
+// Adding regions never moves an earlier one: a window taken first still
+// addresses the region's bytes.
+TEST(TeeMemory, WindowOutlivesLaterRegions) {
+  TeeMemory memory;
+  RegionId region = memory.AddRegion(RegionKind::kShared, 4096, "first");
+  MutableByteSpan window = memory.RawWindow(Domain::kGuest, region, 0, 4096);
+  ASSERT_EQ(window.size(), 4096u);
+  for (int i = 0; i < 100; ++i) {
+    memory.AddRegion(RegionKind::kShared, 4096, "more");
+  }
+  EXPECT_EQ(memory.RawWindow(Domain::kGuest, region, 0, 4096).data(),
+            window.data());
+  window[5] = 42;
+  Buffer out(1);
+  ASSERT_TRUE(memory.Read(Domain::kHost, region, 5, out).ok());
+  EXPECT_EQ(out[0], 42);
+  ASSERT_TRUE(memory.Write(Domain::kHost, region, 4095, Buffer{9}).ok());
+  EXPECT_EQ(window[4095], 9);
+}
+
+// A zero-size region maps nothing, and every access to it is out of range.
+TEST(TeeMemory, ZeroSizeRegionIsOutOfRangeEverywhere) {
+  TeeMemory memory;
+  RegionId region = memory.AddRegion(RegionKind::kShared, 0, "empty");
+  EXPECT_EQ(memory.RegionSize(region), 0u);
+  Buffer out(8);
+  EXPECT_EQ(memory.Read(Domain::kGuest, region, 0, out).code(),
+            ciobase::StatusCode::kOutOfRange);
+  EXPECT_EQ(out, ScrambledFiller(0, 8));
+  EXPECT_EQ(memory.Write(Domain::kHost, region, 0, Buffer{1}).code(),
+            ciobase::StatusCode::kOutOfRange);
+  EXPECT_TRUE(memory.RawWindow(Domain::kGuest, region, 0, 1).empty());
+  EXPECT_EQ(memory.ViolationCount(ViolationKind::kOobRead), 2u);
+  EXPECT_EQ(memory.ViolationCount(ViolationKind::kOobWrite), 1u);
+}
+
+// A raw access past a region's bytes rounded up to 16 lands on the guard
+// page behind its mapping, so it faults in every build.
+TEST(TeeMemoryDeathTest, RawWriteAtTheRoundedEndFaults) {
+  TeeMemory memory;
+  RegionId region = memory.AddRegion(RegionKind::kShared, 100, "r");
+  volatile uint8_t* bytes =
+      memory.RawWindow(Domain::kGuest, region, 0, 100).data();
+  EXPECT_DEATH(bytes[112] = 1, "");
+  ciobase::SimClock clock;
+  ciobase::CostModel costs(&clock);
+  CompartmentManager mgr(&costs);
+  CompartmentId io = mgr.Create("io", 100);
+  auto handle = mgr.Allocate(io, io, 96);  // 100 B would round up past it
+  ASSERT_TRUE(handle.ok());
+  volatile uint8_t* heap = mgr.Access(io, *handle)->data();
+  EXPECT_DEATH(heap[112] = 1, "");
+}
+
+// Under AddressSanitizer the slack between a region's size and its 16-B
+// rounded end is poisoned, so even a one-byte overrun is reported.
+TEST(TeeMemoryDeathTest, OneBytePastTheEndIsReportedUnderAsan) {
+#ifndef CIO_TEST_ASAN
+  GTEST_SKIP() << "the slack is poisoned only under AddressSanitizer";
+#else
+  TeeMemory memory;
+  RegionId region = memory.AddRegion(RegionKind::kShared, 100, "r");
+  volatile uint8_t* bytes =
+      memory.RawWindow(Domain::kGuest, region, 0, 100).data();
+  EXPECT_DEATH(bytes[100] = 1, "AddressSanitizer");
+#endif
+}
+
 TEST(SharedRegion, TamperHookRunsOnEveryGuestAccess) {
   TeeMemory memory;
   SharedRegion shared(&memory, 64, "ring");
@@ -223,6 +350,44 @@ TEST(Compartment, StaleHandleRejected) {
   auto use_after_free = mgr.Access(io, *handle);
   EXPECT_FALSE(use_after_free.ok());
   EXPECT_FALSE(mgr.Free(io, *handle).ok());  // double free rejected
+}
+
+// A request whose rounding up to 16 would wrap is refused before it is
+// rounded, so it can never come back as a tiny allocation with a huge span.
+TEST(Compartment, AllocationWhoseRoundingWrapsIsRefused) {
+  ciobase::SimClock clock;
+  ciobase::CostModel costs(&clock);
+  CompartmentManager mgr(&costs);
+  CompartmentId app = mgr.Create("app", 4096);
+  CompartmentId io = mgr.Create("io", 4096);
+  mgr.GrantAccess(app, io);
+  for (size_t bytes : {SIZE_MAX - 7, SIZE_MAX, size_t{4097}}) {
+    EXPECT_EQ(mgr.Allocate(app, io, bytes).status().code(),
+              ciobase::StatusCode::kResourceExhausted)
+        << bytes;
+  }
+  auto whole = mgr.Allocate(app, io, 4096);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(mgr.Access(app, *whole)->size(), 4096u);
+}
+
+// A heap, like a region, is resident only where it has been written.
+TEST(Compartment, HeapPagesBecomeResidentOnlyWhenWritten) {
+  ciobase::SimClock clock;
+  ciobase::CostModel costs(&clock);
+  CompartmentManager mgr(&costs);
+  const size_t size = size_t{1} << 20;
+  CompartmentId io = mgr.Create("io", size);
+  auto handle = mgr.Allocate(io, io, size);
+  ASSERT_TRUE(handle.ok());
+  MutableByteSpan heap = *mgr.Access(io, *handle);
+  EXPECT_TRUE(ResidentPages(heap).empty());
+  const std::vector<uint64_t> written = {size / 4, size - 1};
+  for (uint64_t offset : written) {
+    heap[offset] = 7;
+  }
+  ExpectResidentOnlyWhereWritten(heap, written);
+  EXPECT_TRUE(Buffer(heap.begin(), heap.end()) == ZerosExcept(size, written));
 }
 
 TEST(Compartment, SwitchChargesCost) {

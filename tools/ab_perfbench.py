@@ -33,9 +33,12 @@ counts as a loss.
               than every parent run;
   same        otherwise.
 
-It also reports failed and attempted operations per side, and the runs that
-failed a correctness check. The script only reads and reports: it never
-edits perfbench/ or BENCHMARK.json.
+It also reports failed and attempted operations per side, the runs that
+failed a correctness check, and per workload on how many pairs the two
+sides printed byte-identical `sim` blocks (the modeled figures, which a
+change that moves host time only must leave alone), with the first
+differing line of every pair that did not. The script only reads and
+reports: it never edits perfbench/ or BENCHMARK.json.
 """
 
 import argparse
@@ -110,7 +113,8 @@ def build_side(name, tree, key, workdir):
 
 
 def run_once(tree, target_dir, workload, seed, seconds):
-    """One perfbench run; its result line, or None when it printed none."""
+    """One perfbench run: its result line, or None when it printed none,
+    and its `sim` lines in the order printed."""
     env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"),
@@ -118,14 +122,16 @@ def run_once(tree, target_dir, workload, seed, seconds):
          "--seconds", repr(seconds), "--trace", "0"],
         cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True)
-    for line in reversed(proc.stdout.splitlines()):
+    lines = proc.stdout.splitlines()
+    sims = [line for line in lines if line.startswith("sim ")]
+    for line in reversed(lines):
         try:
             result = json.loads(line)
         except json.JSONDecodeError:
             continue
         if isinstance(result, dict) and "correct" in result:
-            return result
-    return None
+            return result, sims
+    return None, sims
 
 
 def quartiles(values):
@@ -165,6 +171,123 @@ def fmt(value):
     return f"{value:,.2f}" if abs(value) < 1000 else f"{value:,.0f}"
 
 
+def side_runs(runs, workload, side):
+    return [r for r in runs if r["workload"] == workload and r["side"] == side]
+
+
+def operations(runs, workload, side):
+    """(failed, attempted) operations over the side's runs."""
+    results = [r["result"] for r in side_runs(runs, workload, side)
+               if r["result"]]
+    return (sum(r.get("failed", 0) for r in results),
+            sum(r.get("attempted", 0) for r in results))
+
+
+def failed_share(runs, workload, side):
+    failed, attempted = operations(runs, workload, side)
+    return failed / attempted if attempted else 0.0
+
+
+def by_seed(runs, workload):
+    """{seed: {side: run}} for one workload."""
+    table = {}
+    for r in runs:
+        if r["workload"] == workload:
+            table.setdefault(r["seed"], {})[r["side"]] = r
+    return table
+
+
+def metric_rows(runs, workload, seeds, metrics):
+    """One report row per end-to-end metric: (name, parent median [Q1-Q3]
+    and change median cells, wins, losses, ties, verdict)."""
+    fails_more = (failed_share(runs, workload, "change") >
+                  failed_share(runs, workload, "parent"))
+    table = by_seed(runs, workload)
+    rows = []
+    for metric in metrics:
+        name = metric["name"]
+        values = {"parent": [], "change": []}
+        pairs = []
+        for seed in seeds:
+            got = {}
+            for side in ("parent", "change"):
+                result = table.get(seed, {}).get(side, {}).get("result")
+                if result and result.get("correct"):
+                    got[side] = result["metrics"][name]["value"]
+                    values[side].append(got[side])
+            pairs.append((got["parent"], got["change"])
+                         if len(got) == 2 else None)
+        wins, losses, ties, decision = verdict(
+            values["parent"], values["change"], pairs, metric["better"],
+            metric["bound"], fails_more)
+        if values["parent"] and values["change"]:
+            p1, pm, p3 = quartiles(values["parent"])
+            cm = statistics.median(values["change"])
+            cells = f"{fmt(pm)} [{fmt(p1)}-{fmt(p3)}] | {fmt(cm)}"
+        else:
+            cells = "- | -"
+        rows.append((name, cells, wins, losses, ties, decision))
+    return rows
+
+
+def sim_identity(runs, workload, seeds):
+    """(pairs in which both runs printed a result line and byte-identical
+    `sim` blocks, and for every other pair (seed, parent's line, change's
+    line) at the first line where they differ; a run without a result line
+    has no lines, and a missing line reads "(none)")."""
+    table = by_seed(runs, workload)
+    identical = 0
+    differences = []
+    for seed in seeds:
+        pair = [table.get(seed, {}).get(side) for side in ("parent", "change")]
+        complete = all(r and r["result"] for r in pair)
+        parent, change = (r["sim"] if r and r["result"] else [] for r in pair)
+        if complete and parent == change:
+            identical += 1
+            continue
+        at = next((i for i, (p, c) in enumerate(zip(parent, change))
+                   if p != c), min(len(parent), len(change)))
+        differences.append((seed,
+                            parent[at] if at < len(parent) else "(none)",
+                            change[at] if at < len(change) else "(none)"))
+    return identical, differences
+
+
+def print_report(runs, workloads, seeds, metrics):
+    print(f"| workload | metric | parent median [Q1-Q3] | change median | "
+          f"wins/losses/ties | verdict |")
+    print("|---|---|---|---|---|---|")
+    for workload in workloads:
+        for name, cells, wins, losses, ties, decision in metric_rows(
+                runs, workload, seeds, metrics):
+            print(f"| {workload} | {name} | {cells} | "
+                  f"{wins}/{losses}/{ties} | {decision} |")
+
+    print()
+    print("| workload | side | failed / attempted operations | "
+          "runs failing a check |")
+    print("|---|---|---|---|")
+    for workload in workloads:
+        for side in ("parent", "change"):
+            failed, attempted = operations(runs, workload, side)
+            bad = [str(r["seed"]) for r in side_runs(runs, workload, side)
+                   if r["result"] is None or not r["result"]["correct"]]
+            print(f"| {workload} | {side} | {failed:,} / {attempted:,} | "
+                  f"{', '.join(bad) or '-'} |")
+
+    print()
+    print("| workload | pairs with byte-identical sim blocks |")
+    print("|---|---|")
+    differences = []
+    for workload in workloads:
+        identical, differ = sim_identity(runs, workload, seeds)
+        print(f"| {workload} | {identical} / {len(seeds)} |")
+        differences.extend((workload, *d) for d in differ)
+    for workload, seed, parent, change in differences:
+        print(f"{workload} seed {seed}: first differing sim line: "
+              f"parent `{parent}`, change `{change}`")
+
+
 def main():
     parser = argparse.ArgumentParser(
         description="A/B pairs of the repository benchmark.")
@@ -198,74 +321,16 @@ def main():
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for name in order:
                 tree, target_dir = sides[name]
-                result = run_once(tree, target_dir, workload, seed, seconds)
+                result, sims = run_once(tree, target_dir, workload, seed,
+                                        seconds)
                 runs.append({"workload": workload, "seed": seed, "side": name,
-                             "result": result})
+                             "result": result, "sim": sims})
                 status = ("no result" if result is None else
                           "ok" if result["correct"] else "FAILED check")
                 log(f"{workload} seed {seed} {name}: {status}")
 
-    def side_runs(workload, side):
-        return [r for r in runs
-                if r["workload"] == workload and r["side"] == side]
+    print_report(runs, workloads, seeds, metrics)
 
-    def operations(workload, side):
-        """(failed, attempted) operations over the side's runs."""
-        results = [r["result"] for r in side_runs(workload, side)
-                   if r["result"]]
-        return (sum(r.get("failed", 0) for r in results),
-                sum(r.get("attempted", 0) for r in results))
-
-    def failed_share(workload, side):
-        failed, attempted = operations(workload, side)
-        return failed / attempted if attempted else 0.0
-
-    print(f"| workload | metric | parent median [Q1-Q3] | change median | "
-          f"wins/losses/ties | verdict |")
-    print("|---|---|---|---|---|---|")
-    for workload in workloads:
-        by_seed = {}
-        for r in runs:
-            if r["workload"] == workload:
-                by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]
-        fails_more = (failed_share(workload, "change") >
-                      failed_share(workload, "parent"))
-        for metric in metrics:
-            name = metric["name"]
-            values = {"parent": [], "change": []}
-            pairs = []
-            for seed in seeds:
-                got = {}
-                for side in ("parent", "change"):
-                    result = by_seed.get(seed, {}).get(side)
-                    if result and result.get("correct"):
-                        got[side] = result["metrics"][name]["value"]
-                        values[side].append(got[side])
-                pairs.append((got["parent"], got["change"])
-                             if len(got) == 2 else None)
-            wins, losses, ties, decision = verdict(
-                values["parent"], values["change"], pairs, metric["better"],
-                metric["bound"], fails_more)
-            if values["parent"] and values["change"]:
-                p1, pm, p3 = quartiles(values["parent"])
-                cm = statistics.median(values["change"])
-                cells = f"{fmt(pm)} [{fmt(p1)}-{fmt(p3)}] | {fmt(cm)}"
-            else:
-                cells = "- | -"
-            print(f"| {workload} | {name} | {cells} | "
-                  f"{wins}/{losses}/{ties} | {decision} |")
-
-    print()
-    print("| workload | side | failed / attempted operations | "
-          "runs failing a check |")
-    print("|---|---|---|---|")
-    for workload in workloads:
-        for side in ("parent", "change"):
-            failed, attempted = operations(workload, side)
-            bad = [str(r["seed"]) for r in side_runs(workload, side)
-                   if r["result"] is None or not r["result"]["correct"]]
-            print(f"| {workload} | {side} | {failed:,} / {attempted:,} | "
-                  f"{', '.join(bad) or '-'} |")
 
 if __name__ == "__main__":
     main()

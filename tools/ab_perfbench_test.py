@@ -1,0 +1,135 @@
+#!/usr/bin/env python3
+"""Tests tools/ab_perfbench.py's report on canned pairs of runs.
+
+Usage, from the repository root:
+
+    python3 tools/ab_perfbench_test.py
+
+No build and no benchmark run: every run below is a hand-written result
+line plus `sim` lines, as run_once returns them.
+"""
+
+import contextlib
+import importlib.util
+import io
+import os
+import unittest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SPEC = importlib.util.spec_from_file_location(
+    "ab_perfbench", os.path.join(HERE, "ab_perfbench.py"))
+ab = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(ab)
+
+RSS = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.25}
+SEEDS = list(range(1, 11))
+
+
+def run(seed, side, value, correct=True, failed=0, sim=None):
+    result = {"correct": correct, "attempted": 1000, "failed": failed,
+              "metrics": ({"peak_rss_mb": {"value": value, "unit": "MB"}}
+                          if correct else {})}
+    return {"workload": "w", "seed": seed, "side": side, "result": result,
+            "sim": sim if sim is not None else ["sim    sim_p50_us 10"]}
+
+
+def pairs_of(parent_values, change_values, **change_kwargs):
+    runs = []
+    for seed, p, c in zip(SEEDS, parent_values, change_values):
+        runs.append(run(seed, "parent", p))
+        runs.append(run(seed, "change", c, **change_kwargs))
+    return runs
+
+
+def row(runs):
+    """(wins, losses, ties, verdict) of the one metric."""
+    (_, _, wins, losses, ties, decision), = ab.metric_rows(
+        runs, "w", SEEDS, [RSS])
+    return wins, losses, ties, decision
+
+
+PARENT = [100.0, 100.2, 99.8, 100.1, 99.9, 100.0, 100.3, 99.7, 100.0, 100.1]
+
+
+class VerdictTest(unittest.TestCase):
+    def test_better(self):
+        change = [v - 30 for v in PARENT]
+        self.assertEqual(row(pairs_of(PARENT, change)), (10, 0, 0, "better"))
+
+    def test_worse(self):
+        change = [v * 1.5 for v in PARENT]
+        self.assertEqual(row(pairs_of(PARENT, change)), (0, 10, 0, "worse"))
+
+    def test_unresolved_when_a_side_spreads_wider_than_the_bound(self):
+        change = [60.0, 140.0, 60.0, 140.0, 60.0, 140.0, 60.0, 140.0, 60.0,
+                  140.0]
+        self.assertEqual(row(pairs_of(PARENT, change))[3], "unresolved")
+
+    def test_same(self):
+        self.assertEqual(row(pairs_of(PARENT, PARENT)), (0, 0, 10, "same"))
+
+    def test_nine_wins_in_ten_are_enough_and_eight_are_not(self):
+        change = [v - 30 for v in PARENT]
+        change[0] = PARENT[0] + 1
+        self.assertEqual(row(pairs_of(PARENT, change)), (9, 1, 0, "better"))
+        change[1] = PARENT[1] + 1
+        self.assertEqual(row(pairs_of(PARENT, change))[3], "same")
+
+    def test_a_pair_with_a_failed_side_is_a_loss(self):
+        runs = pairs_of(PARENT, [v - 30 for v in PARENT])
+        runs[1] = run(1, "change", 0, correct=False)
+        wins, losses, ties, decision = row(runs)
+        self.assertEqual((wins, losses, ties), (9, 1, 0))
+        self.assertEqual(decision, "better")
+        runs[3] = run(2, "change", 0, correct=False)
+        self.assertEqual(row(runs), (8, 2, 0, "same"))
+
+    def test_a_larger_failed_share_blocks_better(self):
+        runs = pairs_of(PARENT, [v - 30 for v in PARENT], failed=1)
+        self.assertEqual(row(runs), (10, 0, 0, "same"))
+        # The same share on both sides does not block it.
+        for r in runs:
+            r["result"]["failed"] = 1
+        self.assertEqual(row(runs)[3], "better")
+
+
+class SimIdentityTest(unittest.TestCase):
+    def test_counts_identical_pairs_and_names_the_first_differing_line(self):
+        block = ["sim    sim_p50_us 10", "sim    sim_p99_us 20"]
+        runs = []
+        for seed in SEEDS:
+            change = list(block)
+            if seed == 4:
+                change[1] = "sim    sim_p99_us 21"
+            runs.append(run(seed, "parent", 1.0, sim=block))
+            runs.append(run(seed, "change", 1.0, sim=change))
+        identical, differences = ab.sim_identity(runs, "w", SEEDS)
+        self.assertEqual(identical, 9)
+        self.assertEqual(differences, [
+            (4, "sim    sim_p99_us 20", "sim    sim_p99_us 21")])
+
+    def test_a_missing_line_or_run_is_a_difference(self):
+        block = ["sim    a 1", "sim    b 2"]
+        runs = [run(1, "parent", 1.0, sim=block),
+                run(1, "change", 1.0, sim=block[:1]),
+                run(2, "parent", 1.0, sim=block),
+                run(3, "parent", 1.0, sim=[]),
+                run(3, "change", 1.0, sim=[])]
+        runs[-1]["result"] = None  # printed no result line
+        identical, differences = ab.sim_identity(runs, "w", [1, 2, 3])
+        self.assertEqual(identical, 0)
+        self.assertEqual(differences, [(1, "sim    b 2", "(none)"),
+                                       (2, "sim    a 1", "(none)"),
+                                       (3, "(none)", "(none)")])
+
+    def test_report_prints_the_count(self):
+        runs = pairs_of(PARENT, PARENT)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            ab.print_report(runs, ["w"], SEEDS, [RSS])
+        self.assertIn("| w | 10 / 10 |", out.getvalue())
+        self.assertNotIn("first differing sim line", out.getvalue())
+
+
+if __name__ == "__main__":
+    unittest.main()
