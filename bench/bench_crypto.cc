@@ -1,26 +1,35 @@
-// Wall-clock crypto throughput (MB/s) across payload sizes, and a gate on
-// the vector ChaCha20.
+// Wall-clock crypto throughput (MB/s) across payload sizes, and gates on
+// the vector ChaCha20 and the accelerated SHA-256.
 //
 // Unlike the modeled-clock benches, this measures the real CPU cost of the
 // from-scratch primitives: sealing is the one computation the datapath
-// pays for real on every byte, and the modeled clock never reads it.
+// pays for real on every byte, hashing runs in every handshake and store
+// commit, and the modeled clock never reads either.
 // `chacha20-ref` is the seed-style scalar loop (one ChaCha20Block + byte-wise
 // XOR per 64-byte block); `chacha20` is the shipping ChaCha20Xor (4 blocks
-// per iteration in 16-byte vector lanes); `poly1305` is the 44-bit-limb MAC.
+// per iteration in 16-byte vector lanes); `poly1305` is the 44-bit-limb MAC;
+// `sha256-port` is SHA-256 on the portable kernel and `sha256` on the
+// shipping one. The first line names the kernel each primitive runs
+// (src/crypto/kernel.h).
 //
-// The table prints one run per cell. The last line prints the 16 KiB ratio
-// of shipping over reference ChaCha20, taken as the best of 5 alternating
-// runs of each so that a burst of host load on one run cannot decide it.
-// The binary exits 1 unless that ratio is at least 1.5x (DESIGN.md,
-// "Wall-clock costs", has the measured ratios per build).
+// The table prints one run per cell. The last lines print the 16 KiB ratio
+// of shipping over reference ChaCha20 and the 4 KiB ratio of shipping over
+// portable SHA-256, each taken as the best of 5 alternating runs so that a
+// burst of host load on one run cannot decide it. The binary exits 1 unless
+// the ChaCha20 ratio is at least 1.5x and, where CPUID reports the SHA
+// extensions, the SHA-256 ratio is at least 3x (DESIGN.md, "Wall-clock
+// costs", has the measured ratios per build).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include "src/crypto/aead.h"
+#include "src/crypto/kernel.h"
+#include "src/crypto/sha256.h"
 
 namespace {
 
@@ -67,10 +76,14 @@ double Throughput(size_t bytes, Op&& op) {
 }  // namespace
 
 int main() {
+  using ciocrypto::Kernel;
+  using ciocrypto::Primitive;
   const size_t kSizes[] = {64, 256, 1024, 4096, 16384, 65536};
   constexpr size_t kGateSize = 16384;
   constexpr int kGateRounds = 5;
   constexpr double kMinSpeedup = 1.5;
+  constexpr size_t kShaGateSize = 4096;
+  constexpr double kMinShaSpeedup = 3.0;
 
   uint8_t key[ciocrypto::kAeadKeySize];
   uint8_t nonce[ciocrypto::kAeadNonceSize];
@@ -83,9 +96,16 @@ int main() {
   const uint8_t aad[13] = {0x17, 0x03, 0x04, 0x00, 0x00};
 
   std::printf("== crypto throughput (wall clock, MB/s) ==\n");
-  std::printf("%-14s %12s %12s %12s %12s %12s\n", "size", "chacha20-ref",
-              "chacha20", "poly1305", "aead-seal", "aead-open");
-  std::printf("%s\n", std::string(78, '-').c_str());
+  auto active = [](Primitive primitive) {
+    return ciocrypto::KernelName(primitive, ciocrypto::ActiveKernel(primitive));
+  };
+  std::printf("kernels: sha256 %s, chacha20 %s, poly1305 portable (one "
+              "kernel)\n",
+              active(Primitive::kSha256), active(Primitive::kChaCha20));
+  std::printf("%-14s %12s %12s %12s %12s %12s %12s %12s\n", "size",
+              "chacha20-ref", "chacha20", "poly1305", "aead-seal", "aead-open",
+              "sha256-port", "sha256");
+  std::printf("%s\n", std::string(104, '-').c_str());
 
   // MB/s of the shipping (or the reference) ChaCha20 at one size.
   auto chacha = [&](size_t size, bool shipping) {
@@ -98,6 +118,19 @@ int main() {
         ScalarChaCha20Xor(key, nonce, 1, plain, work.data());
       }
       g_sink += work[0];
+    });
+  };
+
+  // MB/s of SHA-256 on the shipping (or the portable) kernel at one size.
+  auto sha256 = [&](size_t size, bool shipping) {
+    std::vector<uint8_t> data(size, 0x5a);
+    std::optional<ciocrypto::ScopedKernelForTest> portable;
+    if (!shipping) {
+      portable.emplace(Primitive::kSha256, Kernel::kPortable);
+    }
+    return Throughput(size, [&] {
+      ciocrypto::Sha256Digest digest = ciocrypto::Sha256::Hash(data);
+      g_sink += digest[0];
     });
   };
 
@@ -127,8 +160,9 @@ int main() {
       g_sink += got.ok() ? *got : 1;
     });
 
-    std::printf("%-14zu %12.1f %12.1f %12.1f %12.1f %12.1f\n", size, ref,
-                fast, poly, seal, open);
+    std::printf("%-14zu %12.1f %12.1f %12.1f %12.1f %12.1f %12.1f %12.1f\n",
+                size, ref, fast, poly, seal, open, sha256(size, false),
+                sha256(size, true));
   }
 
   double best_ref = 0;
@@ -141,13 +175,35 @@ int main() {
   std::printf("\nchacha20 16 KiB speedup vs scalar reference: %.2fx "
               "(best of %d runs each; gate >= %.1fx)\n",
               speedup, kGateRounds, kMinSpeedup);
-  // Keep the sink observable.
-  std::fprintf(stderr, "# sink=%llu\n",
-               static_cast<unsigned long long>(g_sink));
+  bool failed = false;
   if (speedup < kMinSpeedup) {
     std::printf("FAIL: the shipping ChaCha20 is not %.1fx the reference\n",
                 kMinSpeedup);
-    return 1;
+    failed = true;
   }
-  return 0;
+
+  if (ciocrypto::KernelAvailable(Primitive::kSha256, Kernel::kAccelerated)) {
+    double best_portable = 0;
+    double best_shipping = 0;
+    for (int round = 0; round < kGateRounds; ++round) {
+      best_portable = std::max(best_portable, sha256(kShaGateSize, false));
+      best_shipping = std::max(best_shipping, sha256(kShaGateSize, true));
+    }
+    double sha_speedup = best_shipping / best_portable;
+    std::printf("sha256 4 KiB speedup vs portable kernel: %.2fx (best of %d "
+                "runs each; gate >= %.1fx)\n",
+                sha_speedup, kGateRounds, kMinShaSpeedup);
+    if (sha_speedup < kMinShaSpeedup) {
+      std::printf("FAIL: the shipping SHA-256 is not %.1fx the portable "
+                  "kernel\n",
+                  kMinShaSpeedup);
+      failed = true;
+    }
+  } else {
+    std::printf("sha256 gate skipped: no SHA extensions\n");
+  }
+  // Keep the sink observable.
+  std::fprintf(stderr, "# sink=%llu\n",
+               static_cast<unsigned long long>(g_sink));
+  return failed ? 1 : 0;
 }

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "src/base/bits.h"
+#include "src/crypto/kernel.h"
 
 namespace ciocrypto {
 
@@ -76,10 +77,17 @@ static_assert(std::endian::native == std::endian::little,
 
 inline constexpr size_t kStride = 4 * kChaCha20BlockSize;  // 256
 
-inline U32x4 RotL(U32x4 v, int r) { return (v << r) | (v >> (32 - r)); }
+// Every helper of the 4-block path is always_inline, so each build of
+// XorStrides (below) compiles all of it for its own target: under
+// AVX-512VL, GCC turns each shift-or rotate into one vprold.
+#define CIO_CHACHA_INLINE inline __attribute__((always_inline))
+
+CIO_CHACHA_INLINE U32x4 RotL(U32x4 v, int r) {
+  return (v << r) | (v >> (32 - r));
+}
 
 // One quarter-round on 4 blocks at once: lane l of every word is block l's.
-inline void QuarterRoundX4(U32x4& a, U32x4& b, U32x4& c, U32x4& d) {
+CIO_CHACHA_INLINE void QuarterRoundX4(U32x4& a, U32x4& b, U32x4& c, U32x4& d) {
   a += b;
   d = RotL(d ^ a, 16);
   c += d;
@@ -91,7 +99,7 @@ inline void QuarterRoundX4(U32x4& a, U32x4& b, U32x4& c, U32x4& d) {
 }
 
 // Transposes the 4x4 word matrix whose rows are a..d.
-inline void Transpose(U32x4& a, U32x4& b, U32x4& c, U32x4& d) {
+CIO_CHACHA_INLINE void Transpose(U32x4& a, U32x4& b, U32x4& c, U32x4& d) {
   U32x4 ab_lo = __builtin_shufflevector(a, b, 0, 4, 1, 5);
   U32x4 ab_hi = __builtin_shufflevector(a, b, 2, 6, 3, 7);
   U32x4 cd_lo = __builtin_shufflevector(c, d, 0, 4, 1, 5);
@@ -105,8 +113,8 @@ inline void Transpose(U32x4& a, U32x4& b, U32x4& c, U32x4& d) {
 // Generates 4 consecutive keystream blocks (counters counter..counter+3,
 // each wrapping mod 2^32 independently, per RFC 8439's 32-bit block
 // counter) in output order: ks[i] holds keystream bytes 16i..16i+15.
-inline void KeystreamX4(const uint32_t state[16], uint32_t counter,
-                        U32x4 ks[16]) {
+CIO_CHACHA_INLINE void KeystreamX4(const uint32_t state[16], uint32_t counter,
+                                   U32x4 ks[16]) {
   U32x4 x[16];
   for (int i = 0; i < 16; ++i) {
     x[i] = U32x4{} + state[i];
@@ -139,8 +147,8 @@ inline void KeystreamX4(const uint32_t state[16], uint32_t counter,
 // XORs the first n keystream bytes of ks onto in, 16 bytes at a time
 // (memcpy keeps the loads and stores alignment-safe; in and out may alias
 // exactly).
-inline void XorKeystream(const uint8_t* in, const U32x4* ks, uint8_t* out,
-                         size_t n) {
+CIO_CHACHA_INLINE void XorKeystream(const uint8_t* in, const U32x4* ks,
+                                    uint8_t* out, size_t n) {
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     U32x4 word;
@@ -152,6 +160,46 @@ inline void XorKeystream(const uint8_t* in, const U32x4* ks, uint8_t* out,
   for (; i < n; ++i) {
     out[i] = static_cast<uint8_t>(in[i] ^ tail[i]);
   }
+}
+
+// The 4-block path: XORs all of `in` but a final tail of one block or less,
+// from the counter in state[12], and leaves the tail's counter there.
+// Returns the bytes it covered. A tail of 2-4 blocks costs no more as one
+// more 4-block pass than as scalar blocks, so it runs here.
+CIO_CHACHA_INLINE size_t XorStrides(uint32_t state[16], ciobase::ByteSpan in,
+                                    uint8_t* out) {
+  uint32_t counter = state[12];
+  size_t i = 0;
+  while (in.size() - i > kChaCha20BlockSize) {
+    U32x4 ks[16];
+    KeystreamX4(state, counter, ks);
+    size_t n = std::min(in.size() - i, kStride);
+    XorKeystream(in.data() + i, ks, out + i, n);
+    counter += 4;  // wraps mod 2^32 like the per-block counter
+    i += n;
+  }
+  state[12] = counter;
+  return i;
+}
+
+#if defined(__x86_64__)
+// The same source as the baseline build. The scalar tail stays outside it,
+// in baseline code run after this function's vzeroupper.
+__attribute__((target("avx512f,avx512vl"))) size_t XorStridesAvx512(
+    uint32_t state[16], ciobase::ByteSpan in, uint8_t* out) {
+  return XorStrides(state, in, out);
+}
+#endif
+
+// XorStrides on this process's kernel.
+size_t XorStridesOnKernel(uint32_t state[16], ciobase::ByteSpan in,
+                          uint8_t* out) {
+#if defined(__x86_64__)
+  if (ActiveKernel(Primitive::kChaCha20) == Kernel::kAccelerated) {
+    return XorStridesAvx512(state, in, out);
+  }
+#endif
+  return XorStrides(state, in, out);
 }
 
 }  // namespace
@@ -169,20 +217,8 @@ void ChaCha20Xor(const uint8_t key[kChaCha20KeySize],
                  uint32_t initial_counter, ciobase::ByteSpan in, uint8_t* out) {
   uint32_t state[16];
   InitState(state, key, initial_counter, nonce);
-  uint32_t counter = initial_counter;
-  size_t i = 0;
-  // A tail of 2-4 blocks costs no more as one more 4-block pass than as
-  // scalar blocks; a tail of one block runs the scalar block alone.
-  while (in.size() - i > kChaCha20BlockSize) {
-    U32x4 ks[16];
-    KeystreamX4(state, counter, ks);
-    size_t n = std::min(in.size() - i, kStride);
-    XorKeystream(in.data() + i, ks, out + i, n);
-    counter += 4;  // wraps mod 2^32 like the per-block counter
-    i += n;
-  }
+  size_t i = XorStridesOnKernel(state, in, out);
   if (i < in.size()) {
-    state[12] = counter;
     U32x4 ks[kChaCha20BlockSize / 16];
     BlockFromState(state, reinterpret_cast<uint8_t*>(ks));
     XorKeystream(in.data() + i, ks, out + i, in.size() - i);

@@ -1,8 +1,14 @@
 #include "src/crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "src/base/bits.h"
+#include "src/crypto/kernel.h"
 
 namespace ciocrypto {
 
@@ -42,6 +48,105 @@ inline uint32_t SmallSigma1(uint32_t x) {
   return RotR32(x, 17) ^ RotR32(x, 19) ^ (x >> 10);
 }
 
+// The portable kernel: FIPS 180-4's rounds on `blocks` consecutive blocks.
+void CompressPortable(uint32_t state[8], const uint8_t* data, size_t blocks) {
+  for (; blocks > 0; --blocks, data += kSha256BlockSize) {
+    uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = ciobase::LoadBe32(data + i * 4);
+    }
+    for (int i = 16; i < 64; ++i) {
+      w[i] = SmallSigma1(w[i - 2]) + w[i - 7] + SmallSigma0(w[i - 15]) +
+             w[i - 16];
+    }
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      uint32_t t1 = h + BigSigma1(e) + Ch(e, f, g) + kK[i] + w[i];
+      uint32_t t2 = BigSigma0(a) + Maj(a, b, c);
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(__x86_64__)
+// The SHA extensions kernel. sha256rnds2 runs two rounds on the state split
+// as ABEF and CDGH; sha256msg1/msg2 extend the message schedule four words
+// at a time. The loop below is unrolled, so m[] stays in registers.
+__attribute__((target("sha,sse4.1"))) void CompressShaNi(
+    uint32_t state[8], const uint8_t* data, size_t blocks) {
+  // Byte order of each 32-bit word: the message is big-endian.
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+  for (; blocks > 0; --blocks, data += kSha256BlockSize) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i m[4] = {};  // m[i % 4] holds schedule words 4i..4i+3
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      if (i < 4) {
+        m[i] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+            kByteSwap);
+      } else {
+        // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16].
+        __m128i w = _mm_sha256msg1_epu32(m[i % 4], m[(i + 1) % 4]);
+        w = _mm_add_epi32(
+            w, _mm_alignr_epi8(m[(i + 3) % 4], m[(i + 2) % 4], 4));
+        m[i % 4] = _mm_sha256msg2_epu32(w, m[(i + 3) % 4]);
+      }
+      __m128i wk = _mm_add_epi32(
+          m[i % 4],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * i)));
+      // Two rounds each: the first leaves the new ABEF in `cdgh` and the
+      // old ABEF is the new CDGH, so after the second the names hold again.
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+  __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+#endif
+
+// Hands `blocks` whole blocks to this process's kernel.
+void Compress(uint32_t state[8], const uint8_t* data, size_t blocks) {
+#if defined(__x86_64__)
+  if (ActiveKernel(Primitive::kSha256) == Kernel::kAccelerated) {
+    CompressShaNi(state, data, blocks);
+    return;
+  }
+#endif
+  CompressPortable(state, data, blocks);
+}
+
 }  // namespace
 
 void Sha256::Reset() {
@@ -53,75 +158,46 @@ void Sha256::Reset() {
   buffered_ = 0;
 }
 
-void Sha256::Compress(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = ciobase::LoadBe32(block + i * 4);
-  }
-  for (int i = 16; i < 64; ++i) {
-    w[i] = SmallSigma1(w[i - 2]) + w[i - 7] + SmallSigma0(w[i - 15]) +
-           w[i - 16];
-  }
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    uint32_t t1 = h + BigSigma1(e) + Ch(e, f, g) + kK[i] + w[i];
-    uint32_t t2 = BigSigma0(a) + Maj(a, b, c);
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::Update(ciobase::ByteSpan data) {
   if (data.empty()) {
     return;  // an empty span may carry a null pointer; memcpy forbids it
   }
   length_ += data.size();
-  size_t i = 0;
+  const uint8_t* next = data.data();
+  size_t left = data.size();
   if (buffered_ > 0) {
-    size_t take = std::min(kSha256BlockSize - buffered_, data.size());
-    std::memcpy(buffer_ + buffered_, data.data(), take);
+    size_t take = std::min(kSha256BlockSize - buffered_, left);
+    std::memcpy(buffer_ + buffered_, next, take);
     buffered_ += take;
-    i += take;
-    if (buffered_ == kSha256BlockSize) {
-      Compress(buffer_);
-      buffered_ = 0;
+    next += take;
+    left -= take;
+    if (buffered_ < kSha256BlockSize) {
+      return;
     }
+    Compress(state_, buffer_, 1);
+    buffered_ = 0;
   }
-  while (i + kSha256BlockSize <= data.size()) {
-    Compress(data.data() + i);
-    i += kSha256BlockSize;
+  size_t blocks = left / kSha256BlockSize;
+  if (blocks > 0) {
+    Compress(state_, next, blocks);
+    next += blocks * kSha256BlockSize;
+    left -= blocks * kSha256BlockSize;
   }
-  if (i < data.size()) {
-    std::memcpy(buffer_, data.data() + i, data.size() - i);
-    buffered_ = data.size() - i;
+  if (left > 0) {
+    std::memcpy(buffer_, next, left);
+    buffered_ = left;
   }
 }
 
 Sha256Digest Sha256::Finish() {
-  uint64_t bit_length = length_ * 8;
-  // Padding: 0x80, zeros, then the 64-bit big-endian bit length.
-  uint8_t pad[kSha256BlockSize * 2] = {0x80};
-  size_t pad_len = (buffered_ < 56) ? (56 - buffered_)
-                                    : (kSha256BlockSize + 56 - buffered_);
-  Update(ciobase::ByteSpan(pad, pad_len));
-  uint8_t len_be[8];
-  ciobase::StoreBe64(len_be, bit_length);
-  Update(ciobase::ByteSpan(len_be, 8));
+  // Padding: 0x80, zeros, then the 64-bit big-endian bit length, which
+  // fills out one final block or, past 55 buffered bytes, two.
+  uint8_t last[kSha256BlockSize * 2] = {};
+  std::memcpy(last, buffer_, buffered_);
+  last[buffered_] = 0x80;
+  size_t blocks = buffered_ < kSha256BlockSize - 8 ? 1 : 2;
+  ciobase::StoreBe64(last + blocks * kSha256BlockSize - 8, length_ * 8);
+  Compress(state_, last, blocks);
 
   Sha256Digest digest;
   for (int i = 0; i < 8; ++i) {

@@ -1,7 +1,9 @@
 // SHA-256 (FIPS 180-4), from scratch.
 //
 // Used for attestation measurements, the TLS-like transcript hash, HMAC, and
-// HKDF. Incremental (Update/Finish) and one-shot interfaces.
+// HKDF. Incremental (Update/Finish) and one-shot interfaces. Whole blocks
+// go to the process's kernel (src/crypto/kernel.h): the SHA extensions where
+// CPUID reports them, the portable rounds elsewhere.
 
 #ifndef SRC_CRYPTO_SHA256_H_
 #define SRC_CRYPTO_SHA256_H_
@@ -30,8 +32,6 @@ class Sha256 {
   static Sha256Digest Hash(ciobase::ByteSpan data);
 
  private:
-  void Compress(const uint8_t* block);
-
   uint32_t state_[8];
   uint64_t length_ = 0;  // total bytes absorbed
   uint8_t buffer_[kSha256BlockSize];

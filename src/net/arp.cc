@@ -34,9 +34,14 @@ std::optional<ciobase::Buffer> ArpCache::HandlePacket(
   if (!arp.ok()) {
     return std::nullopt;
   }
-  // Gratuitous learning from any valid ARP naming us or broadcast requests.
-  Insert(arp->sender_ip, arp->sender_mac);
-  if (arp->op == kArpOpRequest && arp->target_ip == own_ip_) {
+  // RFC 826's merge rule: refresh the sender's entry if there is one, and
+  // add it only when this node is the target. An overheard broadcast, or a
+  // packet injected for another address, plants nothing.
+  bool for_us = arp->target_ip == own_ip_;
+  if (for_us || entries_.contains(arp->sender_ip.value)) {
+    Insert(arp->sender_ip, arp->sender_mac);
+  }
+  if (arp->op == kArpOpRequest && for_us) {
     ciobase::Buffer frame;
     EthernetHeader eth{arp->sender_mac, own_mac_, kEtherTypeArp};
     eth.Serialize(frame);

@@ -22,7 +22,9 @@ class ArpCache {
   // Builds a full Ethernet broadcast frame asking for `ip`.
   ciobase::Buffer MakeRequestFrame(Ipv4Address ip) const;
 
-  // Handles an incoming ARP payload; returns a reply frame if one is due.
+  // Handles an incoming ARP payload, parsing it once: refreshes the sender's
+  // entry, or adds it when the packet targets this node (RFC 826). Returns a
+  // reply frame if one is due.
   std::optional<ciobase::Buffer> HandlePacket(ciobase::ByteSpan payload);
 
   // True if a request for `ip` was sent within the backoff window; used by

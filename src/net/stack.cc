@@ -146,14 +146,14 @@ void NetStack::SendIpv4(Ipv4Address dst, uint8_t protocol,
   }
 }
 
-void NetStack::FlushArpPending(Ipv4Address resolved) {
-  std::optional<MacAddress> mac = arp_.Lookup(resolved);
-  if (!mac.has_value()) {
+void NetStack::FlushArpPending() {
+  if (arp_pending_.empty()) {
     return;
   }
   std::vector<PendingPacket> keep;
   for (auto& pending : arp_pending_) {
-    if (pending.next_hop == resolved) {
+    std::optional<MacAddress> mac = arp_.Lookup(pending.next_hop);
+    if (mac.has_value()) {
       SendFrameTo(*mac, pending.ether_type, pending.payload);
     } else {
       keep.push_back(std::move(pending));
@@ -177,15 +177,12 @@ void NetStack::HandleFrame(ciobase::ByteSpan frame) {
   ciobase::ByteSpan payload = frame.subspan(kEthernetHeaderSize);
   if (eth->ether_type == kEtherTypeArp) {
     ++stats_.arp_rx;
-    auto arp = ArpPacket::Parse(payload);
     std::optional<ciobase::Buffer> reply = arp_.HandlePacket(payload);
     if (reply.has_value()) {
       ++stats_.frames_tx;
       (void)SendOne(*port_, *reply);
     }
-    if (arp.ok()) {
-      FlushArpPending(arp->sender_ip);
-    }
+    FlushArpPending();
     return;
   }
   if (eth->ether_type == kEtherTypeIpv4) {

@@ -156,7 +156,8 @@ class NetStack {
   void SendFrameTo(MacAddress dst, uint16_t ether_type,
                    ciobase::ByteSpan payload);
   void SendIpv4(Ipv4Address dst, uint8_t protocol, ciobase::ByteSpan payload);
-  void FlushArpPending(Ipv4Address resolved);
+  // Sends every queued packet whose next hop now resolves.
+  void FlushArpPending();
   void HandleFrame(ciobase::ByteSpan frame);
   void HandleIpv4(ciobase::ByteSpan packet);
   void HandleTcp(const Ipv4Header& ip, ciobase::ByteSpan segment);

@@ -3,13 +3,19 @@
 // Poly1305 (RFC 8439 §2.5.2 and Appendix A.3), ChaCha20-Poly1305 AEAD
 // (RFC 8439 §2.8.2), plus property tests (the fast paths against per-block
 // and 26-bit-limb references, incremental == one-shot, tamper detection).
+// The SHA-256, HMAC, HKDF and ChaCha20 vectors run once per kernel
+// (src/crypto/kernel.h) this CPU can execute, and each accelerated kernel
+// is cross-checked against the portable one.
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "src/base/rng.h"
 #include "src/crypto/aead.h"
 #include "src/crypto/hkdf.h"
 #include "src/crypto/hmac.h"
+#include "src/crypto/kernel.h"
 #include "src/crypto/sha256.h"
 
 namespace {
@@ -25,7 +31,45 @@ std::string HashHex(ByteSpan data) {
   return HexEncode(Sha256::Hash(data));
 }
 
-TEST(Sha256, NistVectors) {
+// Runs a test once per kernel of kPrimitive; a kernel this CPU cannot
+// execute is skipped.
+template <Primitive kPrimitive>
+class KernelTest : public ::testing::TestWithParam<Kernel> {
+ protected:
+  void SetUp() override {
+    if (!KernelAvailable(kPrimitive, GetParam())) {
+      GTEST_SKIP() << "this CPU lacks the feature the "
+                   << KernelName(kPrimitive, GetParam()) << " kernel needs";
+    }
+    kernel_.emplace(kPrimitive, GetParam());
+  }
+
+ private:
+  std::optional<ScopedKernelForTest> kernel_;
+};
+
+class Sha256Test : public KernelTest<Primitive::kSha256> {};
+class HmacSha256Test : public KernelTest<Primitive::kSha256> {};
+class HkdfTest : public KernelTest<Primitive::kSha256> {};
+class ChaCha20Test : public KernelTest<Primitive::kChaCha20> {};
+
+template <Primitive kPrimitive>
+std::string KernelParamName(const ::testing::TestParamInfo<Kernel>& info) {
+  return KernelName(kPrimitive, info.param);
+}
+
+const auto kEveryKernel =
+    ::testing::Values(Kernel::kPortable, Kernel::kAccelerated);
+INSTANTIATE_TEST_SUITE_P(Kernels, Sha256Test, kEveryKernel,
+                         KernelParamName<Primitive::kSha256>);
+INSTANTIATE_TEST_SUITE_P(Kernels, HmacSha256Test, kEveryKernel,
+                         KernelParamName<Primitive::kSha256>);
+INSTANTIATE_TEST_SUITE_P(Kernels, HkdfTest, kEveryKernel,
+                         KernelParamName<Primitive::kSha256>);
+INSTANTIATE_TEST_SUITE_P(Kernels, ChaCha20Test, kEveryKernel,
+                         KernelParamName<Primitive::kChaCha20>);
+
+TEST_P(Sha256Test, NistVectors) {
   EXPECT_EQ(HashHex({}),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
   Buffer abc = BufferFromString("abc");
@@ -37,7 +81,25 @@ TEST(Sha256, NistVectors) {
             "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
 }
 
-TEST(Sha256, MillionA) {
+TEST_P(Sha256Test, PaddingBoundaries) {
+  // 55 bytes is the most that pads within one final block; 56-63 spill the
+  // length into a second one.
+  const std::pair<size_t, const char*> kVectors[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119,
+       "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120,
+       "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& [size, digest] : kVectors) {
+    EXPECT_EQ(HashHex(Buffer(size, 'a')), digest) << "size " << size;
+  }
+}
+
+TEST_P(Sha256Test, MillionA) {
   Sha256 h;
   Buffer chunk(1000, 'a');
   for (int i = 0; i < 1000; ++i) {
@@ -47,7 +109,7 @@ TEST(Sha256, MillionA) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
-TEST(Sha256, IncrementalMatchesOneShot) {
+TEST_P(Sha256Test, IncrementalMatchesOneShot) {
   ciobase::Rng rng(3);
   for (size_t size : {1, 63, 64, 65, 127, 128, 1000}) {
     Buffer data = rng.Bytes(size);
@@ -65,21 +127,47 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   }
 }
 
-TEST(HmacSha256, Rfc4231Case1) {
+TEST(Sha256Kernels, ShaNiMatchesPortableAtEveryLengthAndChunking) {
+  if (!KernelAvailable(Primitive::kSha256, Kernel::kAccelerated)) {
+    GTEST_SKIP() << "this CPU has no SHA extensions";
+  }
+  ciobase::Rng rng(12);
+  for (size_t size = 0; size <= 1100; ++size) {
+    Buffer data = rng.Bytes(size);
+    Sha256Digest portable;
+    {
+      ScopedKernelForTest selected(Primitive::kSha256, Kernel::kPortable);
+      portable = Sha256::Hash(data);
+    }
+    ScopedKernelForTest selected(Primitive::kSha256, Kernel::kAccelerated);
+    ASSERT_EQ(Sha256::Hash(data), portable) << "one-shot, size " << size;
+    // Random chunks hand the kernel whole-block runs that start at varied
+    // offsets of the input, after varied buffered remainders.
+    Sha256 chunked;
+    for (size_t i = 0; i < size;) {
+      size_t n = std::min<size_t>(size - i, rng.NextInRange(0, 200));
+      chunked.Update(ByteSpan(data.data() + i, n));
+      i += n;
+    }
+    ASSERT_EQ(chunked.Finish(), portable) << "chunked, size " << size;
+  }
+}
+
+TEST_P(HmacSha256Test, Rfc4231Case1) {
   Buffer key(20, 0x0b);
   Buffer data = BufferFromString("Hi There");
   EXPECT_EQ(HexEncode(HmacSha256::Mac(key, data)),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
 }
 
-TEST(HmacSha256, Rfc4231Case2) {
+TEST_P(HmacSha256Test, Rfc4231Case2) {
   Buffer key = BufferFromString("Jefe");
   Buffer data = BufferFromString("what do ya want for nothing?");
   EXPECT_EQ(HexEncode(HmacSha256::Mac(key, data)),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
 }
 
-TEST(HmacSha256, Rfc4231Case6LongKey) {
+TEST_P(HmacSha256Test, Rfc4231Case6LongKey) {
   Buffer key(131, 0xaa);
   Buffer data = BufferFromString(
       "Test Using Larger Than Block-Size Key - Hash Key First");
@@ -87,21 +175,21 @@ TEST(HmacSha256, Rfc4231Case6LongKey) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
-TEST(HmacSha256, Rfc4231Case3BinaryData) {
+TEST_P(HmacSha256Test, Rfc4231Case3BinaryData) {
   Buffer key(20, 0xaa);
   Buffer data(50, 0xdd);
   EXPECT_EQ(HexEncode(HmacSha256::Mac(key, data)),
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
 }
 
-TEST(HmacSha256, Rfc4231Case4) {
+TEST_P(HmacSha256Test, Rfc4231Case4) {
   Buffer key = HexDecode("0102030405060708090a0b0c0d0e0f10111213141516171819");
   Buffer data(50, 0xcd);
   EXPECT_EQ(HexEncode(HmacSha256::Mac(key, data)),
             "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b");
 }
 
-TEST(HmacSha256, Rfc4231Case7LongKeyAndData) {
+TEST_P(HmacSha256Test, Rfc4231Case7LongKeyAndData) {
   Buffer key(131, 0xaa);
   Buffer data = BufferFromString(
       "This is a test using a larger than block-size key and a larger than "
@@ -111,7 +199,7 @@ TEST(HmacSha256, Rfc4231Case7LongKeyAndData) {
             "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
 }
 
-TEST(Hkdf, Rfc5869Case2LongInputs) {
+TEST_P(HkdfTest, Rfc5869Case2LongInputs) {
   Buffer ikm = HexDecode(
       "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
       "202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f"
@@ -141,7 +229,7 @@ TEST(HmacSha256, VerifyAcceptsAndRejects) {
   EXPECT_FALSE(HmacSha256::Verify(key, data, mac));
 }
 
-TEST(Hkdf, Rfc5869Case1) {
+TEST_P(HkdfTest, Rfc5869Case1) {
   Buffer ikm(22, 0x0b);
   Buffer salt = HexDecode("000102030405060708090a0b0c");
   Buffer info = HexDecode("f0f1f2f3f4f5f6f7f8f9");
@@ -154,7 +242,7 @@ TEST(Hkdf, Rfc5869Case1) {
             "34007208d5b887185865");
 }
 
-TEST(Hkdf, Rfc5869Case3EmptySaltInfo) {
+TEST_P(HkdfTest, Rfc5869Case3EmptySaltInfo) {
   Buffer ikm(22, 0x0b);
   Sha256Digest prk = HkdfExtract({}, ikm);
   Buffer okm = HkdfExpand(prk, {}, 42);
@@ -163,7 +251,7 @@ TEST(Hkdf, Rfc5869Case3EmptySaltInfo) {
             "9d201395faa4b61a96c8");
 }
 
-TEST(ChaCha20, Rfc8439KeystreamVector) {
+TEST_P(ChaCha20Test, Rfc8439KeystreamVector) {
   // RFC 8439 §2.4.2.
   Buffer key = HexDecode(
       "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
@@ -178,7 +266,7 @@ TEST(ChaCha20, Rfc8439KeystreamVector) {
             "6e2e359a2568f98041ba0728dd0d6981");
 }
 
-TEST(ChaCha20, Rfc8439FullCiphertext) {
+TEST_P(ChaCha20Test, Rfc8439FullCiphertext) {
   // RFC 8439 §2.4.2, full 114-byte ciphertext — exercises one 4-block
   // stride plus a partial tail block in the multi-block fast path.
   Buffer key = HexDecode(
@@ -228,15 +316,14 @@ void ReferenceXor(const uint8_t key[kChaCha20KeySize],
   }
 }
 
-TEST(ChaCha20, MultiBlockMatchesPerBlockReference) {
-  ciobase::Rng rng(7);
-  Buffer key = rng.Bytes(kChaCha20KeySize);
-  Buffer nonce = rng.Bytes(kChaCha20NonceSize);
-  // 0xfffffffe/0xffffffff make the 32-bit counter wrap inside a 4-block
-  // stride — each lane must wrap independently, like the reference loop.
-  const uint32_t kCounters[] = {0, 1, 7, 0x7fffffff, 0xfffffffe, 0xffffffff};
-  // Every length through 300 covers each tail shape on both sides of the
-  // 256-byte stride; the larger ones run several strides.
+// 0xfffffffe/0xffffffff make the 32-bit counter wrap inside a 4-block
+// stride — each lane must wrap independently, like the reference loop.
+constexpr uint32_t kStrideCounters[] = {0,          1,          7,
+                                        0x7fffffff, 0xfffffffe, 0xffffffff};
+
+// Every length through 300 covers each tail shape on both sides of the
+// 256-byte stride; the larger ones run several strides.
+std::vector<size_t> StrideSizes() {
   std::vector<size_t> sizes;
   for (size_t size = 0; size <= 300; ++size) {
     sizes.push_back(size);
@@ -244,8 +331,15 @@ TEST(ChaCha20, MultiBlockMatchesPerBlockReference) {
   for (size_t size : {511, 960, 1024, 4097, 16384}) {
     sizes.push_back(size);
   }
-  for (uint32_t counter : kCounters) {
-    for (size_t size : sizes) {
+  return sizes;
+}
+
+TEST_P(ChaCha20Test, MultiBlockMatchesPerBlockReference) {
+  ciobase::Rng rng(7);
+  Buffer key = rng.Bytes(kChaCha20KeySize);
+  Buffer nonce = rng.Bytes(kChaCha20NonceSize);
+  for (uint32_t counter : kStrideCounters) {
+    for (size_t size : StrideSizes()) {
       Buffer in = rng.Bytes(size);
       Buffer expected(size);
       Buffer actual(size);
@@ -257,7 +351,28 @@ TEST(ChaCha20, MultiBlockMatchesPerBlockReference) {
   }
 }
 
-TEST(ChaCha20, InPlaceMatchesOutOfPlace) {
+TEST(ChaCha20Kernels, Avx512BuildMatchesBaselineBuild) {
+  if (!KernelAvailable(Primitive::kChaCha20, Kernel::kAccelerated)) {
+    GTEST_SKIP() << "this CPU has no AVX-512VL";
+  }
+  ciobase::Rng rng(13);
+  Buffer key = rng.Bytes(kChaCha20KeySize);
+  Buffer nonce = rng.Bytes(kChaCha20NonceSize);
+  for (uint32_t counter : kStrideCounters) {
+    for (size_t size : StrideSizes()) {
+      Buffer in = rng.Bytes(size);
+      Buffer out[2] = {Buffer(size), Buffer(size)};
+      for (Kernel kernel : {Kernel::kPortable, Kernel::kAccelerated}) {
+        ScopedKernelForTest selected(Primitive::kChaCha20, kernel);
+        ChaCha20Xor(key.data(), nonce.data(), counter, in,
+                    out[static_cast<int>(kernel)].data());
+      }
+      ASSERT_EQ(out[1], out[0]) << "counter=" << counter << " size=" << size;
+    }
+  }
+}
+
+TEST_P(ChaCha20Test, InPlaceMatchesOutOfPlace) {
   ciobase::Rng rng(8);
   Buffer key = rng.Bytes(kChaCha20KeySize);
   Buffer nonce = rng.Bytes(kChaCha20NonceSize);

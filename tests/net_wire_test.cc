@@ -284,6 +284,54 @@ TEST(Arp, RequestReplyCycle) {
   EXPECT_EQ(*cache_a.Lookup(ip_b), mac_b);
 }
 
+TEST(Arp, RequestForAnotherAddressAddsNoEntry) {
+  ciobase::SimClock clock;
+  Ipv4Address ip_a = Ipv4Address::FromOctets(10, 0, 0, 1);
+  Ipv4Address ip_b = Ipv4Address::FromOctets(10, 0, 0, 2);
+  ArpCache cache_a(&clock, MacAddress::FromId(1), ip_a);
+  ArpCache bystander(&clock, MacAddress::FromId(3),
+                     Ipv4Address::FromOctets(10, 0, 0, 3));
+  Buffer request = cache_a.MakeRequestFrame(ip_b);
+  EXPECT_FALSE(bystander
+                   .HandlePacket(ByteSpan(request).subspan(kEthernetHeaderSize))
+                   .has_value());
+  EXPECT_FALSE(bystander.Lookup(ip_a).has_value());
+}
+
+TEST(Arp, RequestForUsAddsTheSender) {
+  ciobase::SimClock clock;
+  Ipv4Address ip_a = Ipv4Address::FromOctets(10, 0, 0, 1);
+  Ipv4Address ip_b = Ipv4Address::FromOctets(10, 0, 0, 2);
+  ArpCache cache_a(&clock, MacAddress::FromId(1), ip_a);
+  ArpCache cache_b(&clock, MacAddress::FromId(2), ip_b);
+  Buffer request = cache_a.MakeRequestFrame(ip_b);
+  EXPECT_TRUE(
+      cache_b.HandlePacket(ByteSpan(request).subspan(kEthernetHeaderSize))
+          .has_value());
+  ASSERT_TRUE(cache_b.Lookup(ip_a).has_value());
+  EXPECT_EQ(*cache_b.Lookup(ip_a), MacAddress::FromId(1));
+}
+
+TEST(Arp, PacketFromACachedSenderRefreshesItsEntry) {
+  ciobase::SimClock clock;
+  Ipv4Address ip_a = Ipv4Address::FromOctets(10, 0, 0, 1);
+  ArpCache cache_a(&clock, MacAddress::FromId(1), ip_a);
+  ArpCache bystander(&clock, MacAddress::FromId(3),
+                     Ipv4Address::FromOctets(10, 0, 0, 3));
+  bystander.Insert(ip_a, MacAddress::FromId(9));  // stale MAC
+  clock.Advance(ArpCache::kEntryTtlNs / 2);
+  // A's request for someone else still refreshes A's existing entry: the
+  // new MAC, and a full TTL from now.
+  Buffer request =
+      cache_a.MakeRequestFrame(Ipv4Address::FromOctets(10, 0, 0, 2));
+  EXPECT_FALSE(bystander
+                   .HandlePacket(ByteSpan(request).subspan(kEthernetHeaderSize))
+                   .has_value());
+  clock.Advance(ArpCache::kEntryTtlNs * 3 / 4);
+  ASSERT_TRUE(bystander.Lookup(ip_a).has_value());
+  EXPECT_EQ(*bystander.Lookup(ip_a), MacAddress::FromId(1));
+}
+
 TEST(Arp, EntriesExpire) {
   ciobase::SimClock clock;
   ArpCache cache(&clock, MacAddress::FromId(1),

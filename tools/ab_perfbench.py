@@ -37,8 +37,13 @@ It also reports failed and attempted operations per side, the runs that
 failed a correctness check, and per workload on how many pairs the two
 sides printed byte-identical `sim` blocks (the modeled figures, which a
 change that moves host time only must leave alone), with the first
-differing line of every pair that did not. The script only reads and
-reports: it never edits perfbench/ or BENCHMARK.json.
+differing line of every pair that did not. A last table reports, per
+workload, the host-time figure every run prints as a note,
+`wall_ops_per_s` (higher is better): the parent's median [Q1-Q3], the
+change's median and wins/losses/ties over the pairs that passed their
+checks, with no verdict, since the figure is not a gated metric. The
+script only reads and reports: it never edits perfbench/ or
+BENCHMARK.json.
 """
 
 import argparse
@@ -113,8 +118,7 @@ def build_side(name, tree, key, workdir):
 
 
 def run_once(tree, target_dir, workload, seed, seconds):
-    """One perfbench run: its result line, or None when it printed none,
-    and its `sim` lines in the order printed."""
+    """One perfbench run, read by parse_output."""
     env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
     proc = subprocess.run(
         [sys.executable, os.path.join(tree, "perfbench", "run.py"),
@@ -122,16 +126,25 @@ def run_once(tree, target_dir, workload, seed, seconds):
          "--seconds", repr(seconds), "--trace", "0"],
         cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
         text=True)
-    lines = proc.stdout.splitlines()
+    return parse_output(proc.stdout)
+
+
+def parse_output(stdout):
+    """A run's result line, or None when it printed none, its `sim` lines
+    in the order printed, and its `wall_ops_per_s` note (None when it
+    printed none)."""
+    lines = stdout.splitlines()
     sims = [line for line in lines if line.startswith("sim ")]
+    wall = next((float(line.split()[2]) for line in lines
+                 if line.split()[:2] == ["note", "wall_ops_per_s"]), None)
     for line in reversed(lines):
         try:
             result = json.loads(line)
         except json.JSONDecodeError:
             continue
         if isinstance(result, dict) and "correct" in result:
-            return result, sims
-    return None, sims
+            return result, sims, wall
+    return None, sims, wall
 
 
 def quartiles(values):
@@ -141,13 +154,20 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def tally(pairs, better):
+    """(wins, losses, ties) of the change over `pairs`, which holds (p, c)
+    per seed, or None where either side has no value (a loss)."""
+    sign = -1.0 if better == "lower" else 1.0
+    wins = sum(1 for pair in pairs if pair and sign * (pair[1] - pair[0]) > 0)
+    ties = sum(1 for pair in pairs if pair and pair[1] == pair[0])
+    return wins, len(pairs) - wins - ties, ties
+
+
 def verdict(parent, change, pairs, better, bound, fails_more):
     """The verdict rules of the module docstring. `pairs` holds (p, c) per
     seed, or None where either side failed its check."""
     sign = -1.0 if better == "lower" else 1.0
-    wins = sum(1 for pair in pairs if pair and sign * (pair[1] - pair[0]) > 0)
-    ties = sum(1 for pair in pairs if pair and pair[1] == pair[0])
-    losses = len(pairs) - wins - ties
+    wins, losses, ties = tally(pairs, better)
     if not parent or not change:
         return wins, losses, ties, "unresolved"
     p1, pm, p3 = quartiles(parent)
@@ -197,37 +217,59 @@ def by_seed(runs, workload):
     return table
 
 
+def paired_values(runs, workload, seeds, read):
+    """({side: values}, pairs) of `read(run)` over the runs that passed
+    their correctness check; a pair lacking either value is None."""
+    table = by_seed(runs, workload)
+    values = {"parent": [], "change": []}
+    pairs = []
+    for seed in seeds:
+        got = {}
+        for side in ("parent", "change"):
+            run = table.get(seed, {}).get(side, {})
+            result = run.get("result")
+            value = read(run) if result and result.get("correct") else None
+            if value is not None:
+                got[side] = value
+                values[side].append(value)
+        pairs.append((got["parent"], got["change"])
+                     if len(got) == 2 else None)
+    return values, pairs
+
+
+def median_cells(values):
+    """The parent median [Q1-Q3] and change median report cells."""
+    if not values["parent"] or not values["change"]:
+        return "- | -"
+    p1, pm, p3 = quartiles(values["parent"])
+    cm = statistics.median(values["change"])
+    return f"{fmt(pm)} [{fmt(p1)}-{fmt(p3)}] | {fmt(cm)}"
+
+
 def metric_rows(runs, workload, seeds, metrics):
     """One report row per end-to-end metric: (name, parent median [Q1-Q3]
     and change median cells, wins, losses, ties, verdict)."""
     fails_more = (failed_share(runs, workload, "change") >
                   failed_share(runs, workload, "parent"))
-    table = by_seed(runs, workload)
     rows = []
     for metric in metrics:
         name = metric["name"]
-        values = {"parent": [], "change": []}
-        pairs = []
-        for seed in seeds:
-            got = {}
-            for side in ("parent", "change"):
-                result = table.get(seed, {}).get(side, {}).get("result")
-                if result and result.get("correct"):
-                    got[side] = result["metrics"][name]["value"]
-                    values[side].append(got[side])
-            pairs.append((got["parent"], got["change"])
-                         if len(got) == 2 else None)
+        values, pairs = paired_values(
+            runs, workload, seeds,
+            lambda run: run["result"]["metrics"][name]["value"])
         wins, losses, ties, decision = verdict(
             values["parent"], values["change"], pairs, metric["better"],
             metric["bound"], fails_more)
-        if values["parent"] and values["change"]:
-            p1, pm, p3 = quartiles(values["parent"])
-            cm = statistics.median(values["change"])
-            cells = f"{fmt(pm)} [{fmt(p1)}-{fmt(p3)}] | {fmt(cm)}"
-        else:
-            cells = "- | -"
-        rows.append((name, cells, wins, losses, ties, decision))
+        rows.append((name, median_cells(values), wins, losses, ties,
+                     decision))
     return rows
+
+
+def host_row(runs, workload, seeds):
+    """The report-only `wall_ops_per_s` row: (cells, wins, losses, ties)."""
+    values, pairs = paired_values(runs, workload, seeds,
+                                  lambda run: run.get("wall_ops_per_s"))
+    return (median_cells(values), *tally(pairs, "higher"))
 
 
 def sim_identity(runs, workload, seeds):
@@ -287,6 +329,15 @@ def print_report(runs, workloads, seeds, metrics):
         print(f"{workload} seed {seed}: first differing sim line: "
               f"parent `{parent}`, change `{change}`")
 
+    print()
+    print("| workload | host time, report only | parent median [Q1-Q3] | "
+          "change median | wins/losses/ties |")
+    print("|---|---|---|---|---|")
+    for workload in workloads:
+        cells, wins, losses, ties = host_row(runs, workload, seeds)
+        print(f"| {workload} | wall_ops_per_s | {cells} | "
+              f"{wins}/{losses}/{ties} |")
+
 
 def main():
     parser = argparse.ArgumentParser(
@@ -321,10 +372,11 @@ def main():
             order = ("parent", "change") if seed % 2 else ("change", "parent")
             for name in order:
                 tree, target_dir = sides[name]
-                result, sims = run_once(tree, target_dir, workload, seed,
-                                        seconds)
+                result, sims, wall = run_once(tree, target_dir, workload,
+                                              seed, seconds)
                 runs.append({"workload": workload, "seed": seed, "side": name,
-                             "result": result, "sim": sims})
+                             "result": result, "sim": sims,
+                             "wall_ops_per_s": wall})
                 status = ("no result" if result is None else
                           "ok" if result["correct"] else "FAILED check")
                 log(f"{workload} seed {seed} {name}: {status}")

@@ -25,12 +25,13 @@ RSS = {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.25}
 SEEDS = list(range(1, 11))
 
 
-def run(seed, side, value, correct=True, failed=0, sim=None):
+def run(seed, side, value, correct=True, failed=0, sim=None, wall=None):
     result = {"correct": correct, "attempted": 1000, "failed": failed,
               "metrics": ({"peak_rss_mb": {"value": value, "unit": "MB"}}
                           if correct else {})}
     return {"workload": "w", "seed": seed, "side": side, "result": result,
-            "sim": sim if sim is not None else ["sim    sim_p50_us 10"]}
+            "sim": sim if sim is not None else ["sim    sim_p50_us 10"],
+            "wall_ops_per_s": wall}
 
 
 def pairs_of(parent_values, change_values, **change_kwargs):
@@ -129,6 +130,44 @@ class SimIdentityTest(unittest.TestCase):
             ab.print_report(runs, ["w"], SEEDS, [RSS])
         self.assertIn("| w | 10 / 10 |", out.getvalue())
         self.assertNotIn("first differing sim line", out.getvalue())
+
+
+class HostRowTest(unittest.TestCase):
+    def test_parse_output_keeps_the_wall_ops_note(self):
+        stdout = "\n".join([
+            "check  echoes_in_order ok",
+            "note   wall_ops_per_s                       24321.5 ops/s",
+            "sim    sim_p50_us 10",
+            '{"correct": true, "attempted": 5, "failed": 0, "metrics": {}}'])
+        result, sims, wall = ab.parse_output(stdout)
+        self.assertTrue(result["correct"])
+        self.assertEqual(sims, ["sim    sim_p50_us 10"])
+        self.assertEqual(wall, 24321.5)
+        self.assertEqual(ab.parse_output("sim    a 1\n")[2], None)
+
+    def test_reports_medians_and_tallies_without_a_verdict(self):
+        runs = []
+        for seed in SEEDS:
+            runs.append(run(seed, "parent", 1.0, wall=20000.0 + 100 * seed))
+            runs.append(run(seed, "change", 1.0,
+                            wall=10000.0 if seed == 3 else 30000.0))
+        cells, wins, losses, ties = ab.host_row(runs, "w", SEEDS)
+        self.assertEqual(cells, "20,550 [20,325-20,775] | 30,000")
+        self.assertEqual((wins, losses, ties), (9, 1, 0))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            ab.print_report(runs, ["w"], SEEDS, [RSS])
+        self.assertIn("| w | wall_ops_per_s | 20,550 [20,325-20,775] | "
+                      "30,000 | 9/1/0 |\n", out.getvalue())
+
+    def test_a_missing_note_or_a_failed_check_is_a_loss(self):
+        runs = []
+        for seed in SEEDS:
+            runs.append(run(seed, "parent", 1.0, wall=20000.0))
+            runs.append(run(seed, "change", 1.0, wall=30000.0))
+        runs[1]["wall_ops_per_s"] = None
+        runs[3] = run(2, "change", 0, correct=False, wall=30000.0)
+        self.assertEqual(ab.host_row(runs, "w", SEEDS)[1:], (8, 2, 0))
 
 
 if __name__ == "__main__":
