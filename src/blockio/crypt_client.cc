@@ -96,7 +96,9 @@ ciobase::Buffer EncryptedBlockClient::Seal(uint64_t lba,
                                            ciobase::ByteSpan plaintext) const {
   uint32_t sealed_len =
       static_cast<uint32_t>(plaintext.size() + ciocrypto::kAeadTagSize);
-  ciobase::Buffer stored(nonce.begin(), nonce.begin() + head);
+  ciobase::Buffer stored;
+  stored.reserve(head + 4 + sealed_len);
+  stored.assign(nonce.begin(), nonce.begin() + head);
   stored.resize(head + 4);
   ciobase::StoreLe32(stored.data() + head, sealed_len);
   uint8_t aad[8 + ciocrypto::kAeadNonceSize + 4];
@@ -105,10 +107,8 @@ ciobase::Buffer EncryptedBlockClient::Seal(uint64_t lba,
   if (costs_ != nullptr) {
     costs_->ChargeAead(plaintext.size());
   }
-  ciobase::Append(stored,
-                  ciocrypto::AeadSeal(key_, nonce,
-                                      ciobase::ByteSpan(aad, 8 + head + 4),
-                                      plaintext));
+  ciocrypto::AeadSealInto(key_, nonce, ciobase::ByteSpan(aad, 8 + head + 4),
+                          plaintext, stored);
   return stored;
 }
 

@@ -84,11 +84,11 @@ ciobase::Status ConfidentialStore::Put(std::string_view name,
   ciobase::StoreLe64(nonce.data(), ++value_counter_);
   ciobase::Buffer aad(name.begin(), name.end());
   costs_->ChargeAead(value.size());
-  ciobase::Buffer sealed = ciocrypto::AeadSeal(options_.value_key, nonce,
-                                               aad, value);
-  // Prefix the nonce so Get can reconstruct it.
-  ciobase::Buffer stored = nonce;
-  ciobase::Append(stored, sealed);
+  // Prefix the nonce so Get can reconstruct it, then seal straight after it.
+  ciobase::Buffer stored;
+  stored.reserve(nonce.size() + value.size() + ciocrypto::kAeadTagSize);
+  stored.assign(nonce.begin(), nonce.end());
+  ciocrypto::AeadSealInto(options_.value_key, nonce, aad, value, stored);
 
   compartments_->SwitchTo(storage_);
   ciobase::Status status = fs_->WriteFile(name, stored);

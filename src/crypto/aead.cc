@@ -47,14 +47,9 @@ ciobase::Buffer DeriveAeadKey(ciobase::ByteSpan secret) {
 
 ciobase::Buffer AeadSeal(ciobase::ByteSpan key, ciobase::ByteSpan nonce,
                          ciobase::ByteSpan aad, ciobase::ByteSpan plaintext) {
-  assert(key.size() == kAeadKeySize);
-  assert(nonce.size() == kAeadNonceSize);
-  ciobase::Buffer out(plaintext.size() + kAeadTagSize);
-  ChaCha20Xor(key.data(), nonce.data(), 1, plaintext, out.data());
-  Poly1305Tag tag =
-      ComputeTag(key.data(), nonce.data(), aad,
-                 ciobase::ByteSpan(out.data(), plaintext.size()));
-  std::memcpy(out.data() + plaintext.size(), tag.data(), kAeadTagSize);
+  ciobase::Buffer out;
+  out.reserve(plaintext.size() + kAeadTagSize);
+  AeadSealInto(key, nonce, aad, plaintext, out);
   return out;
 }
 
@@ -77,19 +72,11 @@ ciobase::Result<ciobase::Buffer> AeadOpen(ciobase::ByteSpan key,
                                           ciobase::ByteSpan nonce,
                                           ciobase::ByteSpan aad,
                                           ciobase::ByteSpan sealed) {
-  assert(key.size() == kAeadKeySize);
-  assert(nonce.size() == kAeadNonceSize);
-  if (sealed.size() < kAeadTagSize) {
-    return ciobase::Tampered("AEAD input shorter than tag");
+  ciobase::Buffer plaintext;
+  auto opened = AeadOpenInto(key, nonce, aad, sealed, plaintext);
+  if (!opened.ok()) {
+    return opened.status();
   }
-  ciobase::ByteSpan ciphertext = sealed.first(sealed.size() - kAeadTagSize);
-  ciobase::ByteSpan received_tag = sealed.last(kAeadTagSize);
-  Poly1305Tag tag = ComputeTag(key.data(), nonce.data(), aad, ciphertext);
-  if (!ciobase::ConstantTimeEqual(tag, received_tag)) {
-    return ciobase::Tampered("AEAD tag mismatch");
-  }
-  ciobase::Buffer plaintext(ciphertext.size());
-  ChaCha20Xor(key.data(), nonce.data(), 1, ciphertext, plaintext.data());
   return plaintext;
 }
 

@@ -27,7 +27,9 @@ void ChaCha20Block(const uint8_t key[kChaCha20KeySize], uint32_t counter,
 // 16-byte vector lanes and XORs them 16 bytes at a time. A final tail of one
 // block or less runs the scalar block function instead of a 4-block pass.
 // The 4-block path is one source built twice (src/crypto/kernel.h): for the
-// baseline ISA, and for AVX-512VL where CPUID reports it.
+// baseline ISA, and for AVX-512VL where CPUID reports it. The AVX-512 build
+// first runs the same rounds over 16 blocks in 512-bit vectors while at
+// least 1 KiB remains.
 void ChaCha20Xor(const uint8_t key[kChaCha20KeySize],
                  const uint8_t nonce[kChaCha20NonceSize],
                  uint32_t initial_counter, ciobase::ByteSpan in, uint8_t* out);

@@ -11,7 +11,11 @@ namespace ciocrypto {
 
 namespace {
 
-constexpr int kPrimitives = 2;
+constexpr int kPrimitives = 3;
+
+// KernelName's accelerated names, in Primitive's order.
+constexpr const char* kAcceleratedNames[kPrimitives] = {"sha_ni", "avx512vl",
+                                                        "avx512ifma"};
 
 bool CpuSupportsAccelerated(Primitive primitive) {
 #if defined(__x86_64__)
@@ -25,6 +29,10 @@ bool CpuSupportsAccelerated(Primitive primitive) {
   }
   // Reports AVX-512 only when the OS also saves its register state.
   __builtin_cpu_init();
+  if (primitive == Primitive::kPoly1305) {
+    return __builtin_cpu_supports("avx512f") &&
+           __builtin_cpu_supports("avx512ifma");
+  }
   return __builtin_cpu_supports("avx512f") &&
          __builtin_cpu_supports("avx512vl");
 #else
@@ -33,9 +41,10 @@ bool CpuSupportsAccelerated(Primitive primitive) {
 #endif
 }
 
-// Portable until the initialiser below runs, so a static initialiser in
-// another file that hashes or seals first still gets the right bytes.
-Kernel g_active[kPrimitives] = {Kernel::kPortable, Kernel::kPortable};
+// Portable (the zero value) until the initialiser below runs, so a static
+// initialiser in another file that hashes or seals first still gets the
+// right bytes.
+Kernel g_active[kPrimitives] = {};
 
 [[maybe_unused]] const bool g_chosen = [] {
   for (int i = 0; i < kPrimitives; ++i) {
@@ -60,7 +69,7 @@ const char* KernelName(Primitive primitive, Kernel kernel) {
   if (kernel == Kernel::kPortable) {
     return "portable";
   }
-  return primitive == Primitive::kSha256 ? "sha_ni" : "avx512vl";
+  return kAcceleratedNames[static_cast<int>(primitive)];
 }
 
 ScopedKernelForTest::ScopedKernelForTest(Primitive primitive, Kernel kernel)

@@ -1,6 +1,8 @@
 // Poly1305 one-time authenticator (RFC 8439 §2.5), from scratch.
 // Implemented with three 44/44/42-bit limbs and 128-bit products (the
-// poly1305-donna-64 layout).
+// poly1305-donna-64 layout). Where CPUID reports AVX-512 IFMA
+// (src/crypto/kernel.h), runs of 16 or more blocks go through eight 52-bit
+// multiply-add lanes on the same limbs, with identical tags.
 
 #ifndef SRC_CRYPTO_POLY1305_H_
 #define SRC_CRYPTO_POLY1305_H_

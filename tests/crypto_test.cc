@@ -3,7 +3,7 @@
 // Poly1305 (RFC 8439 §2.5.2 and Appendix A.3), ChaCha20-Poly1305 AEAD
 // (RFC 8439 §2.8.2), plus property tests (the fast paths against per-block
 // and 26-bit-limb references, incremental == one-shot, tamper detection).
-// The SHA-256, HMAC, HKDF and ChaCha20 vectors run once per kernel
+// The SHA-256, HMAC, HKDF, ChaCha20 and Poly1305 vectors run once per kernel
 // (src/crypto/kernel.h) this CPU can execute, and each accelerated kernel
 // is cross-checked against the portable one.
 
@@ -52,6 +52,7 @@ class Sha256Test : public KernelTest<Primitive::kSha256> {};
 class HmacSha256Test : public KernelTest<Primitive::kSha256> {};
 class HkdfTest : public KernelTest<Primitive::kSha256> {};
 class ChaCha20Test : public KernelTest<Primitive::kChaCha20> {};
+class Poly1305Test : public KernelTest<Primitive::kPoly1305> {};
 
 template <Primitive kPrimitive>
 std::string KernelParamName(const ::testing::TestParamInfo<Kernel>& info) {
@@ -68,6 +69,8 @@ INSTANTIATE_TEST_SUITE_P(Kernels, HkdfTest, kEveryKernel,
                          KernelParamName<Primitive::kSha256>);
 INSTANTIATE_TEST_SUITE_P(Kernels, ChaCha20Test, kEveryKernel,
                          KernelParamName<Primitive::kChaCha20>);
+INSTANTIATE_TEST_SUITE_P(Kernels, Poly1305Test, kEveryKernel,
+                         KernelParamName<Primitive::kPoly1305>);
 
 TEST_P(Sha256Test, NistVectors) {
   EXPECT_EQ(HashHex({}),
@@ -317,18 +320,22 @@ void ReferenceXor(const uint8_t key[kChaCha20KeySize],
 }
 
 // 0xfffffffe/0xffffffff make the 32-bit counter wrap inside a 4-block
-// stride — each lane must wrap independently, like the reference loop.
-constexpr uint32_t kStrideCounters[] = {0,          1,          7,
-                                        0x7fffffff, 0xfffffffe, 0xffffffff};
+// stride, 0xfffffff1/0xfffffff4 inside a 16-block one — each lane must wrap
+// independently, like the reference loop.
+constexpr uint32_t kStrideCounters[] = {
+    0,          1,          7,          0x7fffffff,
+    0xfffffff1, 0xfffffff4, 0xfffffffe, 0xffffffff};
 
 // Every length through 300 covers each tail shape on both sides of the
-// 256-byte stride; the larger ones run several strides.
+// 256-byte stride; the larger ones run several strides, and those around
+// 1 KiB and 2 KiB leave the 16-block stride each tail shape.
 std::vector<size_t> StrideSizes() {
   std::vector<size_t> sizes;
   for (size_t size = 0; size <= 300; ++size) {
     sizes.push_back(size);
   }
-  for (size_t size : {511, 960, 1024, 4097, 16384}) {
+  for (size_t size :
+       {511, 960, 1023, 1024, 1025, 2047, 2049, 3136, 4097, 5000, 16384}) {
     sizes.push_back(size);
   }
   return sizes;
@@ -353,7 +360,7 @@ TEST_P(ChaCha20Test, MultiBlockMatchesPerBlockReference) {
 
 TEST(ChaCha20Kernels, Avx512BuildMatchesBaselineBuild) {
   if (!KernelAvailable(Primitive::kChaCha20, Kernel::kAccelerated)) {
-    GTEST_SKIP() << "this CPU has no AVX-512VL";
+    GTEST_SKIP() << "this CPU has no AVX-512F and AVX-512VL";
   }
   ciobase::Rng rng(13);
   Buffer key = rng.Bytes(kChaCha20KeySize);
@@ -386,7 +393,7 @@ TEST_P(ChaCha20Test, InPlaceMatchesOutOfPlace) {
   }
 }
 
-TEST(Poly1305, Rfc8439Vector) {
+TEST_P(Poly1305Test, Rfc8439Vector) {
   // RFC 8439 §2.5.2.
   Buffer key = HexDecode(
       "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b");
@@ -395,7 +402,7 @@ TEST(Poly1305, Rfc8439Vector) {
   EXPECT_EQ(HexEncode(tag), "a8061dc1305136c6c22b8baf0c0127a9");
 }
 
-TEST(Poly1305, Rfc8439AppendixA3Vectors) {
+TEST_P(Poly1305Test, Rfc8439AppendixA3Vectors) {
   const std::string ietf =
       "Any submission to the IETF intended by the Contributor for "
       "publication as all or part of an IETF Internet-Draft or RFC and any "
@@ -542,45 +549,100 @@ Poly1305Tag ReferencePoly1305(const uint8_t key[kPoly1305KeySize],
   return tag;
 }
 
-TEST(Poly1305, MatchesThe26BitReference) {
-  ciobase::Rng rng(11);
+// Four random keys, then r at its clamp limits: every bit the clamp keeps
+// (with s all ones, so the final addition overflows 2^128), r = 0, and
+// r = 2, where one all-0xff block leaves h = 2^130 - 2, so Finish must take
+// its subtract-p select (as in Appendix A.3 vector #5).
+std::vector<Buffer> Poly1305EdgeKeys(ciobase::Rng& rng) {
   std::vector<Buffer> keys;
   for (int i = 0; i < 4; ++i) {
     keys.push_back(rng.Bytes(kPoly1305KeySize));
   }
-  // r at its clamp limits: every bit the clamp keeps (with s all ones, so
-  // the final addition overflows 2^128), and r = 0.
   keys.push_back(Buffer(kPoly1305KeySize, 0xff));
   Buffer r_zero = rng.Bytes(kPoly1305KeySize);
   std::fill(r_zero.begin(), r_zero.begin() + 16, 0);
   keys.push_back(r_zero);
-  // r = 2: one all-0xff block leaves h = 2^130 - 2, so Finish must take
-  // its subtract-p select (as in Appendix A.3 vector #5).
   Buffer r_two = r_zero;
   r_two[0] = 2;
   keys.push_back(r_two);
+  return keys;
+}
+
+// Feeds `message` through Update in random chunks of up to 600 bytes, so
+// that runs long enough for the eight IFMA lanes (16 blocks) also start
+// after a buffered partial block.
+Poly1305Tag ChunkedMac(const uint8_t* key, ByteSpan message,
+                       ciobase::Rng& rng) {
+  Poly1305 mac(key);
+  for (size_t i = 0; i < message.size();) {
+    size_t n = std::min<size_t>(message.size() - i, rng.NextInRange(0, 600));
+    mac.Update(message.subspan(i, n));
+    i += n;
+  }
+  return mac.Finish();
+}
+
+TEST_P(Poly1305Test, MatchesThe26BitReference) {
+  ciobase::Rng rng(11);
+  std::vector<Buffer> keys = Poly1305EdgeKeys(rng);
   for (size_t k = 0; k < keys.size(); ++k) {
     const uint8_t* key = keys[k].data();
-    for (size_t size = 0; size <= 300; ++size) {
+    // Every length through 2,100 covers each tail the 8-lane runs leave,
+    // from the shortest run they take (16 blocks) to several strides.
+    for (size_t size = 0; size <= 2100; ++size) {
       // All-0xff messages drive h past 2^130 - 5 on most keys.
       for (bool all_ones : {false, true}) {
         Buffer message = all_ones ? Buffer(size, 0xff) : rng.Bytes(size);
         Poly1305Tag expected = ReferencePoly1305(key, message);
         ASSERT_EQ(Poly1305::Mac(key, message), expected)
             << "key " << k << " size " << size << " ones " << all_ones;
-        // The same message fed through Update at random chunk boundaries.
-        Poly1305 mac(key);
-        for (size_t i = 0; i < size;) {
-          size_t n = std::min<size_t>(size - i, rng.NextInRange(0, 40));
-          mac.Update(ByteSpan(message.data() + i, n));
-          i += n;
-        }
-        ASSERT_EQ(mac.Finish(), expected)
+        ASSERT_EQ(ChunkedMac(key, message, rng), expected)
             << "chunked: key " << k << " size " << size << " ones "
             << all_ones;
       }
     }
   }
+}
+
+TEST(Poly1305Kernels, IfmaMatchesPortable) {
+  if (!KernelAvailable(Primitive::kPoly1305, Kernel::kAccelerated)) {
+    GTEST_SKIP() << "this CPU has no AVX-512F and AVX-512 IFMA";
+  }
+  ciobase::Rng rng(17);
+  std::vector<Buffer> keys = Poly1305EdgeKeys(rng);
+  for (int i = 0; i < 57; ++i) {
+    keys.push_back(rng.Bytes(kPoly1305KeySize));
+  }
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const uint8_t* key = keys[k].data();
+    for (int trial = 0; trial < 64; ++trial) {
+      // All-0xff messages give every lane its largest limbs.
+      bool all_ones = trial % 2 == 1;
+      size_t size = rng.NextInRange(0, 5000);
+      Buffer message = all_ones ? Buffer(size, 0xff) : rng.Bytes(size);
+      Poly1305Tag tags[2];
+      for (Kernel kernel : {Kernel::kPortable, Kernel::kAccelerated}) {
+        ScopedKernelForTest selected(Primitive::kPoly1305, kernel);
+        tags[static_cast<int>(kernel)] = Poly1305::Mac(key, message);
+      }
+      ASSERT_EQ(tags[1], tags[0])
+          << "key " << k << " size " << size << " ones " << all_ones;
+      ScopedKernelForTest selected(Primitive::kPoly1305, Kernel::kAccelerated);
+      ASSERT_EQ(ChunkedMac(key, message, rng), tags[0])
+          << "chunked: key " << k << " size " << size << " ones "
+          << all_ones;
+    }
+  }
+}
+
+TEST(Poly1305, EmptyUpdateAfterAPartialBlock) {
+  ciobase::Rng rng(19);
+  Buffer key = rng.Bytes(kPoly1305KeySize);
+  Buffer message = rng.Bytes(5);
+  Poly1305 mac(key.data());
+  mac.Update(message);
+  mac.Update({});
+  EXPECT_EQ(mac.Finish(), Poly1305::Mac(key.data(), message));
 }
 
 TEST(Aead, Rfc8439SealVector) {

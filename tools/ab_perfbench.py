@@ -33,8 +33,12 @@ counts as a loss.
               than every parent run;
   same        otherwise.
 
-It also reports failed and attempted operations per side, the runs that
-failed a correctness check, and per workload on how many pairs the two
+Above the tables, one line names the CPU features the crypto kernels pick
+from (src/crypto/kernel.h) as present or absent, read from /proc/cpuinfo,
+or unknown where that file cannot be read: a host-time figure means little
+without them. The report also gives failed and attempted operations per
+side, the runs that failed a correctness check, and per workload on how
+many pairs the two
 sides printed byte-identical `sim` blocks (the modeled figures, which a
 change that moves host time only must leave alone), with the first
 differing line of every pair that did not. A last table reports, per
@@ -59,6 +63,8 @@ import tarfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+CPUINFO = "/proc/cpuinfo"
+CPU_FEATURES = ("sha_ni", "avx2", "avx512f", "avx512vl", "avx512ifma")
 
 
 def log(message):
@@ -295,7 +301,24 @@ def sim_identity(runs, workload, seeds):
     return identical, differences
 
 
-def print_report(runs, workloads, seeds, metrics):
+def cpu_features(path=CPUINFO):
+    """One line naming each of CPU_FEATURES present or absent, from the
+    first `flags` line of `path`, or unknown when it cannot be read."""
+    try:
+        with open(path) as f:
+            flags = next((line.split(":", 1)[1].split() for line in f
+                          if line.startswith("flags")), [])
+    except OSError:
+        return "cpu features: " + ", ".join(
+            f"{name} unknown" for name in CPU_FEATURES)
+    return "cpu features: " + ", ".join(
+        f"{name} {'present' if name in flags else 'absent'}"
+        for name in CPU_FEATURES)
+
+
+def print_report(runs, workloads, seeds, metrics, cpuinfo=CPUINFO):
+    print(cpu_features(cpuinfo))
+    print()
     print(f"| workload | metric | parent median [Q1-Q3] | change median | "
           f"wins/losses/ties | verdict |")
     print("|---|---|---|---|---|---|")

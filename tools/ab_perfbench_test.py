@@ -13,6 +13,7 @@ import contextlib
 import importlib.util
 import io
 import os
+import tempfile
 import unittest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -168,6 +169,32 @@ class HostRowTest(unittest.TestCase):
         runs[1]["wall_ops_per_s"] = None
         runs[3] = run(2, "change", 0, correct=False, wall=30000.0)
         self.assertEqual(ab.host_row(runs, "w", SEEDS)[1:], (8, 2, 0))
+
+
+class CpuFeaturesTest(unittest.TestCase):
+    def test_names_each_feature_present_or_absent(self):
+        with tempfile.NamedTemporaryFile("w", suffix=".cpuinfo") as f:
+            f.write("processor\t: 0\n"
+                    "flags\t\t: fpu sse2 avx2 sha_ni avx512f avx512vl\n"
+                    "processor\t: 1\n"
+                    "flags\t\t: fpu sse2\n")
+            f.flush()
+            line = ab.cpu_features(f.name)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                ab.print_report(pairs_of(PARENT, PARENT), ["w"], SEEDS, [RSS],
+                                cpuinfo=f.name)
+        self.assertEqual(line, "cpu features: sha_ni present, avx2 present, "
+                               "avx512f present, avx512vl present, "
+                               "avx512ifma absent")
+        self.assertTrue(out.getvalue().startswith(line + "\n\n| workload"))
+
+    def test_a_missing_file_reads_unknown(self):
+        with tempfile.TemporaryDirectory() as directory:
+            line = ab.cpu_features(os.path.join(directory, "cpuinfo"))
+        self.assertEqual(line, "cpu features: sha_ni unknown, avx2 unknown, "
+                               "avx512f unknown, avx512vl unknown, "
+                               "avx512ifma unknown")
 
 
 if __name__ == "__main__":
