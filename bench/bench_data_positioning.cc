@@ -35,8 +35,8 @@ struct L2World {
     shared = std::make_unique<ciotee::SharedRegion>(&memory, layout.total,
                                                     "l2");
     device = std::make_unique<cio::L2HostDevice>(shared.get(), config,
-                                                 &fabric, "nic", nullptr,
-                                                 nullptr, &clock);
+                                                 &fabric, "nic", std::nullopt,
+                                                 nullptr, nullptr, &clock);
     transport = std::make_unique<cio::L2Transport>(shared.get(), config,
                                                    &costs, nullptr);
     peer = std::make_unique<cionet::DirectFabricPort>(

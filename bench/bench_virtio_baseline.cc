@@ -36,7 +36,8 @@ FrameEchoResult RunVirtio(ciovirtio::HardeningOptions hardening, int count,
   ciotee::SharedRegion shared(&memory, layout.TotalSize(), "virtio");
   ciohost::ObservabilityLog observability;
   ciovirtio::VirtioNetDevice device(
-      &shared, layout, &fabric, "nic", cionet::MacAddress::FromId(1), 1500,
+      &shared, layout, &fabric, "nic", std::nullopt,
+      cionet::MacAddress::FromId(1), 1500,
       ciovirtio::kFeatureMac | ciovirtio::kFeatureMtu |
           ciovirtio::kFeatureVersion1,
       nullptr, &observability, &clock);
@@ -88,8 +89,8 @@ FrameEchoResult RunHardenedL2(int count, size_t frame_size) {
   cio::L2Layout layout(config);
   ciotee::SharedRegion shared(&memory, layout.total, "l2");
   ciohost::ObservabilityLog observability;
-  cio::L2HostDevice device(&shared, config, &fabric, "nic", nullptr,
-                           &observability, &clock);
+  cio::L2HostDevice device(&shared, config, &fabric, "nic", std::nullopt,
+                           nullptr, &observability, &clock);
   cio::L2Transport transport(&shared, config, &costs, nullptr);
   cionet::DirectFabricPort peer(&fabric, "peer",
                                 cionet::MacAddress::FromId(2));

@@ -45,9 +45,9 @@ struct L2Endpoint {
     L2Layout layout(config);
     shared = std::make_unique<ciotee::SharedRegion>(&memory, layout.total,
                                                     "mb-l2");
-    device = std::make_unique<L2HostDevice>(shared.get(), config, fabric,
-                                            "ep-" + std::to_string(id),
-                                            &adversary, &observability, clock);
+    device = std::make_unique<L2HostDevice>(
+        shared.get(), config, fabric, "ep-" + std::to_string(id),
+        std::nullopt, &adversary, &observability, clock);
     transport = std::make_unique<L2Transport>(shared.get(), config, costs,
                                               nullptr);
   }

@@ -44,6 +44,7 @@ IdeKeys DeriveIdeKeys(ciobase::ByteSpan provisioning_secret,
 
 DdaDevice::DdaDevice(ciotee::SharedRegion* region, DdaConfig config,
                      cionet::Fabric* fabric, std::string name,
+                     std::optional<cionet::Ipv4Address> ip,
                      const ciotee::AttestationAuthority* authority,
                      ciobase::ByteSpan provisioning_secret,
                      ciohost::Adversary* adversary,
@@ -53,7 +54,7 @@ DdaDevice::DdaDevice(ciotee::SharedRegion* region, DdaConfig config,
       config_(config),
       layout_(config),
       fabric_(fabric),
-      endpoint_(fabric->Attach(std::move(name), config.mac)),
+      endpoint_(fabric->Attach(std::move(name), config.mac, ip)),
       authority_(authority),
       provisioning_secret_(provisioning_secret.begin(),
                            provisioning_secret.end()),

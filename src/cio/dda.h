@@ -92,6 +92,7 @@ class DdaDevice {
  public:
   DdaDevice(ciotee::SharedRegion* region, DdaConfig config,
             cionet::Fabric* fabric, std::string name,
+            std::optional<cionet::Ipv4Address> ip,
             const ciotee::AttestationAuthority* authority,
             ciobase::ByteSpan provisioning_secret,
             ciohost::Adversary* adversary,

@@ -197,7 +197,7 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
   switch (config_.profile) {
     case StackProfile::kSyscallL5: {
       host_port_ = std::make_unique<ObservedPort>(
-          std::make_unique<cionet::DirectFabricPort>(fabric, name, mac),
+          std::make_unique<cionet::DirectFabricPort>(fabric, name, mac, ip_),
           &observability_, clock);
       port = host_port_.get();
       break;
@@ -209,7 +209,7 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
       shared_ = std::make_unique<ciotee::SharedRegion>(
           &memory_, layout.TotalSize(), name + "-virtio");
       virtio_device_ = std::make_unique<ciovirtio::VirtioNetDevice>(
-          shared_.get(), layout, fabric, name, mac, 1500,
+          shared_.get(), layout, fabric, name, ip_, mac, 1500,
           ciovirtio::kFeatureMac | ciovirtio::kFeatureMtu |
               ciovirtio::kFeatureCsum | ciovirtio::kFeatureVersion1 |
               ciovirtio::kFeatureIndirectDesc,
@@ -251,7 +251,7 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
       device_authority_ = std::make_unique<ciotee::AttestationAuthority>(
           ciobase::BufferFromString(kPlatformKey));
       dda_device_ = std::make_unique<DdaDevice>(
-          shared_.get(), dda_config, fabric, name, device_authority_.get(),
+          shared_.get(), dda_config, fabric, name, ip_, device_authority_.get(),
           ciobase::BufferFromString(kProvisioning), &adversary_,
           &observability_, clock);
       dda_transport_ = std::make_unique<DdaTransport>(
@@ -277,9 +277,9 @@ ConfidentialNode::ConfidentialNode(cionet::Fabric* fabric,
       L2Layout layout(l2_config);
       shared_ = std::make_unique<ciotee::SharedRegion>(&memory_, layout.total,
                                                        name + "-l2");
-      l2_device_ = std::make_unique<L2HostDevice>(shared_.get(), l2_config,
-                                                  fabric, name, &adversary_,
-                                                  &observability_, clock);
+      l2_device_ = std::make_unique<L2HostDevice>(
+          shared_.get(), l2_config, fabric, name, ip_, &adversary_,
+          &observability_, clock);
       l2_transport_ = std::make_unique<L2Transport>(
           shared_.get(), l2_config, &costs_, l2_device_.get(),
           config_.recovery, [device = l2_device_.get()] { device->Poll(); });

@@ -4,14 +4,16 @@ namespace cio {
 
 L2HostDevice::L2HostDevice(ciotee::SharedRegion* region,
                            const L2Config& config, cionet::Fabric* fabric,
-                           std::string name, ciohost::Adversary* adversary,
+                           std::string name,
+                           std::optional<cionet::Ipv4Address> ip,
+                           ciohost::Adversary* adversary,
                            ciohost::ObservabilityLog* observability,
                            ciobase::SimClock* clock)
     : region_(region),
       config_(config),
       layout_(config),
       fabric_(fabric),
-      endpoint_(fabric->Attach(std::move(name), config.mac)),
+      endpoint_(fabric->Attach(std::move(name), config.mac, ip)),
       adversary_(adversary),
       observability_(observability),
       clock_(clock) {}

@@ -26,6 +26,7 @@ class L2HostDevice final : public ciovirtio::KickTarget {
  public:
   L2HostDevice(ciotee::SharedRegion* region, const L2Config& config,
                cionet::Fabric* fabric, std::string name,
+               std::optional<cionet::Ipv4Address> ip,
                ciohost::Adversary* adversary,
                ciohost::ObservabilityLog* observability,
                ciobase::SimClock* clock);

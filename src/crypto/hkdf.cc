@@ -1,5 +1,6 @@
 #include "src/crypto/hkdf.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ciocrypto {
@@ -39,15 +40,16 @@ ciobase::Buffer HkdfExpandLabel(ciobase::ByteSpan secret,
                                 std::string_view label,
                                 ciobase::ByteSpan context, size_t length) {
   // struct { uint16 length; opaque label<7..255>; opaque context<0..255>; }
-  ciobase::Buffer info;
-  info.resize(2);
-  ciobase::StoreBe16(info.data(), static_cast<uint16_t>(length));
-  std::string full_label = "tls13 ";
-  full_label += label;
-  info.push_back(static_cast<uint8_t>(full_label.size()));
-  ciobase::AppendString(info, full_label);
-  info.push_back(static_cast<uint8_t>(context.size()));
-  ciobase::Append(info, context);
+  constexpr std::string_view kPrefix = "tls13 ";
+  const size_t label_size = kPrefix.size() + label.size();
+  ciobase::Buffer info(2 + 1 + label_size + 1 + context.size());
+  uint8_t* p = info.data();
+  ciobase::StoreBe16(p, static_cast<uint16_t>(length));
+  p[2] = static_cast<uint8_t>(label_size);
+  p = std::copy(kPrefix.begin(), kPrefix.end(), p + 3);
+  p = std::copy(label.begin(), label.end(), p);
+  *p++ = static_cast<uint8_t>(context.size());
+  std::copy(context.begin(), context.end(), p);
   return HkdfExpand(secret, info, length);
 }
 

@@ -2,8 +2,26 @@
 
 namespace cionet {
 
-EndpointId Fabric::Attach(std::string name, MacAddress mac) {
-  endpoints_.push_back(Endpoint{std::move(name), mac, {}, true});
+namespace {
+
+// The target address of an ARP request, or nothing for any other frame.
+std::optional<Ipv4Address> ArpRequestTarget(const EthernetHeader& header,
+                                            ciobase::ByteSpan frame) {
+  if (header.ether_type != kEtherTypeArp) {
+    return std::nullopt;
+  }
+  auto arp = ArpPacket::Parse(frame.subspan(kEthernetHeaderSize));
+  if (!arp.ok() || arp->op != kArpOpRequest) {
+    return std::nullopt;
+  }
+  return arp->target_ip;
+}
+
+}  // namespace
+
+EndpointId Fabric::Attach(std::string name, MacAddress mac,
+                          std::optional<Ipv4Address> ip) {
+  endpoints_.push_back(Endpoint{std::move(name), mac, ip, {}, true});
   return EndpointId{static_cast<uint32_t>(endpoints_.size() - 1)};
 }
 
@@ -49,8 +67,19 @@ ciobase::Status Fabric::Inject(EndpointId from, ciobase::ByteSpan frame) {
     return header.status();
   }
   if (header->dst.IsBroadcast()) {
+    // ARP suppression, as a cloud vswitch does it: a request whose target
+    // another attached endpoint is bound to reaches only that endpoint, so
+    // bringing up N nodes delivers O(N) requests rather than O(N^2).
+    std::optional<Ipv4Address> target = ArpRequestTarget(*header, frame);
+    auto other = [&](size_t i) {
+      return i != from.value && endpoints_[i].attached;
+    };
+    bool owned = false;
+    for (size_t i = 0; target && !owned && i < endpoints_.size(); ++i) {
+      owned = other(i) && endpoints_[i].ip == target;
+    }
     for (size_t i = 0; i < endpoints_.size(); ++i) {
-      if (i != from.value && endpoints_[i].attached) {
+      if (other(i) && (!owned || endpoints_[i].ip == target)) {
         Deliver(from, endpoints_[i], frame);
       }
     }

@@ -2,12 +2,15 @@
 // network (see DESIGN.md substitutions). Host-side device backends attach
 // endpoints; frames are routed by destination MAC with configurable
 // latency, loss, and reordering so the TCP stack's retransmission and
-// ordering machinery is actually exercised.
+// ordering machinery is actually exercised. Like a cloud vswitch, the
+// fabric knows the IPv4 address each endpoint's node owns and suppresses
+// ARP: a request for such an address goes to its owner alone.
 
 #ifndef SRC_NET_FABRIC_H_
 #define SRC_NET_FABRIC_H_
 
 #include <deque>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,7 +41,10 @@ class Fabric {
   Fabric(ciobase::SimClock* clock, uint64_t seed, Options options)
       : clock_(clock), rng_(seed), options_(options) {}
 
-  EndpointId Attach(std::string name, MacAddress mac);
+  // `ip` binds the endpoint to the address its node owns; a port no stack
+  // answers for leaves it unset.
+  EndpointId Attach(std::string name, MacAddress mac,
+                    std::optional<Ipv4Address> ip = std::nullopt);
 
   // Removes an endpoint from routing and drops its queued frames. Used for
   // device hot-swap (§3.2: migration by swapping fixed-config devices
@@ -46,7 +52,9 @@ class Fabric {
   void Detach(EndpointId endpoint);
 
   // Routes a frame from `from` to the attached endpoint owning the
-  // destination MAC (or floods on broadcast). Unknown destinations are
+  // destination MAC. A broadcast ARP request goes to every other attached
+  // endpoint bound to its target address; any other broadcast, or a request
+  // no other endpoint is bound for, floods. Unknown destinations are
   // dropped silently, like a real switch without the FDB entry.
   ciobase::Status Inject(EndpointId from, ciobase::ByteSpan frame);
 
@@ -81,6 +89,7 @@ class Fabric {
   struct Endpoint {
     std::string name;
     MacAddress mac;
+    std::optional<Ipv4Address> ip;
     std::deque<PendingFrame> queue;
     bool attached = true;
   };
@@ -102,9 +111,10 @@ class Fabric {
 class DirectFabricPort final : public FramePort {
  public:
   DirectFabricPort(Fabric* fabric, std::string name, MacAddress mac,
+                   std::optional<Ipv4Address> ip = std::nullopt,
                    uint16_t mtu = 1500)
       : fabric_(fabric),
-        endpoint_(fabric->Attach(std::move(name), mac)),
+        endpoint_(fabric->Attach(std::move(name), mac, ip)),
         mac_(mac),
         mtu_(mtu) {}
 

@@ -1,17 +1,17 @@
 #include "src/tls/record.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace ciotls {
 
 ciobase::Buffer FramePlaintextRecord(RecordType type,
                                      ciobase::ByteSpan payload) {
-  ciobase::Buffer out;
-  out.push_back(static_cast<uint8_t>(type));
-  out.resize(kRecordHeaderSize);
+  ciobase::Buffer out(kRecordHeaderSize + payload.size());
+  out[0] = static_cast<uint8_t>(type);
   ciobase::StoreBe16(out.data() + 1, kRecordVersion);
   ciobase::StoreBe16(out.data() + 3, static_cast<uint16_t>(payload.size()));
-  ciobase::Append(out, payload);
+  std::copy(payload.begin(), payload.end(), out.begin() + kRecordHeaderSize);
   return out;
 }
 

@@ -1,5 +1,7 @@
 #include "src/tls/session.h"
 
+#include <algorithm>
+
 #include "src/crypto/hkdf.h"
 #include "src/crypto/hmac.h"
 #include "src/prof/profiler.h"
@@ -85,9 +87,9 @@ ciobase::Buffer TlsSession::FinishedMac(ciobase::ByteSpan base_key) const {
   ciocrypto::Sha256Digest transcript = TranscriptHash();
   ciocrypto::Sha256Digest mac =
       ciocrypto::HmacSha256::Mac(base_key, transcript);
-  ciobase::Buffer out;
-  out.push_back(kMsgFinished);
-  ciobase::Append(out, mac);
+  ciobase::Buffer out(1 + mac.size());
+  out[0] = kMsgFinished;
+  std::copy(mac.begin(), mac.end(), out.begin() + 1);
   return out;
 }
 

@@ -23,6 +23,7 @@ VirtioNetLayout VirtioNetLayout::Make(uint16_t queue_size,
 VirtioNetDevice::VirtioNetDevice(ciotee::SharedRegion* region,
                                  VirtioNetLayout layout,
                                  cionet::Fabric* fabric, std::string name,
+                                 std::optional<cionet::Ipv4Address> ip,
                                  cionet::MacAddress mac, uint16_t mtu,
                                  uint64_t offered_features,
                                  ciohost::Adversary* adversary,
@@ -33,7 +34,7 @@ VirtioNetDevice::VirtioNetDevice(ciotee::SharedRegion* region,
       tx_(region, layout.tx, adversary),
       rx_(region, layout.rx, adversary),
       fabric_(fabric),
-      endpoint_(fabric->Attach(std::move(name), mac)),
+      endpoint_(fabric->Attach(std::move(name), mac, ip)),
       mac_(mac),
       offered_features_(offered_features),
       adversary_(adversary),

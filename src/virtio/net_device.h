@@ -48,6 +48,7 @@ class VirtioNetDevice final : public KickTarget {
  public:
   VirtioNetDevice(ciotee::SharedRegion* region, VirtioNetLayout layout,
                   cionet::Fabric* fabric, std::string name,
+                  std::optional<cionet::Ipv4Address> ip,
                   cionet::MacAddress mac, uint16_t mtu,
                   uint64_t offered_features, ciohost::Adversary* adversary,
                   ciohost::ObservabilityLog* observability,

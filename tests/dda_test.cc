@@ -40,9 +40,9 @@ struct DdaWorld {
     DdaLayout layout(config);
     shared = std::make_unique<ciotee::SharedRegion>(&memory, layout.total,
                                                     "dda");
-    device = std::make_unique<DdaDevice>(shared.get(), config, &fabric,
-                                         "dda-nic", &authority, secret,
-                                         &adversary, &observability, &clock);
+    device = std::make_unique<DdaDevice>(
+        shared.get(), config, &fabric, "dda-nic", std::nullopt, &authority,
+        secret, &adversary, &observability, &clock);
     transport = std::make_unique<DdaTransport>(shared.get(), config,
                                                device.get(), &costs,
                                                &authority, 77);

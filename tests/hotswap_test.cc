@@ -60,7 +60,8 @@ struct L2Instance {
     shared = std::make_unique<ciotee::SharedRegion>(&memory, layout.total,
                                                     name);
     device = std::make_unique<L2HostDevice>(shared.get(), config, fabric,
-                                            name, nullptr, nullptr, clock);
+                                            name, std::nullopt, nullptr,
+                                            nullptr, clock);
     transport = std::make_unique<L2Transport>(shared.get(), config, costs,
                                               nullptr);
   }

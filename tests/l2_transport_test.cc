@@ -43,7 +43,7 @@ struct World {
     shared = std::make_unique<ciotee::SharedRegion>(&memory, layout.total,
                                                     "l2");
     device = std::make_unique<L2HostDevice>(shared.get(), config, &fabric,
-                                            "nic", &adversary,
+                                            "nic", std::nullopt, &adversary,
                                             &observability, &clock);
     std::function<void()> host_poll;
     if (hook_host_poll) {

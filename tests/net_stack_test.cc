@@ -1,11 +1,12 @@
 // Integration tests for the NetStack beyond TCP: UDP datagrams, ARP
 // resolution through the stack, IP fragmentation of large UDP payloads,
-// fabric loss behavior for datagrams, port allocation, and the stack's
-// defensive counters against malformed input.
+// fabric loss behavior for datagrams and its ARP suppression, port
+// allocation, and the stack's defensive counters against malformed input.
 
 #include <gtest/gtest.h>
 
 #include "src/base/rng.h"
+#include "src/net/arp.h"
 #include "src/net/stack.h"
 #include "tests/net_testing.h"
 
@@ -231,6 +232,64 @@ TEST(Fabric, BroadcastFloodsAllOthers) {
   EXPECT_TRUE(cionet::ReceiveOne(b).ok());
   EXPECT_TRUE(cionet::ReceiveOne(c).ok());
   EXPECT_FALSE(cionet::ReceiveOne(a).ok());  // not echoed to the sender
+}
+
+cionet::Ipv4Address HostIp(uint8_t host) {
+  return cionet::Ipv4Address::FromOctets(10, 0, 0, host);
+}
+
+// Three ports on one lossless segment, bound to 10.0.0.1, .2 and .3.
+struct ArpSegment {
+  ciobase::SimClock clock;
+  cionet::Fabric fabric{&clock, 1, cionet::Fabric::Options{0, 0, 0, 9216}};
+  cionet::DirectFabricPort a{&fabric, "a", cionet::MacAddress::FromId(1),
+                             HostIp(1)};
+  cionet::DirectFabricPort b{&fabric, "b", cionet::MacAddress::FromId(2),
+                             HostIp(2)};
+  cionet::DirectFabricPort c{&fabric, "c", cionet::MacAddress::FromId(3),
+                             HostIp(3)};
+
+  // a's broadcast ARP request for `target`.
+  Buffer RequestFromA(cionet::Ipv4Address target) {
+    return cionet::ArpCache(&clock, a.mac(), HostIp(1))
+        .MakeRequestFrame(target);
+  }
+};
+
+TEST(Fabric, ArpRequestReachesOnlyTheEndpointBoundToItsTarget) {
+  ArpSegment segment;
+  ASSERT_TRUE(cionet::SendOne(segment.a, segment.RequestFromA(HostIp(3))).ok());
+  EXPECT_TRUE(cionet::ReceiveOne(segment.c).ok());
+  EXPECT_FALSE(cionet::ReceiveOne(segment.b).ok());
+  EXPECT_FALSE(cionet::ReceiveOne(segment.a).ok());
+  EXPECT_EQ(segment.fabric.stats().frames_routed, 1u);
+}
+
+TEST(Fabric, ArpRequestForAnUnboundAddressFloods) {
+  ArpSegment segment;
+  // No endpoint is bound to .9, and only the sender is bound to .1.
+  for (uint8_t target : {9, 1}) {
+    ASSERT_TRUE(
+        cionet::SendOne(segment.a, segment.RequestFromA(HostIp(target))).ok());
+    EXPECT_TRUE(cionet::ReceiveOne(segment.b).ok()) << int{target};
+    EXPECT_TRUE(cionet::ReceiveOne(segment.c).ok()) << int{target};
+    EXPECT_FALSE(cionet::ReceiveOne(segment.a).ok()) << int{target};
+  }
+}
+
+TEST(Fabric, HotSwappedEndpointReceivesTheRequestsForItsAddress) {
+  ArpSegment segment;
+  segment.fabric.Detach(segment.c.endpoint());
+  // Detached, c no longer owns .3: a request for it floods to b.
+  ASSERT_TRUE(cionet::SendOne(segment.a, segment.RequestFromA(HostIp(3))).ok());
+  EXPECT_TRUE(cionet::ReceiveOne(segment.b).ok());
+  cionet::DirectFabricPort replacement(&segment.fabric, "c2",
+                                       cionet::MacAddress::FromId(3),
+                                       HostIp(3));
+  ASSERT_TRUE(cionet::SendOne(segment.a, segment.RequestFromA(HostIp(3))).ok());
+  EXPECT_TRUE(cionet::ReceiveOne(replacement).ok());
+  EXPECT_FALSE(cionet::ReceiveOne(segment.b).ok());
+  EXPECT_FALSE(cionet::ReceiveOne(segment.c).ok());
 }
 
 TEST(TcpStack, ListenerBacklogOverflowRefusesTypedAndCounts) {

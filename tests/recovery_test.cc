@@ -141,8 +141,8 @@ struct L2World {
     shared = std::make_unique<ciotee::SharedRegion>(&memory, layout.total,
                                                     "l2");
     device = std::make_unique<L2HostDevice>(shared.get(), config, &fabric,
-                                            "nic", &adversary, &observability,
-                                            &clock);
+                                            "nic", std::nullopt, &adversary,
+                                            &observability, &clock);
     transport = std::make_unique<L2Transport>(shared.get(), config, &costs,
                                               nullptr, recovery);
     peer = std::make_unique<cionet::DirectFabricPort>(
@@ -280,8 +280,8 @@ struct VirtioWorld {
 
   explicit VirtioWorld(const ciobase::RecoveryConfig& recovery) {
     device = std::make_unique<ciovirtio::VirtioNetDevice>(
-        &shared, layout, &fabric, "virtio-nic", cionet::MacAddress::FromId(1),
-        1500,
+        &shared, layout, &fabric, "virtio-nic", std::nullopt,
+        cionet::MacAddress::FromId(1), 1500,
         ciovirtio::kFeatureMac | ciovirtio::kFeatureMtu |
             ciovirtio::kFeatureCsum | ciovirtio::kFeatureVersion1,
         &adversary, &observability, &clock);

@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,17 @@ using namespace cioserve;  // NOLINT: test file
 std::string ToString(const Buffer& buffer) {
   return std::string(reinterpret_cast<const char*>(buffer.data()),
                      buffer.size());
+}
+
+// Message `message` of client `client`, as "c<client> m<message>". Built
+// by appending: GCC 12 at -O3 reports a false -Wrestrict on
+// `"c" + std::to_string(client)`.
+std::string Tag(size_t client, size_t message) {
+  std::string tag = "c";
+  tag += std::to_string(client);
+  tag += " m";
+  tag += std::to_string(message);
+  return tag;
 }
 
 // Frames a dual-boundary node published to its L2 TX ring that the host
@@ -496,6 +508,41 @@ TEST(Server, ClientQueueRegionIsMostlyNeverTouched) {
       << resident << " of " << region.size() << " B resident";
 }
 
+// --- Fleet bring-up ---------------------------------------------------------
+
+TEST(Server, BringUpHandsEachClientOnlyTheServersArpReply) {
+  // Every client ARPs once for the server. The fabric hands each request to
+  // the server alone, so the clients receive the server's 16 replies and
+  // none of each other's requests (flooded, they would add 16 x 15).
+  MultiClientWorld::Options options;
+  options.num_clients = 16;
+  MultiClientWorld world(options);
+  world.fabric->EnableCapture(true);
+  ASSERT_TRUE(world.EstablishAll());
+  const cionet::MacAddress server_mac = cionet::MacAddress::FromId(1);
+  std::optional<cionet::EndpointId> server;
+  size_t arp_to_server = 0;
+  size_t arp_to_clients = 0;
+  for (const cionet::Fabric::CapturedFrame& captured :
+       world.fabric->capture()) {
+    auto eth = cionet::EthernetHeader::Parse(captured.frame);
+    ASSERT_TRUE(eth.ok());
+    if (eth->src == server_mac) {
+      server = captured.from;
+    }
+  }
+  ASSERT_TRUE(server.has_value());
+  for (const cionet::Fabric::CapturedFrame& captured :
+       world.fabric->capture()) {
+    if (cionet::EthernetHeader::Parse(captured.frame)->ether_type ==
+        cionet::kEtherTypeArp) {
+      ++(captured.to == *server ? arp_to_server : arp_to_clients);
+    }
+  }
+  EXPECT_EQ(arp_to_server, 16u);
+  EXPECT_EQ(arp_to_clients, 16u);
+}
+
 // --- Round cost -------------------------------------------------------------
 
 TEST(Server, IdleRoundCostDoesNotGrowWithClientCount) {
@@ -686,8 +733,7 @@ TEST(Server, FaultWindowWithEightClientsMidTransferZeroLost) {
         if (!echo.ok()) {
           break;
         }
-        std::string expect =
-            "c" + std::to_string(i) + " m" + std::to_string(echoed[i]);
+        std::string expect = Tag(i, echoed[i]);
         ordered[i] = ordered[i] && ToString(*echo) == expect;
         ++echoed[i];
       }
@@ -699,8 +745,7 @@ TEST(Server, FaultWindowWithEightClientsMidTransferZeroLost) {
     for (int m = 0; m < count; ++m) {
       for (size_t i = 0; i < world.clients.size(); ++i) {
         for (int round = 0; round < 60000; ++round) {
-          std::string payload =
-              "c" + std::to_string(i) + " m" + std::to_string(sent[i]);
+          std::string payload = Tag(i, sent[i]);
           if (world.clients[i]->Ready() &&
               world.clients[i]->SendMessage(BufferFromString(payload)).ok()) {
             ++sent[i];
@@ -737,8 +782,7 @@ TEST(Server, FaultWindowWithEightClientsMidTransferZeroLost) {
             if (!echo.ok()) {
               break;
             }
-            std::string expect =
-                "c" + std::to_string(i) + " m" + std::to_string(echoed[i]);
+            std::string expect = Tag(i, echoed[i]);
             ordered[i] = ordered[i] && ToString(*echo) == expect;
             ++echoed[i];
           }

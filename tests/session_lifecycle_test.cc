@@ -37,6 +37,17 @@ using ciobase::StatusCode;
 using cio::StackProfile;
 using namespace cioserve;  // NOLINT: test file
 
+// Message `message` of client `client`, as "c<client> m<message>". Built
+// by appending: GCC 12 at -O3 reports a false -Wrestrict on
+// `"c" + std::to_string(client)`.
+std::string Tag(size_t client, size_t message) {
+  std::string tag = "c";
+  tag += std::to_string(client);
+  tag += " m";
+  tag += std::to_string(message);
+  return tag;
+}
+
 std::string ToString(const Buffer& buffer) {
   return std::string(reinterpret_cast<const char*>(buffer.data()),
                      buffer.size());
@@ -71,8 +82,7 @@ struct EchoDriver {
           continue;  // rejected probes do not participate
         }
         if (!in_flight[i] && sent[i] < target[i] && client.Ready()) {
-          std::string payload =
-              "c" + std::to_string(i) + " m" + std::to_string(sent[i]);
+          std::string payload = Tag(i, sent[i]);
           if (client.SendMessage(BufferFromString(payload)).ok()) {
             ++sent[i];
             in_flight[i] = true;
@@ -83,8 +93,7 @@ struct EchoDriver {
           if (!echo.ok()) {
             break;
           }
-          std::string expect =
-              "c" + std::to_string(i) + " m" + std::to_string(received[i]);
+          std::string expect = Tag(i, received[i]);
           if (ToString(*echo) != expect) {
             return false;  // out of order / duplicate / corrupt
           }

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -463,12 +464,17 @@ struct DurableWorld : RecoveryWorld {
   // Two root slots, then two homes per table chunk (crypt_client.h).
   uint64_t chunks() const { return (crypt->reserved_blocks() - 2) / 2; }
 
+  // A fixed-size key: GCC 12 at -O3 reports a false -Wstringop-overread
+  // on a std::map keyed by std::vector<uint8_t>.
+  using Nonce = std::array<uint8_t, 12>;
+
   // The nonce `bytes` was sealed under at inner block `lba`: a root stores
   // its synthetic nonce whole in its first 12 bytes; a chunk or data block
   // stores its generation in the first 8, and the last 4 are its chunk
   // index or data LBA.
-  Buffer NonceOf(const RecordingClient::Write& write) const {
-    Buffer nonce(write.bytes.begin(), write.bytes.begin() + 12);
+  Nonce NonceOf(const RecordingClient::Write& write) const {
+    Nonce nonce{};
+    std::copy_n(write.bytes.begin(), nonce.size(), nonce.begin());
     if (write.lba >= 2) {
       uint64_t reserved = crypt->reserved_blocks();
       uint64_t index = write.lba < reserved ? (write.lba - 2) / 2
@@ -481,7 +487,7 @@ struct DurableWorld : RecoveryWorld {
   // The invariant in crypt_client.h: no nonce ever seals two different
   // plaintexts. Two recorded writes under one nonce must be the same bytes.
   void ExpectNoNonceSealsTwoPlaintexts() const {
-    std::map<Buffer, const RecordingClient::Write*> sealed;
+    std::map<Nonce, const RecordingClient::Write*> sealed;
     for (const auto& write : recorder.writes) {
       auto [it, fresh] = sealed.emplace(NonceOf(write), &write);
       EXPECT_TRUE(fresh || it->second->bytes == write.bytes)

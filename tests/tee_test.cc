@@ -156,8 +156,9 @@ TEST(TeeMemory, OobAccessClampedAndRecorded) {
   // Only the in-bounds prefix of the write landed.
   Buffer all(16);
   ASSERT_TRUE(memory.Read(Domain::kGuest, region, 0, all).ok());
-  Buffer expected = Pattern(8, 100);
-  expected.resize(16, 1);
+  Buffer expected(16, 1);
+  const Buffer prefix = Pattern(8, 100);
+  std::copy(prefix.begin(), prefix.end(), expected.begin());
   EXPECT_EQ(all, expected);
   EXPECT_EQ(memory.violations().size(), 2u);
 }

@@ -38,8 +38,8 @@ struct VirtioWorld {
 
   explicit VirtioWorld(HardeningOptions hardening) {
     device = std::make_unique<VirtioNetDevice>(
-        &shared, layout, &fabric, "virtio-nic", cionet::MacAddress::FromId(1),
-        1500,
+        &shared, layout, &fabric, "virtio-nic", std::nullopt,
+        cionet::MacAddress::FromId(1), 1500,
         kFeatureMac | kFeatureMtu | kFeatureCsum | kFeatureVersion1 |
             kFeatureIndirectDesc,
         &adversary, &observability, &clock);

@@ -11,7 +11,8 @@ Usage, from the repository root:
 `git archive` (no checkout, no worktree) into a directory named after its
 commit, or a directory holding a source tree, used as it is. Each side is
 built once, with its own CARGO_TARGET_DIR under the work directory, keyed
-like its source. Every run lasts BENCHMARK.json's run_seconds. The runs
+like its source; the build's output is kept next to it in build.log.
+Every run lasts BENCHMARK.json's run_seconds. The runs
 are interleaved pairs: for every workload and seed, both sides run the
 same seed back to back, the parent first on odd seeds and the change first
 on even ones.
@@ -36,9 +37,12 @@ counts as a loss.
 Above the tables, one line names the CPU features the crypto kernels pick
 from (src/crypto/kernel.h) as present or absent, read from /proc/cpuinfo,
 or unknown where that file cannot be read: a host-time figure means little
-without them. The report also gives failed and attempted operations per
-side, the runs that failed a correctness check, and per workload on how
-many pairs the two
+without them. Below it, report only, each side's build gives the compiler
+warnings it printed and the sources it compiled (a build that reused an
+earlier one compiles none, and its count covers nothing), so a warning that
+only the Release build prints shows in every report. The report also gives
+failed and attempted operations per side, the runs that failed a
+correctness check, and per workload on how many pairs the two
 sides printed byte-identical `sim` blocks (the modeled figures, which a
 change that moves host time only must leave alone), with the first
 differing line of every pair that did not. A last table reports, per
@@ -52,10 +56,10 @@ BENCHMARK.json.
 
 import argparse
 import hashlib
-import importlib.util
 import io
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -104,23 +108,39 @@ def export_side(spec, workdir):
     return tree, commit
 
 
+BUILD_SCRIPT = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("perfbench_run", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+module.build()
+"""
+
+
 def build_side(name, tree, key, workdir):
-    """Builds the side's perfbench once, through its own run.py."""
+    """Builds the side's perfbench once, through its own run.py, keeping
+    everything the build printed in <workdir>/<key>/build.log. Returns
+    (target directory, build log)."""
     target_dir = os.path.join(workdir, key, "target")
-    env_before = os.environ.get("CARGO_TARGET_DIR")
-    os.environ["CARGO_TARGET_DIR"] = target_dir
-    try:
-        spec = importlib.util.spec_from_file_location(
-            f"perfbench_run_{name}", os.path.join(tree, "perfbench", "run.py"))
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        module.build()
-    finally:
-        if env_before is None:
-            del os.environ["CARGO_TARGET_DIR"]
-        else:
-            os.environ["CARGO_TARGET_DIR"] = env_before
-    return target_dir
+    build_log = os.path.join(workdir, key, "build.log")
+    os.makedirs(os.path.dirname(build_log), exist_ok=True)
+    env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
+    with open(build_log, "w") as out:
+        proc = subprocess.run(
+            [sys.executable, "-c", BUILD_SCRIPT,
+             os.path.join(tree, "perfbench", "run.py")],
+            env=env, stdout=out, stderr=subprocess.STDOUT)
+    if proc.returncode != 0:
+        sys.exit(f"building {name} failed; its output is in {build_log}")
+    return target_dir, build_log
+
+
+def build_summary(text):
+    """(compiler warnings, sources compiled) in a build's output."""
+    lines = text.splitlines()
+    return (sum(1 for line in lines if ": warning: " in line),
+            sum(1 for line in lines
+                if re.search(r"Building (C|CXX) object ", line)))
 
 
 def run_once(tree, target_dir, workload, seed, seconds):
@@ -316,9 +336,20 @@ def cpu_features(path=CPUINFO):
         for name in CPU_FEATURES)
 
 
-def print_report(runs, workloads, seeds, metrics, cpuinfo=CPUINFO):
+def print_report(runs, workloads, seeds, metrics, cpuinfo=CPUINFO,
+                 builds=None):
+    """`builds` maps each side to (warnings, sources compiled, build log);
+    without it the build table is left out."""
     print(cpu_features(cpuinfo))
     print()
+    if builds:
+        print("| side | compiler warnings, report only | sources compiled | "
+              "build log |")
+        print("|---|---|---|---|")
+        for side in ("parent", "change"):
+            warnings, compiled, build_log = builds[side]
+            print(f"| {side} | {warnings} | {compiled} | {build_log} |")
+        print()
     print(f"| workload | metric | parent median [Q1-Q3] | change median | "
           f"wins/losses/ties | verdict |")
     print("|---|---|---|---|---|---|")
@@ -384,10 +415,16 @@ def main():
     os.makedirs(workdir, exist_ok=True)
 
     sides = {}
+    builds = {}
     for name, side_spec in (("parent", args.parent), ("change", args.change)):
         tree, key = export_side(side_spec, workdir)
         log(f"building {name} ({side_spec}) in {tree}")
-        sides[name] = (tree, build_side(name, tree, key, workdir))
+        target_dir, build_log = build_side(name, tree, key, workdir)
+        sides[name] = (tree, target_dir)
+        with open(build_log, errors="replace") as f:
+            builds[name] = (*build_summary(f.read()), build_log)
+        log(f"built {name}: {builds[name][0]} compiler warnings in "
+            f"{builds[name][1]} sources compiled, output in {build_log}")
 
     runs = []
     for workload in workloads:
@@ -404,7 +441,7 @@ def main():
                           "ok" if result["correct"] else "FAILED check")
                 log(f"{workload} seed {seed} {name}: {status}")
 
-    print_report(runs, workloads, seeds, metrics)
+    print_report(runs, workloads, seeds, metrics, builds=builds)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ Usage, from the repository root:
     python3 tools/ab_perfbench_test.py
 
 No build and no benchmark run: every run below is a hand-written result
-line plus `sim` lines, as run_once returns them.
+line plus `sim` lines, as run_once returns them, and the build log is a
+canned compiler output.
 """
 
 import contextlib
@@ -195,6 +196,40 @@ class CpuFeaturesTest(unittest.TestCase):
         self.assertEqual(line, "cpu features: sha_ni unknown, avx2 unknown, "
                                "avx512f unknown, avx512vl unknown, "
                                "avx512ifma unknown")
+
+
+GCC_LOG = """\
+[ 10%] Building CXX object CMakeFiles/cio.dir/src/crypto/hkdf.cc.o
+In file included from /usr/include/c++/12/vector:64,
+                 from src/crypto/hkdf.cc:1:
+In member function 'void std::vector<_Tp, _Alloc>::_M_realloc_insert()',
+/usr/include/c++/12/bits/stl_algobase.h:431:30: warning: writing 1 byte into \
+a region of size 0 [-Wstringop-overflow=]
+/usr/include/c++/12/bits/new_allocator.h:137:55: note: at offset 1 into \
+destination object of size 1 allocated by 'operator new'
+[ 20%] Building C object CMakeFiles/cio.dir/src/base/clock.c.o
+[ 30%] Building CXX object CMakeFiles/cio.dir/src/tls/record.cc.o
+src/tls/record.cc:14:8: warning: array subscript 5 is outside array bounds \
+[-Warray-bounds]
+[100%] Built target perfbench
+"""
+
+
+class BuildTest(unittest.TestCase):
+    def test_counts_warnings_and_compiled_sources(self):
+        self.assertEqual(ab.build_summary(GCC_LOG), (2, 3))
+        self.assertEqual(ab.build_summary("[100%] Built target perfbench\n"),
+                         (0, 0))
+
+    def test_report_prints_each_sides_build(self):
+        builds = {"parent": (*ab.build_summary(GCC_LOG), "p/build.log"),
+                  "change": (0, 3, "c/build.log")}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            ab.print_report(pairs_of(PARENT, PARENT), ["w"], SEEDS, [RSS],
+                            builds=builds)
+        self.assertIn("| parent | 2 | 3 | p/build.log |\n"
+                      "| change | 0 | 3 | c/build.log |\n", out.getvalue())
 
 
 if __name__ == "__main__":
