@@ -72,6 +72,14 @@ struct Row {
   double finished_first_ms = 0.0;
   double finished_last_ms = 0.0;
   size_t reconnected = 0;  // clients whose channel died and came back
+  // Profiled runs: when the profile window opened (the load schedule's
+  // start) and how many L2 frames the server had received when
+  // EstablishAll returned, when the window opened, and by the end of the
+  // run (dual-boundary only; 0 without an L2 ring).
+  double profile_start_us = 0.0;
+  uint64_t established_l2_rx = 0;
+  uint64_t profile_start_l2_rx = 0;
+  uint64_t l2_rx_total = 0;
 
   bool Ok() const {
     return established && completed && zero_lost && admission_orderly &&
@@ -90,8 +98,9 @@ double Percentile(std::vector<double>& sorted_us, double q) {
 
 // The 64-client open-loop echo run (through the fault matrix when
 // `row.faults`). When `prof` is non-null it is attached to the server node
-// and reset after establishment, so the profile covers the steady-state
-// load (including any fault matrix) and none of the handshake storm.
+// and reset when the load schedule starts, so the profile covers the
+// steady-state load (including any fault matrix) and none of the handshake
+// storm, whose last frames are still in flight when EstablishAll returns.
 void RunLoadPoint(Row& row, cioprof::ProfRegistry* prof = nullptr) {
   const StackProfile profile = row.kind;
   MultiClientWorld::Options options;
@@ -106,9 +115,11 @@ void RunLoadPoint(Row& row, cioprof::ProfRegistry* prof = nullptr) {
     return;
   }
   row.established = true;
-  if (prof != nullptr) {
-    prof->Reset();
-  }
+  const cio::L2Transport* server_l2 = world.server_node->l2_transport();
+  auto l2_received = [&] {
+    return server_l2 != nullptr ? server_l2->stats().frames_received : 0;
+  };
+  row.established_l2_rx = l2_received();
 
   // Deterministic open-loop schedule: client i's m-th request is DUE at
   // start + i*stagger + m*interval, no matter what the server or the host
@@ -132,6 +143,7 @@ void RunLoadPoint(Row& row, cioprof::ProfRegistry* prof = nullptr) {
       start_ns + kMessagesPerClient / 3 * kArrivalIntervalNs;
   bool fault1_armed = with_faults;
   bool fault2_armed = with_faults;
+  bool prof_armed = prof != nullptr;
 
   auto all_done = [&] {
     for (size_t i = 0; i < kClients; ++i) {
@@ -145,6 +157,12 @@ void RunLoadPoint(Row& row, cioprof::ProfRegistry* prof = nullptr) {
 
   for (int round = 0; round < 400000 && !all_done(); ++round) {
     uint64_t now = world.clock.now_ns();
+    if (prof_armed && now >= start_ns) {
+      prof_armed = false;
+      prof->Reset();
+      row.profile_start_us = static_cast<double>(now) / 1e3;
+      row.profile_start_l2_rx = l2_received();
+    }
     if (fault1_armed && now >= fault1_ns) {
       fault1_armed = false;
       world.server_node->adversary().InjectFault(
@@ -189,6 +207,7 @@ void RunLoadPoint(Row& row, cioprof::ProfRegistry* prof = nullptr) {
   }
 
   row.completed = all_done();
+  row.l2_rx_total = l2_received();
   uint64_t lost = 0;
   for (auto& client : world.clients) {
     lost += client->recovery_stats().messages_lost;
@@ -374,6 +393,13 @@ int main(int argc, char** argv) {
         std::printf("\n-- dual-boundary server flame (%s) --\n",
                     row.faults ? "through the fault matrix"
                                : "fault-free steady-state load");
+        std::printf("profile window from %.1f us: %llu of the run's %llu "
+                    "server L2 frames received before it (%llu when "
+                    "EstablishAll returned)\n",
+                    row.profile_start_us,
+                    static_cast<unsigned long long>(row.profile_start_l2_rx),
+                    static_cast<unsigned long long>(row.l2_rx_total),
+                    static_cast<unsigned long long>(row.established_l2_rx));
         std::printf("%s\n", prof.ToFlameSummary().c_str());
         if (prof.unattributed_pct() >= 10.0) {
           std::printf("profile attribution gate FAILED: "

@@ -44,8 +44,9 @@ struct RecoveryConfig {
   uint32_t max_resets = 8;
 
   // How many sent-but-unacknowledged application messages the engine keeps
-  // for replay after a TLS re-establishment. Messages evicted from a full
-  // window are counted as lost, never silently dropped.
+  // for replay after a TLS re-establishment. A full window refuses new
+  // sends (kResourceExhausted) until the peer acknowledges; nothing is
+  // evicted.
   size_t resend_window = 64;
 
   // TLS/TCP reconnect attempts before the node declares itself failed.

@@ -248,9 +248,10 @@ RecoveryCell RunRecoveryCell(StackProfile profile,
       received_at_victim.push_back(*m);
     }
   };
-  // Offers one message, retrying while the node is mid-recovery. A message
-  // counts as attempted only once SendMessage accepted it (the engine then
-  // owns exactly-once-or-counted-lost delivery for it).
+  // Offers one message, retrying while the node is mid-recovery or its
+  // resend window is full. A message counts as attempted only once
+  // SendMessage accepted it (the engine then owns its exactly-once
+  // delivery).
   auto offer = [&](ConfidentialNode& from, std::vector<ciobase::Buffer>& log) {
     ciobase::Buffer message = rng.Bytes(options.message_size);
     for (int round = 0; round < options.send_retry_rounds; ++round) {
@@ -267,14 +268,11 @@ RecoveryCell RunRecoveryCell(StackProfile profile,
     ++refused;
     return false;
   };
-  // All accepted messages accounted for: delivered at the far end or counted
-  // as a sequence gap (lost) by the receiving engine.
+  // Every accepted message delivered at the far end: nothing leaves a
+  // resend window unacknowledged, so none may be missing.
   auto accounted = [&] {
-    return received_at_peer.size() + peer.recovery_stats().messages_lost ==
-               sent_to_peer.size() &&
-           received_at_victim.size() +
-                   victim.recovery_stats().messages_lost ==
-               sent_to_victim.size();
+    return received_at_peer.size() == sent_to_peer.size() &&
+           received_at_victim.size() == sent_to_victim.size();
   };
   auto settle = [&](int budget) {
     for (int round = 0; round < budget; ++round) {

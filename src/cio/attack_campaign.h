@@ -93,14 +93,16 @@ struct RecoveryCell {
   StackProfile profile;
   ciohost::FaultStrategy fault;
   // Did the node come back: link re-ready, nobody terminally failed, and
-  // every accepted message accounted for (delivered or counted lost) within
-  // the round budget after the fault window closed.
+  // every accepted message delivered within the round budget after the
+  // fault window closed.
   bool recovered = false;
   uint64_t time_to_recovery_ns = 0;  // fault injection -> full catch-up
   // Message accounting, both directions summed. "Lost" is the engines'
-  // receive-side sequence-gap count (messages that fell out of the peer's
-  // resend window across a reconnect); exactly-once delivery means
-  // delivered + lost == attempted and duplicates were dropped, not re-read.
+  // count of messages skipped by a sequence gap, which the session refuses
+  // as kTampered (nothing leaves a resend window unacknowledged), so it
+  // reads 0; exactly-once delivery means delivered == attempted and
+  // duplicates (replays of what the peer had already delivered) were
+  // dropped, not re-read.
   size_t messages_attempted = 0;
   size_t messages_delivered = 0;
   uint64_t messages_lost = 0;

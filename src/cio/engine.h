@@ -101,11 +101,12 @@ class ConfidentialNode {
 
   // --- Application data ---------------------------------------------------------
 
-  // Messages are sequence-numbered on the wire ([len u32][seq u64][payload])
-  // so that after a link reset + TLS re-establishment the resend window can
-  // replay unacknowledged messages and the receiver can drop duplicates:
-  // every message is delivered exactly once, or counted in
-  // recovery_stats().messages_lost. (See cio::Session for the machinery.)
+  // Messages are sequence-numbered and acknowledged on the wire
+  // ([len u32][seq u64][ack u64][payload]) so that after a link reset + TLS
+  // re-establishment the resend window can replay what the peer had not
+  // acknowledged and the receiver can drop duplicates: every message is
+  // delivered exactly once. kResourceExhausted while the window is full of
+  // unacknowledged messages; retry after a Poll(). (See cio::Session.)
   // On the L5 channel the first SendMessage after each Poll() rings the
   // doorbell at once; the ones after it leave with the next Poll().
   ciobase::Status SendMessage(ciobase::ByteSpan message);
@@ -152,16 +153,16 @@ class ConfidentialNode {
   }
   const Session& session() const { return *conn_.session; }
 
-  // Link-recovery bookkeeping (PR 2): what the node survived and what it
-  // cost. `messages_lost` counts receive-side sequence gaps — messages a
-  // peer sent that fell out of its resend window across a reconnect.
+  // Link-recovery bookkeeping: what the node survived and what it cost.
+  // `messages_lost` counts messages skipped by a receive-side sequence gap,
+  // which the session refuses as kTampered: on an honest link it stays 0.
   struct RecoveryStats {
     uint64_t link_errors = 0;       // transport/TCP faults seen by the engine
     uint64_t reconnects = 0;        // TCP re-establishments attempted
     uint64_t tls_restarts = 0;      // fresh TLS sessions after a fault
     uint64_t messages_resent = 0;   // replayed from the resend window
     uint64_t messages_duplicate_dropped = 0;  // dedup'd by sequence number
-    uint64_t messages_lost = 0;     // receive-side sequence gaps
+    uint64_t messages_lost = 0;     // skipped by refused sequence gaps
     uint64_t last_fault_ns = 0;     // when the engine last saw a fault
     uint64_t last_recovery_ns = 0;  // when the channel was last re-ready
   };

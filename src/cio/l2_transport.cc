@@ -424,10 +424,16 @@ std::vector<ciohost::SurfaceField> L2Transport::AttackSurface() const {
   std::vector<SurfaceField> surface;
   surface.push_back({FieldKind::kIndex, layout_.RxProduced(), 8});
   surface.push_back({FieldKind::kIndex, layout_.TxConsumed(), 8});
-  // First few RX slot headers: length + offset fields.
+  // First few RX slot headers: the length field, and the offset field where
+  // the receive path reads one. An inline slot's second word is reserved:
+  // its payload follows the header, so no offset is ever fetched.
+  const bool reads_offset =
+      config_.positioning != DataPositioning::kInline;
   for (uint64_t i = 0; i < std::min<uint64_t>(layout_.slots, 4); ++i) {
     surface.push_back({FieldKind::kLength, layout_.RxSlot(i), 4});
-    surface.push_back({FieldKind::kOffset, layout_.RxSlot(i) + 4, 4});
+    if (reads_offset) {
+      surface.push_back({FieldKind::kOffset, layout_.RxSlot(i) + 4, 4});
+    }
   }
   // Payload bytes where this positioning's receive path reads them: the RX
   // slots themselves when frames ride inline, the RX pool otherwise.

@@ -14,6 +14,12 @@ constexpr uint32_t kFlagUseTls = 1u << 0;
 constexpr uint32_t kMaxRestorePsk = 4096;
 constexpr uint32_t kMaxRestoreEntries = 65536;
 
+// Frame header fields after `len`: seq u64 and ack u64, counted in len.
+constexpr uint32_t kSeqAckBytes = 16;
+constexpr uint32_t kMaxFrameLen = 1u << 24;
+// Top bit of `len`: the sender asks for a standalone ack.
+constexpr uint32_t kAckRequestFlag = 1u << 31;
+
 // Bounds-checked little-endian cursor over an untrusted blob. All getters
 // return false once any read would run past the end; the caller maps that
 // to one typed kTampered.
@@ -103,22 +109,47 @@ void Session::PumpTls() {
   ciobase::Append(outbound_, out);
 }
 
+bool Session::TakeAckRequest() {
+  if (resend_cap_ == 0 || ack_request_outstanding_ ||
+      2 * resend_window_.size() < resend_cap_) {
+    return false;
+  }
+  ack_request_outstanding_ = true;
+  return true;
+}
+
 ciobase::Status Session::FrameAndQueue(uint64_t seq,
+                                       std::optional<CtrlType> ctrl,
                                        ciobase::ByteSpan payload) {
-  // Wire framing: [len u32][seq u64][payload], len covering seq + payload.
-  ciobase::Buffer framed;
-  framed.resize(12);
-  ciobase::StoreLe32(framed.data(), static_cast<uint32_t>(8 + payload.size()));
-  ciobase::StoreLe64(framed.data() + 4, seq);
-  ciobase::Append(framed, payload);
+  if (use_tls_ && tls_ == nullptr) {
+    return ciobase::FailedPrecondition("no session");
+  }
+  // Wire framing: [len u32][seq u64][ack u64][ctrl u8, control frames
+  // only][payload], len covering everything after itself. A kAck never
+  // asks for one back.
+  uint32_t len = static_cast<uint32_t>(kSeqAckBytes + ctrl.has_value() +
+                                       payload.size());
+  if (ctrl != CtrlType::kAck && TakeAckRequest()) {
+    len |= kAckRequestFlag;
+  }
+  // Plaintext frames go straight to the transport queue; a TLS frame is
+  // built in the reused frame_tx_ and sealed from there into outbound_.
+  ciobase::Buffer& frame = use_tls_ ? frame_tx_ : outbound_;
   if (use_tls_) {
-    if (tls_ == nullptr) {
-      return ciobase::FailedPrecondition("no session");
-    }
-    CIO_RETURN_IF_ERROR(tls_->WriteMessage(framed));
-    PumpTls();
-  } else {
-    ciobase::Append(outbound_, framed);
+    frame.clear();
+  }
+  const size_t at = frame.size();
+  frame.resize(at + kFrameHeaderBytes);
+  ciobase::StoreLe32(frame.data() + at, len);
+  ciobase::StoreLe64(frame.data() + at + 4, seq);
+  ciobase::StoreLe64(frame.data() + at + 12, last_delivered_seq_);
+  if (ctrl.has_value()) {
+    frame.push_back(static_cast<uint8_t>(*ctrl));
+  }
+  ciobase::Append(frame, payload);
+  if (use_tls_) {
+    PumpTls();  // queued handshake or KeyUpdate records leave first
+    CIO_RETURN_IF_ERROR(tls_->WriteMessage(frame_tx_, outbound_));
   }
   return ciobase::OkStatus();
 }
@@ -127,13 +158,21 @@ ciobase::Status Session::Send(ciobase::ByteSpan payload) {
   if (!Established()) {
     return ciobase::FailedPrecondition("channel not established");
   }
+  if (resend_cap_ != 0 && resend_window_.size() >= resend_cap_) {
+    // Backpressure, not eviction: every message in the window is one the
+    // peer has not acknowledged, and a reconnect may still need it.
+    return ciobase::ResourceExhausted("resend window full");
+  }
   CIO_PROF_SCOPE(prof_, "session.seal");
   if (payload.size() > kMaxMessageBytes) {
     return ciobase::InvalidArgument("message too large");
   }
   uint64_t seq = next_send_seq_++;
-  PushResendWindow(seq, payload);
-  CIO_RETURN_IF_ERROR(FrameAndQueue(seq, payload));
+  if (resend_cap_ != 0) {
+    resend_window_.emplace_back(
+        seq, ciobase::Buffer(payload.begin(), payload.end()));
+  }
+  CIO_RETURN_IF_ERROR(FrameAndQueue(seq, std::nullopt, payload));
   ++stats_.messages_sent;
   NoteSealed(payload.size());
   return ciobase::OkStatus();
@@ -146,13 +185,9 @@ ciobase::Status Session::SendControl(CtrlType type, ciobase::ByteSpan body) {
   if (body.size() + 1 > kMaxMessageBytes) {
     return ciobase::InvalidArgument("control body too large");
   }
-  ciobase::Buffer payload;
-  payload.reserve(1 + body.size());
-  payload.push_back(static_cast<uint8_t>(type));
-  ciobase::Append(payload, body);
   // Sequence zero: the receive side routes it to the control inbox without
   // touching the dedup state, and it is never resend-window tracked.
-  CIO_RETURN_IF_ERROR(FrameAndQueue(0, payload));
+  CIO_RETURN_IF_ERROR(FrameAndQueue(0, type, body));
   ++stats_.control_sent;
   return ciobase::OkStatus();
 }
@@ -191,19 +226,6 @@ void Session::NoteSealed(size_t payload_bytes) {
   }
 }
 
-void Session::PushResendWindow(uint64_t seq, ciobase::ByteSpan payload) {
-  if (resend_cap_ == 0) {
-    return;
-  }
-  resend_window_.emplace_back(seq,
-                              ciobase::Buffer(payload.begin(), payload.end()));
-  if (resend_window_.size() > resend_cap_) {
-    // Evicted before any reconnect could replay it: if a fault hits, the
-    // receiver will see the sequence gap and count the loss.
-    resend_window_.pop_front();
-  }
-}
-
 ciobase::Result<ciobase::Buffer> Session::Receive() {
   if (inbox_.empty()) {
     return ciobase::Unavailable("no message");
@@ -239,44 +261,78 @@ ciobase::Status Session::Ingest(ciobase::ByteSpan bytes) {
   } else {
     ciobase::Append(frame_rx_, bytes);
   }
-  return ParseFrames();
+  bool ack_requested = false;
+  CIO_RETURN_IF_ERROR(ParseFrames(ack_requested));
+  if (ack_requested) {
+    // One standalone ack answers every request this batch carried.
+    CIO_RETURN_IF_ERROR(FrameAndQueue(0, CtrlType::kAck, {}));
+    ++stats_.acks_sent;
+  }
+  return ciobase::OkStatus();
 }
 
-ciobase::Status Session::ParseFrames() {
+ciobase::Status Session::ApplyAck(uint64_t ack) {
+  if (ack >= next_send_seq_) {
+    return ciobase::Tampered("ack of a message never sent");
+  }
+  if (ack < acked_seq_) {
+    // Within one session the peer's delivered count only grows, across
+    // reattach and migration too: a smaller ack means the peer lost the
+    // session, and its fresh sequence numbers would read as duplicates.
+    return ciobase::Tampered("ack went backwards");
+  }
+  acked_seq_ = ack;
+  while (!resend_window_.empty() && resend_window_.front().first <= ack) {
+    resend_window_.pop_front();
+  }
+  return ciobase::OkStatus();
+}
+
+ciobase::Status Session::ParseFrames(bool& ack_requested) {
   // Reassemble length-framed, sequence-numbered application messages (both
   // modes frame the stream identically; TLS just protects the framed
   // bytes). The sequence numbers make delivery exactly-once across link
-  // resets: resend-window replays deduplicate here, and gaps (messages that
-  // fell out of the peer's window) are counted lost, never papered over.
+  // resets: replays deduplicate here. Every frame, control frames and
+  // duplicates included, carries the peer's ack, which trims the window.
   while (frame_rx_.size() >= 4) {
-    uint32_t len = ciobase::LoadLe32(frame_rx_.data());
-    if (len < 8 || len > (1u << 24)) {
+    const uint32_t word = ciobase::LoadLe32(frame_rx_.data());
+    const uint32_t len = word & ~kAckRequestFlag;
+    if (len < kSeqAckBytes || len > kMaxFrameLen) {
       return ciobase::Tampered("hostile framing");
     }
     if (frame_rx_.size() < 4 + len) {
       break;
     }
-    uint64_t seq = ciobase::LoadLe64(frame_rx_.data() + 4);
+    const uint64_t seq = ciobase::LoadLe64(frame_rx_.data() + 4);
+    CIO_RETURN_IF_ERROR(ApplyAck(ciobase::LoadLe64(frame_rx_.data() + 12)));
+    const auto body = frame_rx_.begin() + kFrameHeaderBytes;
+    const auto end = frame_rx_.begin() + 4 + len;
     if (seq == 0) {
-      // Control frame: [ctrl u8][body] routed around the dedup state.
-      if (len < 9) {
+      // Control frame: [ctrl u8][body] routed around the dedup state. A
+      // kAck's message was its header.
+      if (len == kSeqAckBytes) {
         return ciobase::Tampered("hostile control framing");
       }
-      control_inbox_.push_back(ControlMessage{
-          frame_rx_[12],
-          ciobase::Buffer(frame_rx_.begin() + 13,
-                          frame_rx_.begin() + 4 + len)});
-      ++stats_.control_received;
+      if (*body == static_cast<uint8_t>(CtrlType::kAck)) {
+        ack_request_outstanding_ = false;  // answered
+      } else {
+        control_inbox_.push_back(
+            ControlMessage{*body, ciobase::Buffer(body + 1, end)});
+        ++stats_.control_received;
+      }
     } else if (seq <= last_delivered_seq_) {
       ++stats_.messages_duplicate_dropped;
+    } else if (seq != last_delivered_seq_ + 1) {
+      // No message leaves a window unacknowledged, so an honest peer
+      // never skips one: the gap is forged.
+      stats_.messages_lost += seq - last_delivered_seq_ - 1;
+      return ciobase::Tampered("sequence gap");
     } else {
-      if (seq != last_delivered_seq_ + 1) {
-        stats_.messages_lost += seq - last_delivered_seq_ - 1;
-      }
       last_delivered_seq_ = seq;
-      inbox_.emplace_back(frame_rx_.begin() + 12, frame_rx_.begin() + 4 + len);
+      inbox_.emplace_back(body, end);
     }
-    frame_rx_.erase(frame_rx_.begin(), frame_rx_.begin() + 4 + len);
+    ack_requested = ack_requested || (word & kAckRequestFlag) != 0;
+    frame_rx_.erase(frame_rx_.begin(), end);
   }
   return ciobase::OkStatus();
 }
@@ -288,11 +344,12 @@ void Session::ResetChannel() {
   // Undelivered control messages die with the transport incarnation that
   // produced them: a challenge or redirect must not outlive its channel.
   control_inbox_.clear();
+  ack_request_outstanding_ = false;  // its answer died with the channel
 }
 
 ciobase::Status Session::Replay() {
   for (const auto& [seq, payload] : resend_window_) {
-    CIO_RETURN_IF_ERROR(FrameAndQueue(seq, payload));
+    CIO_RETURN_IF_ERROR(FrameAndQueue(seq, std::nullopt, payload));
     ++stats_.messages_resent;
   }
   return ciobase::OkStatus();
@@ -404,6 +461,14 @@ ciobase::Result<std::unique_ptr<Session>> Session::Restore(
     }
     prev_seq = seq;
     session->resend_window_.emplace_back(seq, std::move(payload));
+  }
+  // The window held exactly what the peer had not acknowledged, so its
+  // lower edge is the trim point. Without a window nothing is trimmed, and
+  // any ack the peer sends is believed.
+  if (resend_cap != 0) {
+    session->acked_seq_ = session->resend_window_.empty()
+                              ? next_send_seq - 1
+                              : session->resend_window_.front().first - 1;
   }
   uint32_t inbox_count = 0;
   if (!reader.U32(inbox_count) || inbox_count > kMaxRestoreEntries) {

@@ -6,10 +6,14 @@
 // and survives transport re-establishment:
 //
 //   * the TLS session (PSK handshake, record protection),
-//   * the [len u32][seq u64][payload] message framing on the protected
-//     byte stream,
-//   * exactly-once delivery accounting (duplicate drop, loss counting),
-//   * the resend window replayed after a link reset + TLS restart,
+//   * the [len u32][seq u64][ack u64][payload] message framing on the
+//     protected byte stream, where `ack` is the sender's cumulative
+//     acknowledgement (its last delivered sequence number),
+//   * exactly-once delivery: duplicate drop, and a sequence gap refused as
+//     hostile,
+//   * the resend window: every sent message the peer has not acknowledged,
+//     capped (Send refuses while it is full) and replayed after a link
+//     reset + TLS restart,
 //   * the in-band control plane (sequence-zero frames) used for
 //     attestation admission and migration redirects, and
 //   * the rekey policy that ratchets the TLS traffic secrets forward after
@@ -52,13 +56,18 @@ namespace cio {
 // Control-plane message types carried as sequence-zero frames inside the
 // protected stream. Control frames never enter the resend window and never
 // touch the dedup state: challenges and redirects are bound to one
-// transport incarnation and must not replay across reattach.
+// transport incarnation and must not replay across reattach. Like every
+// frame they carry the sender's ack.
 enum class CtrlType : uint8_t {
   kAttestChallenge = 1,  // server -> client: fresh nonce to bind a report to
   kAttestReport = 2,     // client -> server: serialized AttestationReport
   kAdmitted = 3,         // server -> client: admission complete
   kDenied = 4,           // server -> client: typed admission rejection
   kRedirect = 5,         // server -> client: resume at {ip u32, port u16}
+  // Either direction: a standalone ack with an empty body, sent only when
+  // the peer's frame asked for one. Consumed by the session, never
+  // surfaced.
+  kAck = 6,
 };
 
 struct ControlMessage {
@@ -81,14 +90,21 @@ class Session {
     uint64_t messages_received = 0;  // handed out by Receive()
     uint64_t messages_resent = 0;    // replayed from the resend window
     uint64_t messages_duplicate_dropped = 0;  // dedup'd by sequence number
-    uint64_t messages_lost = 0;   // receive-side sequence gaps
+    // Messages skipped by a receive-side sequence gap. The gap itself is
+    // refused as kTampered (nothing is ever evicted unacknowledged), so
+    // on an honest link this stays 0.
+    uint64_t messages_lost = 0;
     uint64_t tls_restarts = 0;    // Start() calls after the first
     uint64_t rekeys = 0;          // send-direction key updates we initiated
     uint64_t control_sent = 0;
     uint64_t control_received = 0;
+    // Standalone kAck frames queued in answer to the peer's request (not
+    // in control_sent, and not carried by SerializeState).
+    uint64_t acks_sent = 0;
   };
 
-  // `resend_window_cap` == 0 disables the resend window (no recovery).
+  // `resend_window_cap` == 0 disables the resend window (no recovery): no
+  // backpressure, and the session never asks for an ack.
   Session(bool use_tls, ciobase::Buffer psk, size_t resend_window_cap,
           RekeyPolicy rekey = {});
 
@@ -109,10 +125,15 @@ class Session {
 
   // --- Application messages --------------------------------------------------
 
-  static constexpr size_t kMaxMessageBytes = (1u << 24) - 8;
+  // Frame header: [len u32][seq u64][ack u64]; `len` counts seq, ack and
+  // payload. Its top bit is the ack-request flag (len never exceeds 2^24).
+  static constexpr size_t kFrameHeaderBytes = 20;
+  static constexpr size_t kMaxMessageBytes = (1u << 24) - 16;
 
   // Frames, protects, and queues one message; records it in the resend
-  // window. kFailedPrecondition when the channel is not Established().
+  // window. kFailedPrecondition when the channel is not Established();
+  // kResourceExhausted while the window holds its cap of messages the peer
+  // has not acknowledged (retry once the peer's next frame has arrived).
   ciobase::Status Send(ciobase::ByteSpan payload);
   // Next reassembled inbound message, kUnavailable when none.
   ciobase::Result<ciobase::Buffer> Receive();
@@ -150,10 +171,15 @@ class Session {
   bool HasOutbound() const { return !outbound_.empty(); }
   void ConsumeOutbound(size_t n);
 
-  // Feeds raw bytes read from the transport. Typed failures:
+  // Feeds raw bytes read from the transport. Every frame's ack trims the
+  // resend window; when a delivered frame asked for an ack, one kAck is
+  // queued in outbound(). Typed failures:
   //   kLinkReset — the TLS stream is corrupt; recoverable by resetting the
-  //                channel and re-establishing (PR-2 semantics).
+  //                channel and re-establishing.
   //   kTampered  — hostile framing inside the protected stream; terminal.
+  //                This covers a sequence gap, an ack of a message never
+  //                sent, and an ack below one the peer already sent (the
+  //                peer lost the session state).
   ciobase::Status Ingest(ciobase::ByteSpan bytes);
 
   // --- Recovery --------------------------------------------------------------
@@ -161,8 +187,9 @@ class Session {
   // The transport under the channel died: drop the TLS session and every
   // in-flight byte, keep sequence numbers and the resend window.
   void ResetChannel();
-  // Once Established() again, re-frame everything still in the window; the
-  // peer's sequence numbers drop whatever was already delivered.
+  // Once Established() again, re-frame everything still unacknowledged;
+  // the peer's sequence numbers drop whatever it had already delivered,
+  // and the replayed frames carry this side's ack.
   ciobase::Status Replay();
 
   // --- Migration -------------------------------------------------------------
@@ -186,12 +213,21 @@ class Session {
   size_t resend_window_size() const { return resend_window_.size(); }
   uint64_t last_delivered_seq() const { return last_delivered_seq_; }
   uint64_t next_send_seq() const { return next_send_seq_; }
+  // Highest sequence number the peer has acknowledged.
+  uint64_t acked_seq() const { return acked_seq_; }
 
  private:
-  ciobase::Status FrameAndQueue(uint64_t seq, ciobase::ByteSpan payload);
-  void PushResendWindow(uint64_t seq, ciobase::ByteSpan payload);
+  // Frames [header][ctrl u8 when `ctrl` is set][payload] in frame_tx_ and
+  // seals it into outbound_.
+  ciobase::Status FrameAndQueue(uint64_t seq, std::optional<CtrlType> ctrl,
+                                ciobase::ByteSpan payload);
+  // Whether the next frame asks for an ack: at least half the window is
+  // unacknowledged and no earlier request awaits its kAck.
+  bool TakeAckRequest();
+  // Applies the peer's cumulative ack: trims the window.
+  ciobase::Status ApplyAck(uint64_t ack);
   void PumpTls();  // moves pending TLS output into outbound_
-  ciobase::Status ParseFrames();
+  ciobase::Status ParseFrames(bool& ack_requested);
   // Accounts one sealed application message against the rekey policy and
   // triggers Rekey() once a threshold trips. Called AFTER the message is
   // framed so the KeyUpdate lands behind it in the stream.
@@ -205,14 +241,20 @@ class Session {
 
   std::unique_ptr<ciotls::TlsSession> tls_;
   ciobase::Buffer outbound_;  // protected bytes awaiting the transport
+  ciobase::Buffer frame_tx_;  // one framed message, reused per send
   ciobase::Buffer frame_rx_;  // length-framing reassembly buffer
   std::deque<ciobase::Buffer> inbox_;
   std::deque<ControlMessage> control_inbox_;
 
   uint64_t next_send_seq_ = 1;       // our outbound sequence numbers
   uint64_t last_delivered_seq_ = 0;  // peer's highest delivered sequence
-  // Sent-but-possibly-unacknowledged messages, oldest first, capped at
-  // resend_cap_.
+  uint64_t acked_seq_ = 0;           // our highest sequence peer-acked
+  // A frame of ours asked for an ack and its kAck has not arrived. The
+  // peer answers every such frame it delivers, so only a channel reset
+  // loses the answer.
+  bool ack_request_outstanding_ = false;
+  // Sent messages the peer has not acknowledged, oldest first: exactly
+  // the sequence numbers (acked_seq_, next_send_seq_), at most resend_cap_.
   std::deque<std::pair<uint64_t, ciobase::Buffer>> resend_window_;
   uint64_t records_since_rekey_ = 0;
   uint64_t bytes_since_rekey_ = 0;

@@ -122,6 +122,13 @@ void ConfidentialServer::Park(Entry& entry) {
 }
 
 void ConfidentialServer::Step(Entry& entry) {
+  if (entry.state == ConnState::kMigrating) {
+    // The exported state is the only continuation: ingesting more here
+    // would move this copy's ack past it, and a kAck from here would trim
+    // messages the importing instance never saw out of the client's
+    // window. The redirect flushes and the socket closes in FlushOutbound.
+    return;
+  }
   switch (entry.Drain(*sockets_, rx_scratch_, kMaxRxChunksPerRound)) {
     case cio::DrainOutcome::kLive:
       break;
@@ -292,7 +299,10 @@ void ConfidentialServer::Reap() {
   stats_.closed += std::erase_if(
       connections_, [](const auto& item) { return !item.second.open(); });
   // A parked client that never came back: its unacknowledged messages are
-  // gone for good (they would have been counted lost by the peer anyway).
+  // gone for good. If it comes back later it meets a fresh session, whose
+  // first frame acknowledges less than the client's trim point: the client
+  // fails typed (kTampered) instead of reading the new session's messages
+  // as duplicates.
   const uint64_t now = clock_->now_ns();
   stats_.expired_parked += std::erase_if(parked_, [&](const auto& item) {
     return now - item.second.parked_ns > config_.reattach_timeout_ns;

@@ -127,7 +127,8 @@ class ConfidentialServer {
 
   // Queues one message to a connection. kNotFound for unknown ids,
   // kFailedPrecondition unless established, kResourceExhausted when the
-  // connection's send queue is over budget.
+  // connection's send queue is over budget or its resend window is full of
+  // messages the client has not acknowledged.
   ciobase::Status Send(ConnId conn, ciobase::ByteSpan message);
 
   // Orderly shutdown: flush what is queued, then FIN. The connection

@@ -246,7 +246,8 @@ void TlsSession::RotateSecret(ciobase::Buffer& secret, SealingKey& key) {
                    ExpandSecret(secret, "iv", {}, 12));
 }
 
-ciobase::Status TlsSession::WriteMessage(ciobase::ByteSpan plaintext) {
+ciobase::Status TlsSession::WriteMessage(ciobase::ByteSpan plaintext,
+                                         ciobase::Buffer& out) {
   if (state_ != TlsState::kEstablished) {
     return ciobase::FailedPrecondition("not established");
   }
@@ -254,9 +255,9 @@ ciobase::Status TlsSession::WriteMessage(ciobase::ByteSpan plaintext) {
   size_t offset = 0;
   do {
     size_t n = std::min(kMaxRecordPayload, plaintext.size() - offset);
-    // Seal straight into the output queue: no per-record temporaries.
+    // Seal straight into the destination: no per-record temporaries.
     send_key_.SealInto(RecordType::kApplicationData,
-                       plaintext.subspan(offset, n), output_);
+                       plaintext.subspan(offset, n), out);
     ++stats_.records_sealed;
     stats_.bytes_protected += n;
     offset += n;

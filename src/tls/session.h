@@ -82,7 +82,13 @@ class TlsSession {
   // --- Application data (established only) ----------------------------------
 
   // Protects and queues a message (fragmented into records as needed).
-  ciobase::Status WriteMessage(ciobase::ByteSpan plaintext);
+  ciobase::Status WriteMessage(ciobase::ByteSpan plaintext) {
+    return WriteMessage(plaintext, output_);
+  }
+  // Protects a message and appends its records to `out` instead of the
+  // output queue. Drain TakeOutput() first: records must leave in order.
+  ciobase::Status WriteMessage(ciobase::ByteSpan plaintext,
+                               ciobase::Buffer& out);
   // Next decrypted application record payload, kUnavailable when none.
   ciobase::Result<ciobase::Buffer> ReadMessage();
 

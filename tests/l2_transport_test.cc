@@ -9,6 +9,8 @@
 
 #include <functional>
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/cio/l2_host_device.h"
@@ -252,6 +254,36 @@ TEST_P(L2PositioningTest, AttackSurfaceLiesWhereTheReceivePathReads) {
   EXPECT_EQ(payload_fields, 1u);
 }
 
+// Each positioning names exactly the fields its receive path reads: the
+// two counters, each of the first four RX slots' length word, its offset
+// word only where the slot carries one (shared-pool: pool offset,
+// indirect: table offset; inline reserves the word), and the payload area.
+TEST_P(L2PositioningTest, AttackSurfaceNamesOnlyFieldsTheReceivePathReads) {
+  using ciohost::FieldKind;
+  L2Config config;
+  config.positioning = GetParam();
+  World world(config);
+  const L2Layout& layout = world.transport->layout();
+  const bool inline_slots = GetParam() == DataPositioning::kInline;
+  std::vector<std::tuple<FieldKind, uint64_t, uint32_t>> expected = {
+      {FieldKind::kIndex, layout.RxProduced(), 8},
+      {FieldKind::kIndex, layout.TxConsumed(), 8}};
+  for (uint64_t i = 0; i < 4; ++i) {
+    expected.emplace_back(FieldKind::kLength, layout.RxSlot(i), 4);
+    if (!inline_slots) {
+      expected.emplace_back(FieldKind::kOffset, layout.RxSlot(i) + 4, 4);
+    }
+  }
+  expected.emplace_back(FieldKind::kPayload,
+                        inline_slots ? layout.rx_ring : layout.rx_pool,
+                        static_cast<uint32_t>(layout.slots * layout.slot_size));
+  std::vector<std::tuple<FieldKind, uint64_t, uint32_t>> named;
+  for (const ciohost::SurfaceField& field :
+       world.transport->AttackSurface()) {
+    named.emplace_back(field.kind, field.offset, field.width);
+  }
+  EXPECT_EQ(named, expected);
+}
 
 TEST_P(L2PositioningTest, EchoRoundTrip) {
   L2Config config;

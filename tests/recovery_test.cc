@@ -7,13 +7,20 @@
 //     a permanently hostile host exhausts the budget (kTimedOut).
 //   * Virtio driver: reset-and-reattach re-runs the full negotiation and
 //     the datapath comes back.
+//   * Session acks: every frame's cumulative ack trims the resend window;
+//     an ack of a message never sent and a sequence gap are kTampered; a
+//     full window refuses Send until the peer's next frame; a serialized
+//     session carries its trimmed window.
 //   * Engine, end to end: the host kills the link mid-transfer; the
 //     dual-boundary node's watchdog + ring reset + TCP retransmit + TLS
-//     re-establishment + resend window deliver every message exactly once.
+//     re-establishment + resend window deliver every message exactly once,
+//     also with 200 messages offered into the dead link; a one-way stream
+//     draws at most one standalone ack per half window.
 //   * One recovery-campaign cell as ground truth for the bench's claim.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -361,6 +368,202 @@ TEST(VirtioRecovery, StalledDeviceTripsWatchdogAndComesBack) {
   EXPECT_TRUE(cionet::ReceiveOne(*world.driver).ok());
 }
 
+// --- Session acks -------------------------------------------------------------
+
+// One plaintext frame as Session frames it: [len u32][seq u64][ack u64]
+// [payload]; `request` sets the ack-request flag (len's top bit).
+Buffer Frame(uint64_t seq, uint64_t ack, const std::string& payload,
+             bool request = false) {
+  Buffer frame(Session::kFrameHeaderBytes);
+  uint32_t len = static_cast<uint32_t>(16 + payload.size());
+  ciobase::StoreLe32(frame.data(), request ? len | (1u << 31) : len);
+  ciobase::StoreLe64(frame.data() + 4, seq);
+  ciobase::StoreLe64(frame.data() + 12, ack);
+  ciobase::Append(frame, BufferFromString(payload));
+  return frame;
+}
+
+std::string ToString(const Buffer& buffer) {
+  return std::string(reinterpret_cast<const char*>(buffer.data()),
+                     buffer.size());
+}
+
+// `prefix` followed by `n`. Built by appending: GCC 12 at -O3 reports a
+// false -Wrestrict on a short literal + std::to_string.
+std::string Numbered(const char* prefix, size_t n) {
+  std::string text = prefix;
+  text += std::to_string(n);
+  return text;
+}
+
+// Moves everything `from` queued into `to`.
+ciobase::Status Deliver(Session& from, Session& to) {
+  Buffer bytes = from.outbound();
+  from.ConsumeOutbound(bytes.size());
+  return to.Ingest(bytes);
+}
+
+TEST(SessionAcks, AckOfAMessageNeverSentIsTampered) {
+  Session session(false, Buffer{}, 8);
+  session.Start(ciotls::TlsRole::kClient, 1);
+  ASSERT_TRUE(session.Send(BufferFromString("a")).ok());
+  ASSERT_TRUE(session.Send(BufferFromString("b")).ok());
+  // Acking both trims the window; acking a third message, which was never
+  // sent, is forged.
+  ASSERT_TRUE(session.Ingest(Frame(1, 2, "reply")).ok());
+  EXPECT_EQ(session.resend_window_size(), 0u);
+  EXPECT_EQ(session.acked_seq(), 2u);
+  EXPECT_EQ(session.Ingest(Frame(2, 3, "reply")).code(),
+            ciobase::StatusCode::kTampered);
+}
+
+TEST(SessionAcks, SequenceGapIsTamperedAndCountedLost) {
+  Session session(false, Buffer{}, 8);
+  session.Start(ciotls::TlsRole::kServer, 2);
+  ASSERT_TRUE(session.Ingest(Frame(1, 0, "m1")).ok());
+  // Nothing leaves an honest peer's window unacknowledged, so message 2
+  // cannot have been dropped: a frame that skips it is forged.
+  EXPECT_EQ(session.Ingest(Frame(3, 0, "m3")).code(),
+            ciobase::StatusCode::kTampered);
+  EXPECT_EQ(session.stats().messages_lost, 1u);
+  EXPECT_EQ(session.last_delivered_seq(), 1u);
+  auto first = session.Receive();
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(ToString(*first), "m1");
+  EXPECT_FALSE(session.Receive().ok());
+}
+
+TEST(SessionAcks, FullWindowRefusesSendUntilThePeersNextFrame) {
+  Session a(false, Buffer{}, 4);
+  Session b(false, Buffer{}, 4);
+  a.Start(ciotls::TlsRole::kClient, 1);
+  b.Start(ciotls::TlsRole::kServer, 2);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(a.Send(BufferFromString(Numbered("m", i))).ok());
+  }
+  EXPECT_EQ(a.resend_window_size(), 4u);
+  EXPECT_EQ(a.Send(BufferFromString("m4")).code(),
+            ciobase::StatusCode::kResourceExhausted);
+  EXPECT_EQ(a.stats().messages_sent, 4u);
+  EXPECT_EQ(a.next_send_seq(), 5u);  // the refused message took no number
+
+  // The second message filled half the window and asked for an ack, so b
+  // answers its batch with one standalone kAck: b's next frame.
+  ASSERT_TRUE(Deliver(a, b).ok());
+  EXPECT_EQ(b.stats().acks_sent, 1u);
+  EXPECT_EQ(b.stats().control_sent, 0u);
+  ASSERT_TRUE(Deliver(b, a).ok());
+  EXPECT_EQ(a.resend_window_size(), 0u);
+  EXPECT_FALSE(a.HasControl());  // the kAck is consumed, never surfaced
+  ASSERT_TRUE(a.Send(BufferFromString("m4")).ok());
+
+  // A data frame carries the ack as well: no kAck needed.
+  ASSERT_TRUE(Deliver(a, b).ok());
+  ASSERT_TRUE(b.Send(BufferFromString("reply")).ok());
+  ASSERT_TRUE(Deliver(b, a).ok());
+  EXPECT_EQ(a.resend_window_size(), 0u);
+  EXPECT_EQ(b.stats().acks_sent, 1u);
+  size_t delivered = 0;
+  for (auto m = b.Receive(); m.ok(); m = b.Receive()) {
+    EXPECT_EQ(ToString(*m), Numbered("m", delivered));
+    ++delivered;
+  }
+  EXPECT_EQ(delivered, 5u);
+}
+
+// A replayed window can reach the peer over several reads. The first
+// replayed frame asks for an ack, and its answer covers only what had
+// arrived by then; the next frame may ask again, so a one-way stream
+// after a reconnect never stalls on a full window.
+TEST(SessionAcks, OneWayStreamAfterASplitReplayKeepsDrawingAcks) {
+  Session a(false, Buffer{}, 8);
+  Session b(false, Buffer{}, 8);
+  a.Start(ciotls::TlsRole::kClient, 1);
+  b.Start(ciotls::TlsRole::kServer, 2);
+  for (size_t i = 1; i <= 6; ++i) {
+    ASSERT_TRUE(a.Send(BufferFromString(Numbered("m", i))).ok());
+  }
+  // The link dies before b sees any of them.
+  a.ResetChannel();
+  b.ResetChannel();
+  a.Start(ciotls::TlsRole::kClient, 1);
+  b.Start(ciotls::TlsRole::kServer, 2);
+  ASSERT_TRUE(a.Replay().ok());
+  Buffer replay = a.outbound();
+  a.ConsumeOutbound(replay.size());
+  const size_t first = Session::kFrameHeaderBytes + 2;  // "m1" alone
+  ASSERT_TRUE(b.Ingest(ciobase::ByteSpan(replay.data(), first)).ok());
+  ASSERT_TRUE(
+      b.Ingest(ciobase::ByteSpan(replay.data() + first, replay.size() - first))
+          .ok());
+  EXPECT_EQ(b.stats().acks_sent, 1u);
+  ASSERT_TRUE(Deliver(b, a).ok());
+  EXPECT_EQ(a.resend_window_size(), 5u);
+
+  for (size_t i = 7; i <= 40; ++i) {
+    Buffer message = BufferFromString(Numbered("m", i));
+    ciobase::Status status = a.Send(message);
+    if (status.code() == ciobase::StatusCode::kResourceExhausted) {
+      // One round trip must open the window again.
+      ASSERT_TRUE(Deliver(a, b).ok());
+      ASSERT_TRUE(Deliver(b, a).ok());
+      status = a.Send(message);
+    }
+    ASSERT_TRUE(status.ok()) << i;
+  }
+  ASSERT_TRUE(Deliver(a, b).ok());
+  size_t delivered = 0;
+  for (auto m = b.Receive(); m.ok(); m = b.Receive()) {
+    ++delivered;
+    EXPECT_EQ(ToString(*m), Numbered("m", delivered));
+  }
+  EXPECT_EQ(delivered, 40u);
+}
+
+TEST(SessionAcks, SerializeRestoreCarriesTheTrimmedWindow) {
+  Session a(false, Buffer{}, 8);
+  Session b(false, Buffer{}, 8);
+  a.Start(ciotls::TlsRole::kClient, 1);
+  b.Start(ciotls::TlsRole::kServer, 2);
+  for (int i = 1; i <= 5; ++i) {
+    ASSERT_TRUE(a.Send(BufferFromString(Numbered("m", i))).ok());
+  }
+  ASSERT_TRUE(Deliver(a, b).ok());
+  ASSERT_TRUE(b.Send(BufferFromString("r1")).ok());
+  ASSERT_TRUE(Deliver(b, a).ok());
+  ASSERT_EQ(a.resend_window_size(), 0u);
+  // Two more leave, and the link dies before b sees them.
+  ASSERT_TRUE(a.Send(BufferFromString("m6")).ok());
+  ASSERT_TRUE(a.Send(BufferFromString("m7")).ok());
+  a.ResetChannel();
+  b.ResetChannel();
+
+  auto restored = Session::Restore(a.SerializeState());
+  ASSERT_TRUE(restored.ok());
+  Session& c = **restored;
+  EXPECT_EQ(c.resend_window_size(), 2u);
+  EXPECT_EQ(c.acked_seq(), 5u);
+  EXPECT_EQ(c.next_send_seq(), 8u);
+  c.Start(ciotls::TlsRole::kClient, 1);
+  b.Start(ciotls::TlsRole::kServer, 2);
+  ASSERT_TRUE(c.Replay().ok());
+  EXPECT_EQ(c.stats().messages_resent, 2u);
+  ASSERT_TRUE(Deliver(c, b).ok());
+  std::vector<std::string> delivered;
+  for (auto m = b.Receive(); m.ok(); m = b.Receive()) {
+    delivered.push_back(ToString(*m));
+  }
+  EXPECT_EQ(delivered, (std::vector<std::string>{"m1", "m2", "m3", "m4", "m5",
+                                                 "m6", "m7"}));
+  // b's next frame acknowledges the replay; an ack the restored session's
+  // trim point has passed would mean b forgot the session.
+  ASSERT_TRUE(b.Send(BufferFromString("r2")).ok());
+  ASSERT_TRUE(Deliver(b, c).ok());
+  EXPECT_EQ(c.resend_window_size(), 0u);
+  EXPECT_EQ(c.Ingest(Frame(3, 4, "stale")).code(),
+            ciobase::StatusCode::kTampered);
+}
+
 // --- Engine, end to end ------------------------------------------------------
 
 // Deterministic e2e: the host kills the victim's link mid-transfer for
@@ -481,6 +684,110 @@ TEST(EngineRecovery, DuplicateFramesDoNotDuplicateMessages) {
   std::set<std::string> unique(received.begin(), received.end());
   EXPECT_EQ(unique.size(), received.size()) << "duplicate delivered";
   EXPECT_EQ(received.size(), 6u);
+}
+
+// A one-way stream: the receiver sends no data, so every ack it gives is a
+// standalone kAck, and it gives one only when asked. The sender's window
+// never grows past its cap: a full window refuses Send, and the stream
+// resumes once the kAck arrives.
+TEST(EngineRecovery, OneWayStreamAcksOncePerHalfWindow) {
+  StackConfig client = StackConfig::DefaultsFor(StackProfile::kDualBoundary, 1);
+  client.seed = 3030;
+  StackConfig server = client;
+  server.node_id = 2;
+  server.seed = 3031;
+  LinkedPair pair(client, server);
+  ASSERT_TRUE(pair.Establish());
+  const size_t cap = client.recovery.resend_window;
+  constexpr size_t kMessages = 1000;
+
+  size_t sent = 0;
+  size_t received = 0;
+  size_t refused = 0;
+  size_t max_window = 0;
+  ASSERT_TRUE(pair.PumpUntil(
+      [&] {
+        for (int burst = 0; burst < 8 && sent < kMessages; ++burst) {
+          ciobase::Status status = pair.client->SendMessage(
+              BufferFromString(Numbered("stream message ", sent)));
+          if (!status.ok()) {
+            EXPECT_EQ(status.code(), ciobase::StatusCode::kResourceExhausted);
+            ++refused;
+            break;
+          }
+          ++sent;
+        }
+        max_window =
+            std::max(max_window, pair.client->session().resend_window_size());
+        for (auto m = pair.server->ReceiveMessage(); m.ok();
+             m = pair.server->ReceiveMessage()) {
+          EXPECT_EQ(ToString(*m), Numbered("stream message ", received));
+          ++received;
+        }
+        return received == kMessages;
+      },
+      200000));
+  EXPECT_LE(max_window, cap);
+  EXPECT_GT(refused, 0u);  // the window filled: backpressure, not eviction
+  const uint64_t acks = pair.server->session().stats().acks_sent;
+  EXPECT_GE(acks, 1u);
+  EXPECT_LE(acks, kMessages / (cap / 2));
+  EXPECT_EQ(pair.client->session().stats().acks_sent, 0u);
+  EXPECT_EQ(pair.client->recovery_stats().messages_lost, 0u);
+  EXPECT_EQ(pair.server->recovery_stats().messages_lost, 0u);
+}
+
+// The link dies for 12 ms, past the TCP retry budget, while one client
+// offers 200 messages into it: more than its resend window holds. Backpressure
+// holds the rest back until the peer acknowledges, so after the reconnect
+// every message arrives exactly once, in order, and none is lost.
+TEST(EngineRecovery, TwelveMsKillWithTwoHundredInFlightLosesNone) {
+  StackConfig client = StackConfig::DefaultsFor(StackProfile::kDualBoundary, 1);
+  client.seed = 4040;
+  TuneTcpForFaultWindows(client);
+  StackConfig server = client;
+  server.node_id = 2;
+  server.seed = 4041;
+  LinkedPair pair(client, server);
+  ASSERT_TRUE(pair.Establish());
+
+  std::vector<std::string> sent;
+  std::vector<std::string> received;
+  auto drain = [&] {
+    for (auto m = pair.server->ReceiveMessage(); m.ok();
+         m = pair.server->ReceiveMessage()) {
+      received.push_back(ToString(*m));
+    }
+  };
+  pair.client->adversary().InjectFault(
+      {ciohost::FaultStrategy::kLinkKill, pair.clock.now_ns(), 12'000'000});
+  for (int i = 0; i < 200; ++i) {
+    std::string payload = Numbered("in flight ", i);
+    bool accepted = false;
+    for (int round = 0; round < 60000 && !accepted; ++round) {
+      accepted = pair.client->Ready() &&
+                 pair.client->SendMessage(BufferFromString(payload)).ok();
+      if (!accepted) {
+        pair.Pump();
+        drain();
+      }
+    }
+    ASSERT_TRUE(accepted) << payload;
+    sent.push_back(payload);
+  }
+  ASSERT_TRUE(pair.PumpUntil(
+      [&] {
+        drain();
+        return received.size() >= sent.size() && pair.client->Ready() &&
+               !pair.client->Failed() && !pair.server->Failed();
+      },
+      60000));
+  EXPECT_EQ(received, sent);
+  const auto& stats = pair.client->recovery_stats();
+  EXPECT_GE(stats.link_errors, 1u);
+  EXPECT_GE(stats.reconnects, 1u);
+  EXPECT_EQ(stats.messages_lost, 0u);
+  EXPECT_EQ(pair.server->recovery_stats().messages_lost, 0u);
 }
 
 // --- Campaign ground truth ---------------------------------------------------

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -211,6 +212,119 @@ TEST(Admission, ReattachAfterFaultReAttests) {
     EXPECT_TRUE(client->admitted());
     EXPECT_EQ(client->recovery_stats().messages_lost, 0u);
   }
+}
+
+// --- Acknowledged resend windows -----------------------------------------------
+
+// Echo traffic carries every ack on a frame it sends anyway: no standalone
+// kAck goes out, and a window holds only what its peer has not delivered.
+TEST(AckedWindow, SteadyEchoSendsNoStandaloneAckAndHoldsWhatIsInFlight) {
+  MultiClientWorld::Options options;
+  options.profile = StackProfile::kDualBoundary;
+  options.num_clients = 8;
+  MultiClientWorld world(options);
+  ASSERT_TRUE(world.EstablishAll());
+
+  constexpr size_t kInFlight = 2;
+  constexpr size_t kPerClient = 40;
+  const size_t n = world.clients.size();
+  std::vector<size_t> sent(n, 0);
+  std::vector<size_t> received(n, 0);
+  size_t client_excess = 0;  // most a client window held beyond in flight
+  size_t server_window = 0;  // largest server-side window seen
+  bool done = false;
+  for (int round = 0; round < 60000 && !done; ++round) {
+    done = true;
+    for (size_t i = 0; i < n; ++i) {
+      cio::ConfidentialNode& client = *world.clients[i];
+      while (sent[i] - received[i] < kInFlight && sent[i] < kPerClient &&
+             client.Ready() &&
+             client.SendMessage(BufferFromString(Tag(i, sent[i]))).ok()) {
+        ++sent[i];
+      }
+      for (auto echo = client.ReceiveMessage(); echo.ok();
+           echo = client.ReceiveMessage()) {
+        ASSERT_EQ(ToString(*echo), Tag(i, received[i]));
+        ++received[i];
+      }
+      done = done && received[i] == kPerClient;
+    }
+    world.EchoRound();
+    world.Pump();
+    for (size_t i = 0; i < n; ++i) {
+      const size_t window = world.clients[i]->session().resend_window_size();
+      const size_t in_flight = sent[i] - received[i];
+      client_excess = std::max(client_excess,
+                               window > in_flight ? window - in_flight : 0);
+    }
+    for (ConnId id : world.server->EstablishedConnections()) {
+      server_window = std::max(
+          server_window, world.server->SessionOf(id)->resend_window_size());
+    }
+  }
+  ASSERT_TRUE(done);
+  EXPECT_LE(client_excess, 1u);
+  EXPECT_LE(server_window, kInFlight + 1);
+  uint64_t acks = 0;
+  for (auto& client : world.clients) {
+    acks += client->session().stats().acks_sent;
+  }
+  for (ConnId id : world.server->EstablishedConnections()) {
+    acks += world.server->SessionOf(id)->stats().acks_sent;
+  }
+  EXPECT_EQ(acks, 0u);
+}
+
+// The server parks a faulted connection's session only for
+// reattach_timeout_ns. A client that comes back later meets a fresh server
+// session, which knows none of its sequence numbers: the server's first
+// frame acknowledges less than the client's trim point, so the client
+// fails typed (kTampered, terminal) instead of reading the fresh session's
+// messages as duplicates or the server re-delivering a replayed window.
+TEST(AckedWindow, ReconnectAfterParkedSessionExpiredFailsTyped) {
+  MultiClientWorld::Options options;
+  options.profile = StackProfile::kDualBoundary;
+  options.num_clients = 1;
+  options.attestation_key = BufferFromString("fleet-attestation-root");
+  options.server_config.reattach_timeout_ns = 1'000'000;
+  MultiClientWorld world(options);
+  ASSERT_TRUE(world.EstablishAll());
+  EchoDriver echo(world);
+  ASSERT_TRUE(echo.Run(4));
+  cio::ConfidentialNode& client = *world.clients[0];
+  ASSERT_GT(client.session().acked_seq(), 0u);
+
+  // The server's link dies with a server message in flight, so its TCP
+  // gives up and it parks the session, which expires 1 ms later. The
+  // client's channel dies too, and it redials once the host relents.
+  const uint64_t kill_ns = world.clock.now_ns();
+  world.server_node->adversary().InjectFault(
+      {ciohost::FaultStrategy::kLinkKill, kill_ns, 12'000'000});
+  auto conns = world.server->EstablishedConnections();
+  ASSERT_EQ(conns.size(), 1u);
+  ASSERT_TRUE(world.server->Send(conns[0], BufferFromString("unsolicited"))
+                  .ok());
+  ASSERT_TRUE(world.PumpUntil([&] {
+    world.EchoRound();
+    return client.Failed();
+  }));
+  EXPECT_GE(world.server->stats().expired_parked, 1u);
+  EXPECT_EQ(world.server->stats().recovered, 0u);
+  EXPECT_GE(client.recovery_stats().reconnects, 1u);
+  EXPECT_FALSE(client.denied());  // not an admission failure
+  // It failed on the fresh session's first frame, not for want of
+  // reconnects, and it received nothing past the old session's message.
+  EXPECT_LT(client.recovery_stats().reconnects,
+            client.config().recovery.max_reconnects);
+  std::vector<std::string> got;
+  for (auto m = client.ReceiveMessage(); m.ok(); m = client.ReceiveMessage()) {
+    got.push_back(ToString(*m));
+  }
+  EXPECT_LE(got.size(), 1u);
+  for (const std::string& message : got) {
+    EXPECT_EQ(message, "unsolicited");
+  }
+  EXPECT_EQ(client.recovery_stats().messages_lost, 0u);
 }
 
 // --- Transparent rekeying ----------------------------------------------------

@@ -6,6 +6,8 @@ Usage, from the repository root:
     python3 tools/ab_perfbench.py --parent HEAD~1 --change . \\
         [--workloads echo-small,store-mixed] [--seeds 1-10,11] \\
         [--workdir .bench_build/ab]
+    python3 tools/ab_perfbench.py --sweep --change . \\
+        --workloads echo-fault --seeds 1-90
 
 `--parent` and `--change` each name a git revision, exported with
 `git archive` (no checkout, no worktree) into a directory named after its
@@ -16,6 +18,11 @@ Every run lasts BENCHMARK.json's run_seconds. The runs
 are interleaved pairs: for every workload and seed, both sides run the
 same seed back to back, the parent first on odd seeds and the change first
 on even ones.
+
+With `--sweep` there is no parent: only `--change` is built, it runs once
+per workload and seed, and the report is one line per run, its correctness
+and its failed / attempted operations. The script then exits 1 if any run
+failed its check or printed no result.
 
 For each workload and end-to-end metric of BENCHMARK.json the report gives
 the parent's median [Q1-Q3], the change's median, the pairs the change
@@ -336,6 +343,24 @@ def cpu_features(path=CPUINFO):
         for name in CPU_FEATURES)
 
 
+def print_sweep(runs):
+    """Prints one row per run of a sweep; returns whether every run
+    printed a result and passed its check."""
+    print("| workload | seed | correct | failed / attempted operations |")
+    print("|---|---|---|---|")
+    passed = 0
+    for r in runs:
+        result = r["result"]
+        correct = bool(result and result["correct"])
+        passed += correct
+        counts = (f"{result['failed']:,} / {result['attempted']:,}"
+                  if result else "no result")
+        print(f"| {r['workload']} | {r['seed']} | "
+              f"{'yes' if correct else 'NO'} | {counts} |")
+    print(f"{passed} of {len(runs)} runs passed their check")
+    return passed == len(runs)
+
+
 def print_report(runs, workloads, seeds, metrics, cpuinfo=CPUINFO,
                  builds=None):
     """`builds` maps each side to (warnings, sources compiled, build log);
@@ -396,13 +421,17 @@ def print_report(runs, workloads, seeds, metrics, cpuinfo=CPUINFO,
 def main():
     parser = argparse.ArgumentParser(
         description="A/B pairs of the repository benchmark.")
-    parser.add_argument("--parent", required=True)
+    parser.add_argument("--parent")
     parser.add_argument("--change", required=True)
     parser.add_argument("--workloads", default="")
     parser.add_argument("--seeds", default="1-10")
     parser.add_argument("--workdir",
                         default=os.path.join(ROOT, ".bench_build", "ab"))
+    parser.add_argument("--sweep", action="store_true",
+                        help="run only --change, once per seed")
     args = parser.parse_args()
+    if not args.sweep and args.parent is None:
+        parser.error("--parent is required unless --sweep is given")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
@@ -416,7 +445,9 @@ def main():
 
     sides = {}
     builds = {}
-    for name, side_spec in (("parent", args.parent), ("change", args.change)):
+    specs = (("change", args.change),) if args.sweep else (
+        ("parent", args.parent), ("change", args.change))
+    for name, side_spec in specs:
         tree, key = export_side(side_spec, workdir)
         log(f"building {name} ({side_spec}) in {tree}")
         target_dir, build_log = build_side(name, tree, key, workdir)
@@ -430,6 +461,8 @@ def main():
     for workload in workloads:
         for seed in seeds:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
+            if args.sweep:
+                order = ("change",)
             for name in order:
                 tree, target_dir = sides[name]
                 result, sims, wall = run_once(tree, target_dir, workload,
@@ -441,6 +474,10 @@ def main():
                           "ok" if result["correct"] else "FAILED check")
                 log(f"{workload} seed {seed} {name}: {status}")
 
+    if args.sweep:
+        print(cpu_features())
+        print()
+        sys.exit(0 if print_sweep(runs) else 1)
     print_report(runs, workloads, seeds, metrics, builds=builds)
 
 

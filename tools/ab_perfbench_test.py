@@ -232,5 +232,30 @@ class BuildTest(unittest.TestCase):
                       "| change | 0 | 3 | c/build.log |\n", out.getvalue())
 
 
+class SweepTest(unittest.TestCase):
+    def sweep(self, runs):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            ok = ab.print_sweep(runs)
+        return ok, out.getvalue()
+
+    def test_every_run_passing_is_a_pass(self):
+        runs = [run(seed, "change", 10.0, failed=0) for seed in (1, 2)]
+        ok, text = self.sweep(runs)
+        self.assertTrue(ok)
+        self.assertIn("| w | 1 | yes | 0 / 1,000 |", text)
+        self.assertIn("2 of 2 runs passed their check", text)
+
+    def test_a_failed_check_or_a_missing_result_fails_the_sweep(self):
+        runs = [run(1, "change", 10.0),
+                run(2, "change", 10.0, correct=False, failed=7),
+                dict(run(3, "change", 10.0), result=None)]
+        ok, text = self.sweep(runs)
+        self.assertFalse(ok)
+        self.assertIn("| w | 2 | NO | 7 / 1,000 |", text)
+        self.assertIn("| w | 3 | NO | no result |", text)
+        self.assertIn("1 of 3 runs passed their check", text)
+
+
 if __name__ == "__main__":
     unittest.main()
